@@ -10,7 +10,8 @@ failure from a search that gave up:
 * 0 -- success / affirmative verdict
 * 1 -- provably negative verdict (illegal move, no shelling exists,
        not a combinatorial manifold, not isomorphic, invariant mismatch)
-* 2 -- undecided within budget (bounded search exhausted)
+* 2 -- undecided within budget (bounded search exhausted, or a
+       search deeper than the Python recursion limit)
 * 3 -- malformed input (unreadable files, bad simplex or move syntax,
        bad usage)
 
@@ -41,7 +42,12 @@ from .expander import (
     expand_exchange,
     star_move_transcript,
 )
-from .flipsearch import Schedule, prove_equivalent, reduce as reduce_complex
+from .flipsearch import (
+    Schedule,
+    _certify,
+    _obstruction,
+    reduce as reduce_complex,
+)
 from .moves import (
     Transcript,
     TranscriptParseError,
@@ -258,17 +264,13 @@ def _cmd_reduce(args):
 def _cmd_prove_equiv(args):
     K1 = load_complex(args.left)
     K2 = load_complex(args.right)
-    if K1.dim != K2.dim:
+    reason = _obstruction(K1, K2)
+    if reason is not None:
         print("equivalent: no")
-        print(f"reason: dimensions differ ({K1.dim} vs {K2.dim})")
-        return EXIT_NEGATIVE
-    h1, h2 = homology(K1), homology(K2)
-    if h1 != h2:
-        print("equivalent: no")
-        print(f"reason: homology differs ({h1} vs {h2})")
+        print(f"reason: {reason}")
         return EXIT_NEGATIVE
     schedule = _schedule(args)
-    cert = prove_equivalent(K1, K2, schedule)
+    cert = _certify(K1, K2, schedule)
     if cert is None:
         print("equivalent: unknown")
         print(f"reason: no certificate within {schedule.max_moves} moves "
@@ -346,7 +348,7 @@ def _build_parser():
         q.add_argument("--temp", type=float, default=_DEFAULT_SCHEDULE.temp,
                        help="starting temperature (default %(default)s)")
         q.add_argument("--decay", type=float, default=_DEFAULT_SCHEDULE.decay,
-                       help="cooling factor per uphill step "
+                       help="cooling factor per accepted move "
                             "(default %(default)s)")
 
     q = command("validate", _cmd_validate,
@@ -463,7 +465,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (BudgetExhaustedError, NotImplementedError) as exc:
+    except (BudgetExhaustedError, RecursionError) as exc:
         return _fail(exc, EXIT_UNKNOWN)
     except AbsentSimplexError as exc:
         return _fail(exc, EXIT_NEGATIVE)

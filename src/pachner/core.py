@@ -62,27 +62,15 @@ def fmt_simplex(s):
     return "[" + " ".join(str(v) for v in s) + "]"
 
 
-def merge_simplexes(a, b):
-    """Union of two disjoint simplexes, kept sorted."""
-    if set(a) & set(b):
-        raise JoinCollisionError(f"simplexes {a} and {b} share vertices")
-    return tuple(sorted(a + b))
-
-
-def faces_of_simplex(s):
-    """All subsets of a simplex, including () and s itself."""
-    out = []
-    for r in range(len(s) + 1):
-        out.extend(itertools.combinations(s, r))
-    return out
-
-
-def proper_faces(s):
-    """All subsets of s except s itself (the boundary of the simplex)."""
-    out = []
-    for r in range(len(s)):
-        out.extend(itertools.combinations(s, r))
-    return out
+def _ridge_degrees(K):
+    """Number of facets of K containing each ridge (codimension-one
+    face), keyed in facet then ``itertools.combinations`` order.  K must
+    not be {-}, which has no ridges."""
+    degree = {}
+    for f in K.facets:
+        for r in itertools.combinations(f, len(f) - 1):
+            degree[r] = degree.get(r, 0) + 1
+    return degree
 
 
 @dataclass(frozen=True)
@@ -244,23 +232,14 @@ class Complex:
             return self._boundary
         if not self.is_pure():
             raise NotPseudomanifoldError("boundary of a non-pure complex")
-        if self.dim < 0:
-            out = Complex(frozenset({EMPTY}), _trusted=True)
-            self._boundary = out
-            return out
-        degree = {}
-        for f in self._facets:
-            for r in itertools.combinations(f, len(f) - 1):
-                degree[r] = degree.get(r, 0) + 1
+        degree = _ridge_degrees(self) if self.dim >= 0 else {}
         bad = [r for r, d in degree.items() if d > 2]
         if bad:
             raise NotPseudomanifoldError(
                 f"ridge {bad[0]} lies in {degree[bad[0]]} facets")
         rim = [r for r, d in degree.items() if d == 1]
-        out = (Complex(frozenset({EMPTY}), _trusted=True) if not rim
-               else Complex(frozenset(rim), _trusted=True))
-        self._boundary = out
-        return out
+        self._boundary = Complex(frozenset(rim or {EMPTY}), _trusted=True)
+        return self._boundary
 
     def relabel(self, mapping):
         """Apply a vertex relabelling {old: new}; must stay injective."""

@@ -9,8 +9,9 @@ sequence of exchanges reducing the residual link factor to a simplex
 boundary.
 
 Every constructed object is certified on the spot: shellings and
-transcripts are replayed move by move (apply_move re-checks legality),
-and each splice point is compared for exact labeled equality.
+transcripts are replayed through apply_transcript, which checks each
+move's legality once, and each splice point is compared for exact
+labeled equality.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from .core import (
     BudgetExhaustedError,
     Complex,
+    _ridge_degrees,
     fmt_simplex,
     full_simplex,
     is_simplex_boundary,
@@ -30,7 +32,6 @@ from .flipsearch import Schedule, reduce as _flip_reduce
 from .moves import (
     Bistellar,
     Exchange,
-    IllegalAtStepError,
     IllegalMoveError,
     Shell,
     Star,
@@ -41,7 +42,7 @@ from .moves import (
     check_move,
     invert_transcript,
 )
-from .recognize import ShellingSequence, find_shelling
+from .recognize import ShellingSequence, find_shelling, replay_shelling
 
 WITNESS_SEED = 271828
 DEFAULT_EXPANSION_BUDGET = 100_000
@@ -54,17 +55,10 @@ _EMPTY = Complex.from_facets([])
 
 def _validate_shelling(X, sh, what="shelling"):
     """Replay sh on X, raising on any illegal step or a wrong ending."""
-    M = X
-    if sh.initial is not None:
-        if sh.initial not in M.facets:
-            raise ValueError(
-                f"{what}: initial {fmt_simplex(sh.initial)} is not a facet")
-        M = Complex.from_facets(set(M.facets) - {sh.initial})
-    for i, mv in enumerate(sh.steps):
-        rep = check_move(M, mv)
-        if not rep.legal:
-            raise IllegalAtStepError(i, mv, rep)
-        M = apply_move(M, mv)
+    if sh.initial is not None and sh.initial not in X.facets:
+        raise ValueError(
+            f"{what}: initial {fmt_simplex(sh.initial)} is not a facet")
+    M = replay_shelling(X, sh)
     if M.facets != frozenset({sh.terminal}):
         raise ValueError(f"{what} does not end at its terminal facet")
     return M
@@ -180,12 +174,7 @@ def _link_is_closed(K):
         return True
     if not K.is_pure():
         return False
-    deg = {}
-    for f in K.facets:
-        for i in range(len(f)):
-            r = f[:i] + f[i + 1:]
-            deg[r] = deg.get(r, 0) + 1
-    return all(d == 2 for d in deg.values())
+    return all(d == 2 for d in _ridge_degrees(K).values())
 
 
 def star_move_transcript(M, A, budget=DEFAULT_EXPANSION_BUDGET, at=None):
@@ -315,7 +304,7 @@ def factor_link(L, session=None):
             break
         try:
             cands = _minimal_nonfaces(L)
-        except NotImplementedError:
+        except BudgetExhaustedError:
             break
         found = None
         verts = set(L.vertices())
@@ -347,15 +336,14 @@ def search_witness(L, budget=DEFAULT_EXPANSION_BUDGET):
 
 
 def _validate_witness(core, witness):
-    cur = core
-    for i, mv in enumerate(witness.moves):
-        if not isinstance(mv, (Exchange, Bistellar)):
-            raise ValueError(f"witness move {i} is not an exchange: {mv}")
-        rep = check_move(cur, mv)
-        if not rep.legal:
-            raise IllegalAtStepError(i, mv, rep)
-        cur = apply_move(cur, mv)
-    if not is_simplex_boundary(cur):
+    stray = [i for i, mv in enumerate(witness.moves)
+             if not isinstance(mv, (Exchange, Bistellar))]
+    if stray:
+        i = stray[0]
+        raise ValueError(
+            f"witness move {i} is not an exchange: {witness.moves[i]}")
+    end = apply_transcript(core, Transcript(witness.moves))
+    if not is_simplex_boundary(end):
         raise ValueError("witness does not end at a simplex boundary")
 
 

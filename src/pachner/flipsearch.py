@@ -125,25 +125,38 @@ class Certificate:
         return dict(self.bijection)
 
 
-def prove_equivalent(M1, M2, schedule=None):
-    """Search for a flip-equivalence certificate between M1 and M2.
-
-    Both complexes are annealed under the same schedule; isomorphic
-    endpoints yield a Certificate.  Returns None when the search fails
-    -- which never asserts inequivalence, only that this budget did not
-    find a proof.  (Unequal homology or dimension is a genuine
-    disproof; callers wanting that distinction should screen first.)
-    """
+def _obstruction(M1, M2):
+    """Why M1 and M2 cannot be flip-equivalent, when their dimension or
+    homology already shows it; None otherwise."""
     from .recognize import homology
 
     if M1.dim != M2.dim:
-        return None
-    if homology(M1) != homology(M2):
-        return None
-    sched = schedule if schedule is not None else Schedule()
-    end1, t1 = reduce(M1, sched)
-    end2, t2 = reduce(M2, sched)
+        return f"dimensions differ ({M1.dim} vs {M2.dim})"
+    h1, h2 = homology(M1), homology(M2)
+    if h1 != h2:
+        return f"homology differs ({h1} vs {h2})"
+    return None
+
+
+def _certify(M1, M2, schedule):
+    """Anneal both complexes under one schedule; a Certificate when the
+    endpoints are isomorphic, None otherwise."""
+    end1, t1 = reduce(M1, schedule)
+    end2, t2 = reduce(M2, schedule)
     iso = isomorphic(end1, end2)
     if iso is None:
         return None
     return Certificate(t1, t2, tuple(sorted(iso.items())))
+
+
+def prove_equivalent(M1, M2, schedule=None):
+    """Search for a flip-equivalence certificate between M1 and M2.
+
+    Both complexes are annealed under the same schedule; isomorphic
+    endpoints yield a Certificate.  Returns None when the dimensions or
+    homology differ, which disproves equivalence, and when the search
+    fails, which only says that this budget did not find a proof.
+    """
+    if _obstruction(M1, M2) is not None:
+        return None
+    return _certify(M1, M2, schedule)

@@ -16,20 +16,27 @@ Five families, all exact surgeries on labelled face sets:
   facet A * B (A half-interior: A's closure meets the boundary exactly
   in dA, and B * dA lies in the boundary) and its gluing inverse.
 
-``check_move`` never raises: it returns a LegalityReport.  ``apply_move``
-checks first and raises IllegalMoveError (carrying the report) on
-failure.  Every apply is pure; complexes are immutable.
+Every move is dispatched through one table from move type to (A, B)
+data, legality check, surgery and inverse.  ``check_move`` returns a
+LegalityReport, also for malformed move data.  ``apply_move`` checks
+first and raises IllegalMoveError (carrying the report) on failure;
+``apply_transcript`` replays through it, one check per step.  Every
+apply is pure; complexes are immutable.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import (
+    BudgetExhaustedError,
     Complex,
     EMPTY,
     fmt_simplex,
+    full_simplex,
+    is_simplex_boundary,
     simplex,
     simplex_boundary,
     NotPseudomanifoldError,
@@ -55,40 +62,34 @@ class Weld:
 
 
 @dataclass(frozen=True)
-class Bistellar:
+class _PairMove:
+    """A move written `KEYWORD [A] ; [B]`; subclasses set the keyword."""
+
     A: tuple
     B: tuple
+    keyword = ""
 
     def __str__(self):
-        return f"FLIP {fmt_simplex(self.A)} ; {fmt_simplex(self.B)}"
+        return f"{self.keyword} {fmt_simplex(self.A)} ; {fmt_simplex(self.B)}"
 
 
-@dataclass(frozen=True)
-class Exchange:
-    A: tuple
-    B: tuple
-
-    def __str__(self):
-        return f"XCHG {fmt_simplex(self.A)} ; {fmt_simplex(self.B)}"
+class Bistellar(_PairMove):
+    keyword = "FLIP"
 
 
-@dataclass(frozen=True)
-class Shell:
-    A: tuple
-    B: tuple
-
-    def __str__(self):
-        return f"SHELL {fmt_simplex(self.A)} ; {fmt_simplex(self.B)}"
+class Exchange(_PairMove):
+    keyword = "XCHG"
 
 
-@dataclass(frozen=True)
-class Unshell:
-    A: tuple
-    B: tuple
+class Shell(_PairMove):
+    keyword = "SHELL"
 
-    def __str__(self):
-        return f"UNSHELL {fmt_simplex(self.A)} ; {fmt_simplex(self.B)}"
 
+class Unshell(_PairMove):
+    keyword = "UNSHELL"
+
+
+_PAIR_MOVES = {cls.keyword: cls for cls in (Bistellar, Exchange, Shell, Unshell)}
 
 MOVE_KINDS = ("star", "weld", "bistellar", "exchange", "shell", "unshell")
 
@@ -124,6 +125,8 @@ class IllegalAtStepError(ValueError):
 
 # -- legality ----------------------------------------------------------
 
+_TRIVIAL = Complex.from_facets([])  # {-}, the link factor of a flip
+
 
 def _check_exchange(M, A, B):
     """Shared legality core: lk(A, M) = dB * L with B absent from M."""
@@ -138,11 +141,7 @@ def _check_exchange(M, A, B):
         return LegalityReport(False, f"B = {fmt_simplex(B)} is already in the complex")
     lk = M.link(A)
     L = lk.restrict(set(lk.vertices()) - set(B))
-    try:
-        joined = simplex_boundary(B).join(L)
-    except Exception:  # pragma: no cover - disjoint by construction
-        return LegalityReport(False, "B cannot join the residual link factor")
-    if joined != lk:
+    if simplex_boundary(B).join(L) != lk:
         return LegalityReport(
             False,
             f"lk(A) does not factor as d{fmt_simplex(B)} * L",
@@ -187,16 +186,8 @@ def _check_unshell(M, A, B):
     F = tuple(sorted(A + B))
     if F in M:
         return LegalityReport(False, f"glued facet {fmt_simplex(F)} already present")
-    closure_F = set()
-    for r in range(len(F) + 1):
-        closure_F.update(itertools.combinations(F, r))
-    expected = set()
-    for r in range(len(A) + 1):
-        for a in itertools.combinations(A, r):
-            for s in range(len(B)):
-                for b in itertools.combinations(B, s):
-                    expected.add(tuple(sorted(a + b)))
-    if (closure_F & M.faces()) != expected:
+    expected = full_simplex(A).join(simplex_boundary(B)).faces()
+    if (full_simplex(F).faces() & M.faces()) != expected:
         return LegalityReport(
             False, "the glued facet must meet the complex exactly in A * dB")
     glued = Complex.from_facets(set(M.facets) | {F})
@@ -209,29 +200,14 @@ def _check_unshell(M, A, B):
     return LegalityReport(True)
 
 
-def check_move(M, move):
-    """Legality report for `move` on M.  Never raises."""
-    try:
-        if isinstance(move, Star):
-            return _check_exchange(M, move.A, (move.a,))
-        if isinstance(move, Weld):
-            return _check_exchange(M, (move.a,), move.A)
-        if isinstance(move, Bistellar):
-            rep = _check_exchange(M, move.A, move.B)
-            if rep.legal and rep.link_factor != Complex.from_facets([]):
-                return LegalityReport(
-                    False, "lk(A) is not exactly dB (residual factor present)",
-                    rep.link_factor)
-            return rep
-        if isinstance(move, Exchange):
-            return _check_exchange(M, move.A, move.B)
-        if isinstance(move, Shell):
-            return _check_shell(M, move.A, move.B)
-        if isinstance(move, Unshell):
-            return _check_unshell(M, move.A, move.B)
-    except Exception as exc:  # malformed data must yield a report, not a throw
-        return LegalityReport(False, f"check failed: {exc}")
-    return LegalityReport(False, f"unknown move type {type(move).__name__}")
+def _check_bistellar(M, A, B):
+    """An exchange whose residual link factor L is {-}."""
+    rep = _check_exchange(M, A, B)
+    if rep.legal and rep.link_factor != _TRIVIAL:
+        return LegalityReport(
+            False, "lk(A) is not exactly dB (residual factor present)",
+            rep.link_factor)
+    return rep
 
 
 # -- application -------------------------------------------------------
@@ -250,41 +226,62 @@ def _exchange_result(M, A, B, L):
     return Complex(frozenset(keep) | new, _trusted=True)
 
 
+def _shell_result(M, A, B, L):
+    return Complex(frozenset(M.facets) - {tuple(sorted(A + B))}, _trusted=True)
+
+
+def _unshell_result(M, A, B, L):
+    return Complex.from_facets(set(M.facets) | {tuple(sorted(A + B))})
+
+
+_ab = attrgetter("A", "B")
+
+# move type -> (its (A, B) data, legality check on (M, A, B), surgery on
+# (M, A, B, link factor), the move undoing it).  Star, Weld, Bistellar
+# and Exchange are the one exchange surgery; Shell and Unshell remove
+# and glue the facet A * B.
+_FAMILIES = {
+    Star: (lambda m: (m.A, (m.a,)), _check_exchange, _exchange_result,
+           lambda m: Weld(m.a, m.A)),
+    Weld: (lambda m: ((m.a,), m.A), _check_exchange, _exchange_result,
+           lambda m: Star(m.A, m.a)),
+    Bistellar: (_ab, _check_bistellar, _exchange_result,
+                lambda m: Bistellar(m.B, m.A)),
+    Exchange: (_ab, _check_exchange, _exchange_result,
+               lambda m: Exchange(m.B, m.A)),
+    Shell: (_ab, _check_shell, _shell_result, lambda m: Unshell(m.A, m.B)),
+    Unshell: (_ab, _check_unshell, _unshell_result, lambda m: Shell(m.A, m.B)),
+}
+
+
+def check_move(M, move):
+    """Legality report for `move` on M.  Malformed move data yields an
+    illegal report; only faults such as RecursionError propagate."""
+    try:
+        pair, check, _, _ = _FAMILIES[type(move)]
+    except KeyError:
+        return LegalityReport(False, f"unknown move type {type(move).__name__}")
+    try:
+        return check(M, *pair(move))
+    except (ValueError, TypeError, KeyError) as exc:
+        return LegalityReport(False, f"check failed: {exc}")
+
+
 def apply_move(M, move):
     """Apply a legal move; raises IllegalMoveError otherwise."""
     report = check_move(M, move)
     if not report.legal:
         raise IllegalMoveError(move, report)
-    if isinstance(move, Star):
-        return _exchange_result(M, move.A, (move.a,), report.link_factor)
-    if isinstance(move, Weld):
-        return _exchange_result(M, (move.a,), move.A, report.link_factor)
-    if isinstance(move, (Bistellar, Exchange)):
-        return _exchange_result(M, move.A, move.B, report.link_factor)
-    if isinstance(move, Shell):
-        F = tuple(sorted(move.A + move.B))
-        return Complex(frozenset(M.facets) - {F}, _trusted=True)
-    if isinstance(move, Unshell):
-        F = tuple(sorted(move.A + move.B))
-        return Complex.from_facets(set(M.facets) | {F})
-    raise IllegalMoveError(move, LegalityReport(False, "unknown move type"))
+    pair, _, result, _ = _FAMILIES[type(move)]
+    return result(M, *pair(move), report.link_factor)
 
 
 def invert(move):
     """The move undoing `move` on its result complex."""
-    if isinstance(move, Star):
-        return Weld(move.a, move.A)
-    if isinstance(move, Weld):
-        return Star(move.A, move.a)
-    if isinstance(move, Bistellar):
-        return Bistellar(move.B, move.A)
-    if isinstance(move, Exchange):
-        return Exchange(move.B, move.A)
-    if isinstance(move, Shell):
-        return Unshell(move.A, move.B)
-    if isinstance(move, Unshell):
-        return Shell(move.A, move.B)
-    raise TypeError(f"unknown move type {type(move).__name__}")
+    family = _FAMILIES.get(type(move))
+    if family is None:
+        raise TypeError(f"unknown move type {type(move).__name__}")
+    return family[3](move)
 
 
 # -- enumeration -------------------------------------------------------
@@ -295,7 +292,9 @@ def _minimal_nonfaces(L, max_vertices=16):
     subset is.  These are the only candidates B with dB contained in L."""
     vs = L.vertices()
     if len(vs) > max_vertices:
-        raise NotImplementedError("link too large for nonface enumeration")
+        raise BudgetExhaustedError(
+            f"link has {len(vs)} vertices, above the nonface enumeration "
+            f"cap of {max_vertices}")
     faces = L.faces()
     out = []
     for s in range(2, len(vs) + 1):
@@ -314,72 +313,41 @@ def enumerate_moves(M, kind):
     checker accepts any unused label, but enumeration is canonical.
     """
     fresh = M.fresh_vertex()
-    out = []
     if kind == "star":
-        for A in sorted(f for f in M.faces() if f):
-            out.append(Star(A, fresh))
-        return out
+        return [Star(A, fresh) for A in sorted(f for f in M.faces() if f)]
     if kind == "weld":
-        for a in M.vertices():
-            lk = M.link((a,))
-            candidates = [(fresh,)] + _minimal_nonfaces(lk)
-            for A in candidates:
-                mv = Weld(a, A)
-                if check_move(M, mv).legal:
-                    out.append(mv)
-        return sorted(out, key=lambda m: (m.a, m.A))
-    if kind == "bistellar":
-        from .core import is_simplex_boundary
+        cands = (Weld(a, A) for a in M.vertices()
+                 for A in [(fresh,)] + _minimal_nonfaces(M.link((a,))))
+    elif kind == "bistellar":
+        cands = []
         for A in sorted(f for f in M.faces() if f):
             lk = M.link(A)
-            if not is_simplex_boundary(lk):
-                continue
-            B = lk.vertices() or (fresh,)
-            mv = Bistellar(A, tuple(B))
-            if check_move(M, mv).legal:
-                out.append(mv)
-        return out
-    if kind == "exchange":
-        for A in sorted(f for f in M.faces() if f):
-            lk = M.link(A)
-            for B in [(fresh,)] + _minimal_nonfaces(lk):
-                mv = Exchange(A, tuple(B))
-                if check_move(M, mv).legal:
-                    out.append(mv)
-        return sorted(out, key=lambda m: (m.A, m.B))
-    if kind == "shell":
-        for F in M.facet_list():
-            for r in range(1, len(F)):
-                for A in itertools.combinations(F, r):
-                    B = tuple(v for v in F if v not in A)
-                    mv = Shell(A, B)
-                    if check_move(M, mv).legal:
-                        out.append(mv)
-        return sorted(out, key=lambda m: (m.A, m.B))
-    if kind == "unshell":
+            if is_simplex_boundary(lk):
+                cands.append(Bistellar(A, lk.vertices() or (fresh,)))
+    elif kind == "exchange":
+        cands = (Exchange(A, B) for A in sorted(f for f in M.faces() if f)
+                 for B in [(fresh,)] + _minimal_nonfaces(M.link(A)))
+    elif kind == "shell":
+        cands = (Shell(A, tuple(v for v in F if v not in A))
+                 for F in M.facet_list() for r in range(1, len(F))
+                 for A in itertools.combinations(F, r))
+    elif kind == "unshell":
         try:
             rim = M.boundary()
         except NotPseudomanifoldError:
             return []
-        seen = set()
-        for R in rim.facets:
-            if not R:
-                continue
-            for w in list(M.vertices()) + [fresh]:
-                if w in R:
-                    continue
-                F = tuple(sorted(R + (w,)))
-                if F in seen:
-                    continue
-                seen.add(F)
-                for r in range(1, len(F)):
-                    for A in itertools.combinations(F, r):
-                        B = tuple(v for v in F if v not in A)
-                        mv = Unshell(A, B)
-                        if check_move(M, mv).legal:
-                            out.append(mv)
-        return sorted(set(out), key=lambda m: (m.A, m.B))
-    raise ValueError(f"unknown move kind {kind!r}; expected one of {MOVE_KINDS}")
+        labels = M.vertices() + (fresh,)
+        glued = {tuple(sorted(R + (w,)))
+                 for R in rim.facets if R for w in labels if w not in R}
+        cands = (Unshell(A, tuple(v for v in F if v not in A))
+                 for F in glued for r in range(1, len(F))
+                 for A in itertools.combinations(F, r))
+    else:
+        raise ValueError(
+            f"unknown move kind {kind!r}; expected one of {MOVE_KINDS}")
+    # stream the candidates: a list of them all burdens the collector
+    legal = [mv for mv in cands if check_move(M, mv).legal]
+    return sorted(legal, key=lambda mv: _FAMILIES[type(mv)][0](mv))
 
 
 # -- transcripts -------------------------------------------------------
@@ -426,10 +394,10 @@ def apply_transcript(M, t):
     """Replay every move in order; IllegalAtStepError names the first
     failing step."""
     for i, move in enumerate(t.moves):
-        report = check_move(M, move)
-        if not report.legal:
-            raise IllegalAtStepError(i, move, report)
-        M = apply_move(M, move)
+        try:
+            M = apply_move(M, move)
+        except IllegalMoveError as exc:
+            raise IllegalAtStepError(i, move, exc.report) from None
     return M
 
 
@@ -484,14 +452,8 @@ def parse_move(text):
         except ValueError as exc:
             raise TranscriptParseError(f"{where}: bad vertex") from exc
         return Weld(a, _parse_bracket("[" + tail, where))
-    if kind == "FLIP":
-        return Bistellar(*_parse_pair(rest, where))
-    if kind == "XCHG":
-        return Exchange(*_parse_pair(rest, where))
-    if kind == "SHELL":
-        return Shell(*_parse_pair(rest, where))
-    if kind == "UNSHELL":
-        return Unshell(*_parse_pair(rest, where))
+    if kind in _PAIR_MOVES:
+        return _PAIR_MOVES[kind](*_parse_pair(rest, where))
     raise TranscriptParseError(f"unknown move keyword {kind!r}")
 
 

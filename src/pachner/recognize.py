@@ -23,10 +23,11 @@ from .core import (
     BudgetExhaustedError,
     Complex,
     NotPseudomanifoldError,
+    _ridge_degrees,
     fmt_simplex,
     is_simplex_boundary,
 )
-from .moves import Shell, Transcript, apply_move, enumerate_moves
+from .moves import Transcript, apply_move, apply_transcript, enumerate_moves
 
 RECOGNITION_SEED = 1
 DEFAULT_BUDGET = 4000
@@ -189,55 +190,41 @@ def _ball_profile(n):
 # -- connectivity helpers -------------------------------------------------
 
 
-def _vertex_connected(K):
-    """Connectivity of the vertex graph (complexes of dimension >= 1)."""
-    verts = K.vertices()
-    if len(verts) <= 1:
-        return True
-    adj = {v: set() for v in verts}
-    for e in K.faces_of_dim(1):
-        adj[e[0]].add(e[1])
-        adj[e[1]].add(e[0])
-    seen = {verts[0]}
-    stack = [verts[0]]
+def _connected(adj):
+    """Whether the graph given by adjacency sets (nonempty) is connected."""
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
     while stack:
         for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(verts)
+    return len(seen) == len(adj)
 
 
-def _ridge_degrees(K):
-    deg = {}
-    for F in K.facets:
-        for i in range(len(F)):
-            r = F[:i] + F[i + 1:]
-            deg[r] = deg.get(r, 0) + 1
-    return deg
+def _vertex_connected(K):
+    """Connectivity of the vertex graph (complexes of dimension >= 1)."""
+    if len(K.vertices()) <= 1:
+        return True
+    adj = {v: set() for v in K.vertices()}
+    for u, v in K.faces_of_dim(1):
+        adj[u].add(v)
+        adj[v].add(u)
+    return _connected(adj)
 
 
 def _facet_graph_connected(K):
-    facets = list(K.facets)
-    if len(facets) <= 1:
-        return True
     by_ridge = {}
-    for F in facets:
-        for i in range(len(F)):
-            by_ridge.setdefault(F[:i] + F[i + 1:], []).append(F)
-    adj = {F: set() for F in facets}
+    for F in K.facets:
+        for r in itertools.combinations(F, len(F) - 1):
+            by_ridge.setdefault(r, []).append(F)
+    adj = {F: set() for F in K.facets}
     for group in by_ridge.values():
         for a, b in itertools.combinations(group, 2):
             adj[a].add(b)
             adj[b].add(a)
-    seen = {facets[0]}
-    stack = [facets[0]]
-    while stack:
-        for G in adj[stack.pop()]:
-            if G not in seen:
-                seen.add(G)
-                stack.append(G)
-    return len(seen) == len(facets)
+    return _connected(adj)
 
 
 def is_closed_pseudomanifold(K):
@@ -282,10 +269,7 @@ def _graph_shape(G):
     points, handled separately)."""
     if G.dim != 1 or not G.is_pure():
         return None
-    deg = {}
-    for e in G.faces_of_dim(1):
-        deg[e[0]] = deg.get(e[0], 0) + 1
-        deg[e[1]] = deg.get(e[1], 0) + 1
+    deg = _ridge_degrees(G)   # the ridges of a graph are its vertices
     if not _vertex_connected(G):
         return None
     if all(d == 2 for d in deg.values()):
@@ -319,13 +303,10 @@ def _recognize_dim_le_2(K, budget):
             return Verdict(BALL, _ball_evidence(K, budget), "an arc")
         return Verdict(OTHER, reason="graph is neither a circle nor an arc")
     # n == 2: exact surface classification
-    edge_deg = {e: 0 for e in K.faces_of_dim(1)}
-    for F in K.facets:
-        for i in range(3):
-            edge_deg[F[:i] + F[i + 1:]] += 1
-    if any(d > 2 for d in edge_deg.values()):
+    try:
+        rim = K.boundary()
+    except NotPseudomanifoldError:
         return Verdict(OTHER, reason="an edge lies in more than two triangles")
-    boundary_edges = [e for e, d in edge_deg.items() if d == 1]
     for v in K.vertices():
         shape = _graph_shape(K.link((v,)))
         if shape is None:
@@ -333,12 +314,11 @@ def _recognize_dim_le_2(K, budget):
                 OTHER, reason=f"the link of vertex {v} is neither a "
                 "circle nor an arc")
     chi = K.f_vector().euler
-    if not boundary_edges:
+    if rim.dim < 0:
         if chi == 2:
             return Verdict(SPHERE, _sphere_evidence(K, budget),
                            "closed surface with chi = 2")
         return Verdict(OTHER, reason=f"closed surface with chi = {chi}")
-    rim = Complex.from_facets(boundary_edges)
     if chi == 1 and _graph_shape(rim) == "cycle":
         return Verdict(BALL, _ball_evidence(K, budget),
                        "surface with chi = 1 and one boundary circle")
@@ -394,20 +374,18 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
         return Verdict(OTHER, reason="not pure")
     if is_simplex_boundary(K):
         return Verdict(SPHERE, Transcript(), "boundary of a simplex")
-    ridge_deg = _ridge_degrees(K)
-    if any(d > 2 for d in ridge_deg.values()):
+    try:
+        closed = K.boundary().dim < 0
+    except NotPseudomanifoldError:
         return Verdict(OTHER, reason="a ridge lies in more than two facets")
     if not _vertex_connected(K):
         return Verdict(OTHER, reason="not connected")
-    closed = all(d == 2 for d in ridge_deg.values())
     if closed:
         if homology(K) != _sphere_profile(n):
             return Verdict(
                 OTHER, reason=f"homology differs from the {n}-sphere")
-        from .flipsearch import Schedule, reduce as flip_reduce
-        end, t = flip_reduce(
-            K, Schedule(seed=RECOGNITION_SEED, max_moves=budget))
-        if is_simplex_boundary(end):
+        t = _sphere_evidence(K, budget)
+        if t.moves:  # K is no simplex boundary: empty means not found
             return Verdict(SPHERE, t, "flip-reduced to a simplex boundary")
         return Verdict(
             UNKNOWN, reason="sphere homology, but the flip reduction "
@@ -416,12 +394,9 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
         return Verdict(OTHER, reason=f"homology differs from the {n}-ball")
     if len(K.facets) == 1:
         return Verdict(BALL, Transcript(), "a single simplex")
-    try:
-        sh = find_shelling(K, budget)
-    except BudgetExhaustedError:
-        sh = None
-    if sh is not None:
-        return Verdict(BALL, Transcript(sh.steps), "shellable")
+    t = _ball_evidence(K, budget)
+    if t.moves:  # K has several facets: empty means not found
+        return Verdict(BALL, t, "shellable")
     apex = _cone_apex(K)
     if apex is not None:
         sub = recognize_ball_or_sphere(K.link((apex,)), budget)
@@ -486,9 +461,7 @@ def replay_shelling(X, sh):
     M = X
     if sh.initial is not None:
         M = Complex.from_facets(set(M.facets) - {sh.initial})
-    for mv in sh.steps:
-        M = apply_move(M, mv)
-    return M
+    return apply_transcript(M, Transcript(sh.steps))
 
 
 def _shell_ball(M, counter):

@@ -11,6 +11,8 @@ import sys
 
 import pytest
 
+import pachner.cli
+import pachner.recognize
 from conftest import csaszar_torus
 from pachner import (
     Complex,
@@ -254,6 +256,15 @@ def test_shell_find_torus_exits_1(tmp_path, capsys):
     assert "no shelling exists" in capsys.readouterr().out
 
 
+def test_recursion_limit_exits_2(tmp_path, sphere2, monkeypatch, capsys):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(pachner.cli, "find_shelling", too_deep)
+    assert main(["shell-find", _cx(tmp_path, sphere2)]) == 2
+    assert "recursion" in capsys.readouterr().err
+
+
 def test_iso_yes_with_map(tmp_path, sphere2, capsys):
     other = sphere2.relabel({0: 10, 1: 11, 2: 12, 3: 13})
     rc = main(["iso", _cx(tmp_path, sphere2, "a.cx"),
@@ -342,6 +353,23 @@ def test_prove_equiv_certificate(tmp_path, sphere2, capsys):
     right = apply_transcript(
         sd, loads_transcript((out / "right.tr").read_text(encoding="utf-8")))
     assert isomorphic(left, right) is not None
+
+
+def test_prove_equiv_computes_homology_once_per_input(tmp_path, sphere2,
+                                                      monkeypatch):
+    sd = derived_subdivision(sphere2)
+    seen = []
+    real = pachner.recognize.homology
+
+    def counting(K, *args, **kwargs):
+        seen.append(K)
+        return real(K, *args, **kwargs)
+
+    monkeypatch.setattr(pachner.recognize, "homology", counting)
+    monkeypatch.setattr(pachner.cli, "homology", counting)
+    assert main(["prove-equiv", _cx(tmp_path, sphere2, "a.cx"),
+                 _cx(tmp_path, sd, "b.cx")]) == 0
+    assert seen == [sphere2, sd]
 
 
 def test_prove_equiv_dimension_disproof(tmp_path, sphere2, sphere3, capsys):

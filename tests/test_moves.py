@@ -2,7 +2,9 @@
 
 import pytest
 
+import pachner.moves
 from pachner.core import (
+    BudgetExhaustedError,
     Complex,
     full_simplex,
     isomorphic,
@@ -20,6 +22,7 @@ from pachner.moves import (
     TranscriptParseError,
     Unshell,
     Weld,
+    _minimal_nonfaces,
     apply_move,
     apply_transcript,
     check_move,
@@ -264,6 +267,13 @@ def test_apply_illegal_move_raises_with_report(sphere2):
     assert err.value.move == Star((0, 1, 2), 3)
 
 
+def test_nonface_enumeration_cap_is_a_budget_error():
+    points = Complex.from_facets((v,) for v in range(17))
+    with pytest.raises(BudgetExhaustedError):
+        _minimal_nonfaces(points)
+    assert len(_minimal_nonfaces(points, max_vertices=17)) == 136
+
+
 def test_check_move_never_raises_on_garbage(sphere2):
     assert not check_move(sphere2, Star((9, 9), 1)).legal
     assert not check_move(sphere2, Bistellar((), ())).legal
@@ -331,6 +341,20 @@ def test_apply_transcript_and_inverse(sphere2):
     out = apply_transcript(sphere2, t)
     assert out.f_vector().counts == (6, 12, 8)
     assert apply_transcript(out, invert_transcript(t)) == sphere2
+
+
+def test_apply_transcript_checks_each_step_once(sphere2, monkeypatch):
+    t = derived_subdivision_transcript(sphere2)
+    checked = []
+    real = pachner.moves.check_move
+
+    def counting(M, move):
+        checked.append(move)
+        return real(M, move)
+
+    monkeypatch.setattr(pachner.moves, "check_move", counting)
+    apply_transcript(sphere2, t)
+    assert checked == list(t.moves)
 
 
 def test_apply_transcript_reports_failing_index(sphere2):

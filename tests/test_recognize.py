@@ -8,6 +8,7 @@ rationals via Fraction Gauss elimination.
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -373,6 +374,33 @@ def test_find_shelling_budget_and_impossibility():
     assert find_shelling(two) is None
     with pytest.raises(BudgetExhaustedError):
         find_shelling(standard_sphere(3), budget=2)
+
+
+def test_find_shelling_low_recursion_limit_is_no_disproof():
+    """A recursion limit hit inside a legality check surfaces as
+    RecursionError; it must never read as "no shelling exists"."""
+    strip = Complex.from_facets((i, i + 1, i + 2) for i in range(12))
+    limit = sys.getrecursionlimit()
+    # the recursion depth here is one below the lowest limit accepted
+    depth = 0
+    while True:
+        try:
+            sys.setrecursionlimit(depth + 1)
+            break
+        except RecursionError:
+            depth += 1
+    sys.setrecursionlimit(limit)
+    outcomes = []
+    for extra in range(2, 41):
+        sys.setrecursionlimit(depth + extra)
+        try:
+            outcomes.append(find_shelling(strip))
+        except RecursionError:
+            outcomes.append(RecursionError)
+        finally:
+            sys.setrecursionlimit(limit)
+    assert None not in outcomes
+    assert outcomes[-1] is not RecursionError
 
 
 def test_find_shelling_empty_complex():

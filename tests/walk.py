@@ -10,7 +10,7 @@ desk scale; every applied move is still checked for legality."""
 import itertools
 import random
 
-from pachner.core import is_simplex_boundary
+from pachner.core import BudgetExhaustedError, is_simplex_boundary
 from pachner.moves import (
     MOVE_KINDS,
     Bistellar,
@@ -55,7 +55,7 @@ def _nonfaces_or_empty(L):
     for enumeration (a walk just loses those candidates)."""
     try:
         return _minimal_nonfaces(L)
-    except NotImplementedError:
+    except BudgetExhaustedError:
         return []
 
 
