@@ -219,8 +219,8 @@ def _cmd_invert(args):
 def _cmd_derive(args):
     K = load_complex(args.complex)
     t = derived_subdivision_transcript(K)
-    M = apply_transcript(K, t)
     if args.out:
+        M = apply_transcript(K, t)
         print(f"moves = {len(t)}")
         print(M.f_vector())
         _write_artifact(args.out, "derived.tr", dumps_transcript(t))

@@ -302,13 +302,12 @@ def standard_sphere(n, offset=0):
 
 def is_simplex_boundary(K):
     """True iff K is the full boundary complex of the simplex on its
-    own vertex set (a minimal sphere, any labels)."""
-    vs = K.vertices()
-    if not vs:
-        return len(K.faces()) == 1  # {-}: boundary of a point
-    if len(vs) > 24:
-        return False
-    return len(K.faces()) == 2 ** len(vs) - 1 and tuple(vs) not in K
+    own vertex set (a minimal sphere, any labels): n vertices and n
+    facets of n - 1 vertices each, which are then all of them."""
+    n = len(K.vertices())
+    if not n:
+        return True  # {-}: boundary of a point
+    return len(K.facets) == n and all(len(f) == n - 1 for f in K.facets)
 
 
 # -- isomorphism ------------------------------------------------------

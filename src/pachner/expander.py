@@ -8,10 +8,11 @@ the star; and a general exchange expands by recursion on a witness -- a
 sequence of exchanges reducing the residual link factor to a simplex
 boundary.
 
-Every constructed object is certified on the spot: shellings and
-transcripts are replayed through apply_transcript, which checks each
-move's legality once, and each splice point is compared for exact
-labeled equality.
+Every constructed object is certified on the spot, once: each built
+shelling and transcript is replayed a single time through
+apply_transcript, which checks each move's legality once, and each
+splice point is compared for exact labeled equality.  A returned
+transcript is always replayed in the caller's complex.
 """
 
 from __future__ import annotations
@@ -64,6 +65,15 @@ def _validate_shelling(X, sh, what="shelling"):
     return M
 
 
+def _cone_steps(sh, A):
+    """cone_shelling over the simplex A, unchecked; the same steps as
+    coning over the vertices of A one at a time."""
+    steps = [] if sh.initial is None else [Shell(A, sh.initial)]
+    steps.extend(Shell(tuple(sorted(A + mv.A)), mv.B) for mv in sh.steps)
+    return ShellingSequence(
+        tuple(steps), tuple(sorted(A + sh.terminal)), None)
+
+
 def cone_shelling(X, sh, v):
     """Lift a shelling of X to a shelling of the cone over X, apex v.
 
@@ -72,13 +82,7 @@ def cone_shelling(X, sh, v):
     if v in set(X.vertices()):
         raise ValueError(f"apex {v} already labels a vertex of the base")
     _validate_shelling(X, sh)
-    steps = []
-    if sh.initial is not None:
-        steps.append(Shell((v,), sh.initial))
-    steps.extend(
-        Shell(tuple(sorted((v,) + mv.A)), mv.B) for mv in sh.steps)
-    out = ShellingSequence(
-        tuple(steps), tuple(sorted((v,) + sh.terminal)), None)
+    out = _cone_steps(sh, (v,))
     _validate_shelling(full_simplex((v,)).join(X), out, "cone shelling")
     return out
 
@@ -134,7 +138,7 @@ def _join_ball(X, sh, W):
     steps = [Shell(mv.A, tuple(sorted(mv.B + C))) for mv in sh.steps]
     steps.append(Shell(sh.terminal, C))
     inner = join_boundary_shelling(len(C) - 1, X, sh, labels=C)
-    lifted = cone_shelling(simplex_boundary(C).join(X), inner, v)
+    lifted = _cone_steps(inner, (v,))
     return ShellingSequence(
         tuple(steps) + lifted.steps, lifted.terminal, None)
 
@@ -203,23 +207,23 @@ def star_move_transcript(M, A, budget=DEFAULT_EXPANSION_BUDGET, at=None):
         raise ValueError(
             f"lk({fmt_simplex(A)}) is unshellable; cannot expand this "
             "starring")
-    return _star_from_link_shelling(M, A, lk, sh, at)
+    return _star_from_link_shelling(M, A, lk, sh, at)[0]
 
 
 def _star_from_link_shelling(M, A, lk, sh, at):
     """Shared tail of the starring expansions: cone the link shelling
-    over A, convert, invert, and certify against the one-move result."""
-    X, shX = lk, sh
-    for w in reversed(A):
-        shX = cone_shelling(X, shX, w)
-        X = full_simplex((w,)).join(X)
+    over A, convert, invert, and certify against the one-move result.
+    Returns the transcript and the starred complex it replays to."""
     a = M.fresh_vertex() if at is None else at
     if a in set(M.vertices()):
         raise ValueError(f"starring label {a} is already in use")
-    t = invert_transcript(ball_to_cone_transcript(X, shX, a))
-    if apply_transcript(M, t) != apply_move(M, Star(A, a)):
+    star = full_simplex(A).join(lk)
+    t = invert_transcript(
+        ball_to_cone_transcript(star, _cone_steps(sh, A), a))
+    end = apply_move(M, Star(A, a))
+    if apply_transcript(M, t) != end:
         raise RuntimeError("starring expansion does not replay correctly")
-    return t
+    return t, end
 
 
 def subdivision_to_bistellar(M, transcript, budget=DEFAULT_EXPANSION_BUDGET):
@@ -290,7 +294,7 @@ class ExpansionSession:
             raise BudgetExhaustedError("expansion work budget exhausted")
 
 
-def factor_link(L, session=None):
+def factor_link(L):
     """Greedily split off simplex-boundary join factors of L.
 
     Returns (core, spheres) with L equal to the join of `core` and the
@@ -368,7 +372,9 @@ def _star_via_factors(M, A, B, spheres, a):
     return _star_from_link_shelling(M, A, lk, sh, a)
 
 
-def _expand(M, A, B, core, spheres, wmoves, session):
+def _expand(M, A, B, target, core, spheres, wmoves, session):
+    """Bistellar transcript from M to target, the already checked
+    result of Exchange(A, B) on M."""
     session.charge()
     # the exchange is already bistellar: single move
     if core == _EMPTY and not spheres:
@@ -382,10 +388,9 @@ def _expand(M, A, B, core, spheres, wmoves, session):
         # base: lk(A) is a join of simplex boundaries, hence a shellable
         # sphere; star A and B over the same fresh vertex and splice
         a = session.fresh()
-        Mp = apply_move(M, Exchange(A, B))
-        t1 = _star_via_factors(M, A, B, spheres, a)
-        t2 = _star_via_factors(Mp, B, A, spheres, a)
-        if apply_transcript(M, t1) != apply_transcript(Mp, t2):
+        t1, end1 = _star_via_factors(M, A, B, spheres, a)
+        t2, end2 = _star_via_factors(target, B, A, spheres, a)
+        if end1 != end2:
             raise RuntimeError("starred forms disagree in the base case")
         return t1 + invert_transcript(t2)
     if not wmoves:
@@ -403,50 +408,39 @@ def _expand(M, A, B, core, spheres, wmoves, session):
         D = (d2,)
         rest = tuple(_relabel_witness_move(mv, ren) for mv in rest)
         first = Exchange(C, D)
-    lkC = core.link(C)
-    sub = lkC.restrict(set(lkC.vertices()) - set(D))
-    sub_witness = search_witness(sub, session.remaining + 1)
-    with_B = spheres + ((B,) if len(B) >= 2 else ())
-    with_A = spheres + ((A,) if len(A) >= 2 else ())
+    # one exchange square: X -> Y, then A -> B, back from the far side
     if D not in M:
         # traded simplex absent from the ambient complex: exchange it in
         # around A*C, finish the inner witness, and come back around B*C
-        AC = tuple(sorted(A + C))
-        BC = tuple(sorted(B + C))
-        t_a1 = _expand(M, AC, D, sub, with_B, sub_witness.moves, session)
-        M1 = apply_move(M, Exchange(AC, D))
-        core1 = apply_move(core, first)
-        t_a2 = _expand(M1, A, B, core1, spheres, rest, session)
-        M2 = apply_move(M1, Exchange(A, B))
-        Mp = apply_move(M, Exchange(A, B))
-        t_b = _expand(Mp, BC, D, sub, with_A, sub_witness.moves, session)
-        if apply_move(Mp, Exchange(BC, D)) != M2:
-            raise RuntimeError("exchange square does not commute")
-        return t_a1 + t_a2 + invert_transcript(t_b)
-    # traded simplex already present: detach one of its vertices first
-    # by starring around it, which frees the witness move to proceed
-    u = min(D)
-    v = session.fresh()
-    lk_u = core.link((u,))
-    u_witness = search_witness(lk_u, session.remaining + 1)
-    Au = tuple(sorted(A + (u,)))
-    Bu = tuple(sorted(B + (u,)))
-    t_hat = _expand(M, Au, (v,), lk_u, with_B, u_witness.moves, session)
-    Mh = apply_move(M, Exchange(Au, (v,)))
-    ren = {u: v}
-    core_ren = core.relabel(ren)
-    w_mid = tuple(_relabel_witness_move(mv, ren) for mv in wmoves)
-    t_mid = _expand(Mh, A, B, core_ren, spheres, w_mid, session)
-    M2 = apply_move(Mh, Exchange(A, B))
-    Mp = apply_move(M, Exchange(A, B))
-    t_hat_p = _expand(Mp, Bu, (v,), lk_u, with_A, u_witness.moves, session)
-    if apply_move(Mp, Exchange(Bu, (v,))) != M2:
-        raise RuntimeError("starred exchange square does not commute")
-    return t_hat + t_mid + invert_transcript(t_hat_p)
+        X, Xp, Y = tuple(sorted(A + C)), tuple(sorted(B + C)), D
+        lkC = core.link(C)
+        sub = lkC.restrict(set(lkC.vertices()) - set(D))
+        mid_core, mid_moves = apply_move(core, first), rest
+    else:
+        # traded simplex already present: detach one of its vertices first
+        # by starring around it, which frees the witness move to proceed
+        u = min(D)
+        X, Xp, Y = (tuple(sorted(A + (u,))), tuple(sorted(B + (u,))),
+                    (session.fresh(),))
+        sub = core.link((u,))
+        ren = {u: Y[0]}
+        mid_core = core.relabel(ren)
+        mid_moves = tuple(_relabel_witness_move(mv, ren) for mv in wmoves)
+    sub_moves = search_witness(sub, session.remaining + 1).moves
+    with_B = spheres + ((B,) if len(B) >= 2 else ())
+    with_A = spheres + ((A,) if len(A) >= 2 else ())
+    M1 = apply_move(M, Exchange(X, Y))
+    M2 = apply_move(M1, Exchange(A, B))
+    if apply_move(target, Exchange(Xp, Y)) != M2:
+        raise RuntimeError("exchange square does not commute")
+    t_x = _expand(M, X, Y, M1, sub, with_B, sub_moves, session)
+    t_mid = _expand(M1, A, B, M2, mid_core, spheres, mid_moves, session)
+    t_xp = _expand(target, Xp, Y, M2, sub, with_A, sub_moves, session)
+    return t_x + t_mid + invert_transcript(t_xp)
 
 
 def exchange_to_bistellar(M, A, B, factorization, witness,
-                          budget=DEFAULT_EXPANSION_BUDGET, session=None):
+                          budget=DEFAULT_EXPANSION_BUDGET):
     """Expand a legal exchange into a bistellar transcript.
 
     `factorization` must rebuild lk(A) exactly and `witness` must
@@ -455,10 +449,7 @@ def exchange_to_bistellar(M, A, B, factorization, witness,
     [Bistellar(A, B)] whenever the move is already bistellar."""
     A = simplex(A)
     B = simplex(B)
-    mv = Exchange(A, B)
-    rep = check_move(M, mv)
-    if not rep.legal:
-        raise IllegalMoveError(mv, rep)
+    target = apply_move(M, Exchange(A, B))
     if simplex(factorization.B) != B:
         raise ValueError("factorization B-part differs from the move")
     built = simplex_boundary(B).join(factorization.core)
@@ -467,17 +458,16 @@ def exchange_to_bistellar(M, A, B, factorization, witness,
     if built != M.link(A):
         raise ValueError("factorization does not rebuild lk(A)")
     _validate_witness(factorization.core, witness)
-    if session is None:
-        session = ExpansionSession(budget)
+    session = ExpansionSession(budget)
     session.absorb(M)
     session.absorb_labels(B)
     for w in witness.moves:
         session.absorb_labels(w.A)
         session.absorb_labels(w.B)
-    out = _expand(M, A, B, factorization.core,
+    out = _expand(M, A, B, target, factorization.core,
                   tuple(factorization.spheres), tuple(witness.moves),
                   session)
-    if apply_transcript(M, out) != apply_move(M, mv):
+    if apply_transcript(M, out) != target:
         raise RuntimeError("expansion does not replay to the exchange")
     return out
 

@@ -495,15 +495,13 @@ def dump_transcript(t, path):
 def derived_subdivision_transcript(K):
     """Starring every simplex of dimension >= 1 in decreasing dimension
     order (lexicographic within a dimension) produces the first derived
-    subdivision; the new labels are handed out by the fresh counter."""
-    moves = []
-    M = K
-    for d in range(K.dim, 0, -1):
-        for A in K.faces_of_dim(d):
-            mv = Star(A, M.fresh_vertex())
-            moves.append(mv)
-            M = apply_move(M, mv)
-    return Transcript(tuple(moves))
+    subdivision.  The i-th starring uses the label K.fresh_vertex() + i:
+    each starring adds exactly the next fresh label, and starring a
+    d-face removes no other d-face, so the labels and the faces to star
+    are known up front and nothing is applied or checked here."""
+    faces = [A for d in range(K.dim, 0, -1) for A in K.faces_of_dim(d)]
+    f = K.fresh_vertex()
+    return Transcript(tuple(Star(A, f + i) for i, A in enumerate(faces)))
 
 
 def derived_subdivision(K):

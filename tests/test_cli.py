@@ -193,6 +193,17 @@ def test_derive_payload_replays(tmp_path, sphere2, capsys):
     assert apply_transcript(sphere2, t) == derived_subdivision(sphere2)
 
 
+def test_derive_without_out_does_not_replay(tmp_path, sphere2, capsys,
+                                            monkeypatch):
+    replays = []
+    monkeypatch.setattr(pachner.cli, "apply_transcript",
+                        lambda *a: replays.append(a))
+    assert main(["derive", _cx(tmp_path, sphere2)]) == 0
+    assert replays == []
+    assert (capsys.readouterr().out
+            == dumps_transcript(derived_subdivision_transcript(sphere2)))
+
+
 # -- recognition -----------------------------------------------------------
 
 

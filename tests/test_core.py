@@ -140,6 +140,11 @@ def test_is_simplex_boundary(sphere2):
     assert not is_simplex_boundary(full_simplex([0, 1, 2]))
     sq = simplex_boundary([0, 1]).join(simplex_boundary([2, 3]))
     assert not is_simplex_boundary(sq)
+    # no vertex-count cap: 25 vertices is still a simplex boundary
+    big = simplex_boundary(range(25))
+    assert is_simplex_boundary(big)
+    assert not is_simplex_boundary(
+        Complex.from_facets(big.facet_list()[1:]))
 
 
 def test_torus_fixture_is_a_closed_pseudomanifold():

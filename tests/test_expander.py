@@ -15,6 +15,7 @@ import itertools
 
 import pytest
 
+import pachner.expander
 from pachner.core import (
     BudgetExhaustedError,
     Complex,
@@ -195,6 +196,31 @@ def test_star_move_transcript_budget_error(sphere3):
         star_move_transcript(sphere3, (0,), budget=1)
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(pachner.expander, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pachner.expander, name, counting)
+    return calls
+
+
+def test_star_expansion_replays_one_shelling(sphere2, sphere3, monkeypatch):
+    replays = _count_calls(monkeypatch, "replay_shelling")
+    for A in sphere2.faces():
+        if A:
+            del replays[:]
+            star_move_transcript(sphere2, A)
+            assert len(replays) == 1
+    t = derived_subdivision_transcript(sphere3)
+    del replays[:]
+    subdivision_to_bistellar(sphere3, t)
+    assert len(replays) == len(t) == 25
+
+
 def test_subdivision_to_bistellar_matches_derived(sphere2):
     stars = derived_subdivision_transcript(sphere2)
     t = subdivision_to_bistellar(sphere2, stars)
@@ -279,6 +305,85 @@ def test_exchange_expansion_traded_simplex_present():
         M, (0,), (9,), LinkFactorization((9,), core), witness)
     assert apply_transcript(M, t) == apply_move(M, Exchange((0,), (9,)))
     assert all(isinstance(mv, Bistellar) for mv in t.moves)
+
+
+def test_detach_branch_searches_only_the_witness_it_spends(monkeypatch):
+    # one witness search per exchange square: the detach square at the
+    # top (for lk(u) in the core) and the absent-simplex square inside
+    # it; the detach square runs no search for a sub-link it never uses
+    searches = _count_calls(monkeypatch, "search_witness")
+    M = twisted_octahedron()
+    exchange_to_bistellar(
+        M, (0,), (9,), LinkFactorization((9,), M.link((0,))),
+        Witness((Exchange((2,), (4, 5)),)))
+    assert len(searches) == 2
+
+
+# Pinned expansions of both exchange-square branches, so that changes to
+# the expansion cannot drift the transcripts unnoticed.
+HEXAGON_EXPANSION = """\
+FLIP [0 2] ; [3 7]
+FLIP [0 4 5] ; [9]
+FLIP [0 4 9] ; [11]
+FLIP [0 4] ; [3 11]
+FLIP [0 3 11] ; [10]
+FLIP [0 11] ; [9 10]
+FLIP [3 11] ; [4 10]
+FLIP [11] ; [4 9 10]
+FLIP [0 9] ; [5 10]
+FLIP [0 10] ; [3 5]
+FLIP [0 7] ; [3 6]
+FLIP [0 5 6] ; [12]
+FLIP [0 6] ; [3 12]
+FLIP [0] ; [3 5 12]
+FLIP [3 5 12] ; [8]
+FLIP [3 12] ; [6 8]
+FLIP [12] ; [5 6 8]
+FLIP [3 6] ; [7 8]
+FLIP [3 5] ; [8 10]
+FLIP [5 10] ; [8 9]
+FLIP [8 9 10] ; [13]
+FLIP [8 10] ; [3 13]
+FLIP [9 10] ; [4 13]
+FLIP [10] ; [3 4 13]
+FLIP [3 13] ; [4 8]
+FLIP [13] ; [4 8 9]
+FLIP [9] ; [4 5 8]
+FLIP [3 7] ; [2 8]
+"""
+
+DETACH_EXPANSION = """\
+FLIP [0 3 4] ; [11]
+FLIP [0 4] ; [2 11]
+FLIP [0 2 11] ; [10]
+FLIP [0 11] ; [3 10]
+FLIP [2 11] ; [4 10]
+FLIP [11] ; [3 4 10]
+FLIP [0 2] ; [5 10]
+FLIP [0 5 10] ; [12]
+FLIP [0 10] ; [3 12]
+FLIP [0] ; [3 5 12]
+FLIP [3 5 12] ; [9]
+FLIP [3 12] ; [9 10]
+FLIP [12] ; [5 9 10]
+FLIP [5 10] ; [2 9]
+FLIP [3 9 10] ; [13]
+FLIP [9 10] ; [2 13]
+FLIP [3 10] ; [4 13]
+FLIP [10] ; [2 4 13]
+FLIP [2 13] ; [4 9]
+FLIP [13] ; [3 4 9]
+"""
+
+
+def test_exchange_expansions_are_pinned():
+    hexagon = expand_exchange(suspended_hexagon(), (0,), (8,))
+    assert dumps_transcript(hexagon) == HEXAGON_EXPANSION
+    M = twisted_octahedron()
+    detach = exchange_to_bistellar(
+        M, (0,), (9,), LinkFactorization((9,), M.link((0,))),
+        Witness((Exchange((2,), (4, 5)),)))
+    assert dumps_transcript(detach) == DETACH_EXPANSION
 
 
 def test_exchange_expansion_witness_label_collision():

@@ -343,8 +343,7 @@ def test_apply_transcript_and_inverse(sphere2):
     assert apply_transcript(out, invert_transcript(t)) == sphere2
 
 
-def test_apply_transcript_checks_each_step_once(sphere2, monkeypatch):
-    t = derived_subdivision_transcript(sphere2)
+def _count_checks(monkeypatch):
     checked = []
     real = pachner.moves.check_move
 
@@ -353,6 +352,12 @@ def test_apply_transcript_checks_each_step_once(sphere2, monkeypatch):
         return real(M, move)
 
     monkeypatch.setattr(pachner.moves, "check_move", counting)
+    return checked
+
+
+def test_apply_transcript_checks_each_step_once(sphere2, monkeypatch):
+    t = derived_subdivision_transcript(sphere2)
+    checked = _count_checks(monkeypatch)
     apply_transcript(sphere2, t)
     assert checked == list(t.moves)
 
@@ -380,6 +385,37 @@ def test_derived_subdivision_transcript_is_all_starrings(sphere2):
     # one starring per simplex of dimension >= 1
     assert len(t) == 6 + 4
     assert apply_transcript(sphere2, t) == derived_subdivision(sphere2)
+
+
+def test_derived_subdivision_checks_each_star_once(sphere2, monkeypatch):
+    t = derived_subdivision_transcript(sphere2)
+    checked = _count_checks(monkeypatch)
+    derived_subdivision(sphere2)
+    assert checked == list(t.moves)
+
+
+def test_derived_subdivision_transcript_applies_nothing(monkeypatch):
+    checked = _count_checks(monkeypatch)
+    applied = []
+    real_apply = pachner.moves.apply_move
+
+    def counting_apply(M, move):
+        applied.append(move)
+        return real_apply(M, move)
+
+    monkeypatch.setattr(pachner.moves, "apply_move", counting_apply)
+    mixed = Complex.from_facets([(0, 1, 2), (2, 3), (3, 4), (5,)])
+    for K in (standard_sphere(3), mixed, Complex.from_facets([]),
+              full_simplex([0])):
+        t = derived_subdivision_transcript(K)
+        f = K.fresh_vertex()
+        assert [mv.a for mv in t.moves] == list(range(f, f + len(t)))
+        assert len(t) == sum(len(K.faces_of_dim(d))
+                             for d in range(1, K.dim + 1))
+    assert checked == [] and applied == []
+    monkeypatch.undo()
+    t = derived_subdivision_transcript(mixed)
+    assert isomorphic(apply_transcript(mixed, t), flag_subdivision(mixed))
 
 
 def test_enumerate_star_moves_on_edge():
