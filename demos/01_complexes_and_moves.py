@@ -61,8 +61,8 @@ show("after the exchange", apply_move(S, xchg))
 print()
 
 # Elementary shellings peel a facet off a complex with boundary: the
-# facet splits as A | B where closure(A) meets the boundary exactly
-# in dA, so here A is the interior edge of the two-triangle disk.
+# facet splits as A | B where A holds the vertices opposite its
+# boundary edges, so here A is the interior edge of the two-triangle disk.
 ball = Complex.from_facets([(0, 1, 2), (1, 2, 3)])
 shell = Shell((1, 2), (3,))
 print("move:", shell, "->", check_move(ball, shell))

@@ -189,6 +189,11 @@ def star_move_transcript(M, A, budget=DEFAULT_EXPANSION_BUDGET, at=None):
     star to (new vertex * its boundary), and inverted.  The new vertex
     is `at` when given (must be unused), the least fresh label
     otherwise."""
+    return _expand_star(M, A, budget, at)[0]
+
+
+def _expand_star(M, A, budget, at):
+    """star_move_transcript, also returning the starred complex."""
     A = simplex(A)
     if not A:
         raise ValueError("cannot star the empty simplex")
@@ -207,7 +212,7 @@ def star_move_transcript(M, A, budget=DEFAULT_EXPANSION_BUDGET, at=None):
         raise ValueError(
             f"lk({fmt_simplex(A)}) is unshellable; cannot expand this "
             "starring")
-    return _star_from_link_shelling(M, A, lk, sh, at)[0]
+    return _star_from_link_shelling(M, A, lk, sh, at)
 
 
 def _star_from_link_shelling(M, A, lk, sh, at):
@@ -228,16 +233,15 @@ def _star_from_link_shelling(M, A, lk, sh, at):
 
 def subdivision_to_bistellar(M, transcript, budget=DEFAULT_EXPANSION_BUDGET):
     """Expand a transcript of starrings into one bistellar transcript."""
-    out = Transcript()
-    cur = M
+    out, cur = Transcript(), M
     for i, mv in enumerate(transcript.moves):
         if not isinstance(mv, Star):
             raise ValueError(f"move {i} is not a starring: {mv}")
         try:
-            out = out + star_move_transcript(cur, mv.A, budget, at=mv.a)
+            t, cur = _expand_star(cur, mv.A, budget, mv.a)
         except BudgetExhaustedError as exc:
             raise BudgetExhaustedError(f"starring {i}: {exc}") from None
-        cur = apply_move(cur, mv)
+        out = out + t
     return out
 
 

@@ -13,8 +13,12 @@ Five families, all exact surgeries on labelled face sets:
   Star, Weld and Bistellar are the special cases B a new vertex,
   A a vertex, and L = {-}.
 * ``Shell(A, B)`` / ``Unshell(A, B)`` -- elementary shelling of the
-  facet A * B (A half-interior: A's closure meets the boundary exactly
-  in dA, and B * dA lies in the boundary) and its gluing inverse.
+  facet F = A * B and its gluing inverse; A and B are vertex sets.  One
+  ridge rule: Shell is legal when the boundary ridges of F are exactly
+  the F - v for v in A and A is not in the boundary (A's closure then
+  meets the boundary in dA and B * dA lies in it), so each facet has
+  at most one split.  Unshell needs the F - v in M to be exactly those
+  for v in B, B absent, and Shell to undo it.
 
 Every move is dispatched through one table from move type to (A, B)
 data, legality check, surgery and inverse.  ``check_move`` returns a
@@ -35,7 +39,6 @@ from .core import (
     Complex,
     EMPTY,
     fmt_simplex,
-    full_simplex,
     is_simplex_boundary,
     simplex,
     simplex_boundary,
@@ -149,6 +152,11 @@ def _check_exchange(M, A, B):
     return LegalityReport(True, link_factor=L)
 
 
+def _opposite(F, ridges):
+    """The v in the sorted simplex F whose opposite face F - v is in `ridges`."""
+    return tuple(v for i, v in enumerate(F) if F[:i] + F[i + 1:] in ridges)
+
+
 def _check_shell(M, A, B):
     if not A or not B:
         return LegalityReport(False, "A and B must both be nonempty")
@@ -161,20 +169,9 @@ def _check_shell(M, A, B):
         dM = M.boundary()
     except NotPseudomanifoldError as exc:
         return LegalityReport(False, f"boundary undefined: {exc}")
-    boundary_faces = dM.faces()
-    closure_A = set()
-    for r in range(len(A) + 1):
-        closure_A.update(itertools.combinations(A, r))
-    dA = closure_A - {tuple(A)}
-    if (closure_A & boundary_faces) != dA:
+    if set(_opposite(F, dM.facets)) != set(A) or tuple(sorted(A)) in dM:
         return LegalityReport(
-            False, "closure(A) must meet the boundary exactly in dA")
-    for r in range(len(B) + 1):
-        for b in itertools.combinations(B, r):
-            for a in dA:
-                if tuple(sorted(a + b)) not in boundary_faces:
-                    return LegalityReport(
-                        False, "B * dA is not contained in the boundary")
+            False, "A*B must meet the boundary exactly in B * dA")
     return LegalityReport(True)
 
 
@@ -186,8 +183,7 @@ def _check_unshell(M, A, B):
     F = tuple(sorted(A + B))
     if F in M:
         return LegalityReport(False, f"glued facet {fmt_simplex(F)} already present")
-    expected = full_simplex(A).join(simplex_boundary(B)).faces()
-    if (full_simplex(F).faces() & M.faces()) != expected:
+    if set(_opposite(F, M.faces())) != set(B) or tuple(sorted(B)) in M:
         return LegalityReport(
             False, "the glued facet must meet the complex exactly in A * dB")
     glued = Complex.from_facets(set(M.facets) | {F})
@@ -327,21 +323,21 @@ def enumerate_moves(M, kind):
     elif kind == "exchange":
         cands = (Exchange(A, B) for A in sorted(f for f in M.faces() if f)
                  for B in [(fresh,)] + _minimal_nonfaces(M.link(A)))
-    elif kind == "shell":
-        cands = (Shell(A, tuple(v for v in F if v not in A))
-                 for F in M.facet_list() for r in range(1, len(F))
-                 for A in itertools.combinations(F, r))
-    elif kind == "unshell":
+    elif kind in ("shell", "unshell"):
+        # a facet's boundary ridges force its one candidate split
         try:
-            rim = M.boundary()
+            rim = M.boundary().facets
         except NotPseudomanifoldError:
             return []
-        labels = M.vertices() + (fresh,)
-        glued = {tuple(sorted(R + (w,)))
-                 for R in rim.facets if R for w in labels if w not in R}
-        cands = (Unshell(A, tuple(v for v in F if v not in A))
-                 for F in glued for r in range(1, len(F))
-                 for A in itertools.combinations(F, r))
+        if kind == "shell":
+            cands = (Shell(A, tuple(v for v in F if v not in A))
+                     for F in M.facets for A in [_opposite(F, rim)])
+        else:
+            faces, labels = M.faces(), M.vertices() + (fresh,)
+            glued = {tuple(sorted(R + (w,)))
+                     for R in rim if R for w in labels if w not in R}
+            cands = (Unshell(tuple(v for v in F if v not in B), B)
+                     for F in glued for B in [_opposite(F, faces)])
     else:
         raise ValueError(
             f"unknown move kind {kind!r}; expected one of {MOVE_KINDS}")

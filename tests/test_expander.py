@@ -11,17 +11,20 @@ Fixture notes, verified by hand:
   (2,) -> (4,5) trades a simplex already in the ambient complex and
   forces the detach-a-vertex branch."""
 
+import hashlib
 import itertools
 
 import pytest
 
 import pachner.expander
+import pachner.moves
 from pachner.core import (
     BudgetExhaustedError,
     Complex,
     full_simplex,
     is_simplex_boundary,
     simplex_boundary,
+    standard_sphere,
 )
 from pachner.expander import (
     ExpansionSession,
@@ -228,6 +231,34 @@ def test_subdivision_to_bistellar_matches_derived(sphere2):
     # 4 facet starrings cost one move each; the 6 edge starrings then
     # see two triangles around each edge
     assert len(t) == 16
+
+
+def test_subdivision_to_bistellar_checks_each_star_once(monkeypatch):
+    """S4 -> sd S4: each starring is checked once, by the expansion that
+    certifies it, and the 516-flip transcript is pinned by its digest."""
+    stars = []
+    real = pachner.moves.check_move
+
+    def counting(M, move):
+        if isinstance(move, Star):
+            stars.append(move)
+        return real(M, move)
+
+    monkeypatch.setattr(pachner.moves, "check_move", counting)
+    S4 = standard_sphere(4)
+    t = derived_subdivision_transcript(S4)
+    text = dumps_transcript(subdivision_to_bistellar(S4, t))
+    assert len(stars) == len(t) == 56
+    assert text.count("\n") == 516
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "db06ded26737ded8fe0535209ac597f50e590870736777aa91795f90270dfbf0")
+
+
+def test_subdivision_to_bistellar_normalises_the_starred_simplex(sphere2):
+    unsorted = Transcript((Star((2, 1, 0), 4), Star((3, 0), 5)))
+    stars = Transcript((Star((0, 1, 2), 4), Star((0, 3), 5)))
+    assert (subdivision_to_bistellar(sphere2, unsorted)
+            == subdivision_to_bistellar(sphere2, stars))
 
 
 # -- link factorization and witnesses ---------------------------------------

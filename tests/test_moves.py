@@ -214,6 +214,19 @@ def test_shell_legality_split():
     assert out.facets == frozenset({(1, 2, 3)})
 
 
+def test_shell_judges_A_and_B_as_vertex_sets():
+    tet = full_simplex((0, 1, 2, 3))
+    assert not check_move(tet, Shell((1, 0), (2, 3))).legal
+    with pytest.raises(IllegalMoveError):
+        apply_move(tet, Shell((1, 0), (2, 3)))
+    disk = Complex.from_facets([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+    assert check_move(disk, Shell((2, 1), (0,))).legal
+    assert check_move(disk, Shell((1, 2), (0,))).legal
+    out = apply_move(disk, Shell((1, 2), (0,)))
+    assert apply_move(disk, Shell((2, 1), (0,))) == out
+    assert check_move(out, Unshell((2, 1), (0,))).legal
+
+
 def test_shell_enumeration_on_two_ball():
     M = two_ball()
     assert enumerate_moves(M, "shell") == [
