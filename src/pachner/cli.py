@@ -10,8 +10,8 @@ failure from a search that gave up:
 * 0 -- success / affirmative verdict
 * 1 -- provably negative verdict (illegal move, no shelling exists,
        not a combinatorial manifold, not isomorphic, invariant mismatch)
-* 2 -- undecided within budget (bounded search exhausted, or a
-       search deeper than the Python recursion limit)
+* 2 -- undecided within budget (bounded search exhausted, a search
+       deeper than the Python recursion limit, or an internal fault)
 * 3 -- malformed input (unreadable files, bad simplex or move syntax,
        bad usage)
 
@@ -29,7 +29,6 @@ import sys
 
 from .core import (
     AbsentSimplexError,
-    BudgetExhaustedError,
     MalformedSimplexError,
     fmt_simplex,
     is_simplex_boundary,
@@ -465,7 +464,8 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (BudgetExhaustedError, RecursionError) as exc:
+    except RuntimeError as exc:
+        # budget exhaustion, the recursion limit, or an internal fault
         return _fail(exc, EXIT_UNKNOWN)
     except AbsentSimplexError as exc:
         return _fail(exc, EXIT_NEGATIVE)

@@ -8,11 +8,12 @@ the star; and a general exchange expands by recursion on a witness -- a
 sequence of exchanges reducing the residual link factor to a simplex
 boundary.
 
-Every constructed object is certified on the spot, once: each built
-shelling and transcript is replayed a single time through
-apply_transcript, which checks each move's legality once, and each
-splice point is compared for exact labeled equality.  A returned
-transcript is always replayed in the caller's complex.
+The private builders (_cone_steps, _join_steps, _cone_flips) compute
+steps by label arithmetic and check nothing.  Every returned object is
+certified once, in its own complex: a public combinator replays the
+caller's shelling and its own output, and a transcript is replayed once
+in the caller's complex (one check per move) against the exact one-move
+result.  A failure of our own output is a fault, raised as RuntimeError.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .flipsearch import Schedule, reduce as _flip_reduce
 from .moves import (
     Bistellar,
     Exchange,
+    IllegalAtStepError,
     IllegalMoveError,
     Shell,
     Star,
@@ -51,6 +53,16 @@ DEFAULT_EXPANSION_BUDGET = 100_000
 _EMPTY = Complex.from_facets([])
 
 
+def _certify(M, t, end, what):
+    """Replay our own transcript t on M once; it must end at `end`."""
+    try:
+        if apply_transcript(M, t) == end:
+            return
+    except IllegalAtStepError:
+        pass
+    raise RuntimeError(f"{what} does not replay correctly")
+
+
 # -- shelling combinators -----------------------------------------------
 
 
@@ -59,10 +71,8 @@ def _validate_shelling(X, sh, what="shelling"):
     if sh.initial is not None and sh.initial not in X.facets:
         raise ValueError(
             f"{what}: initial {fmt_simplex(sh.initial)} is not a facet")
-    M = replay_shelling(X, sh)
-    if M.facets != frozenset({sh.terminal}):
+    if replay_shelling(X, sh).facets != frozenset({sh.terminal}):
         raise ValueError(f"{what} does not end at its terminal facet")
-    return M
 
 
 def _cone_steps(sh, A):
@@ -87,6 +97,34 @@ def cone_shelling(X, sh, v):
     return out
 
 
+def _join_steps(sh, W):
+    """join_boundary_shelling over the labels W, unchecked; the base {-}
+    (terminal ()) joins to the simplex boundary itself, and a sphere-mode
+    initial D is spent first on the facets (W - v) * D."""
+    if len(W) == 1:
+        return sh
+    if sh.terminal == ():
+        return find_shelling(simplex_boundary(W))
+    C, v = W[:-1], W[-1]
+    steps, initial = [], None
+    if sh.initial is not None:
+        D = sh.initial
+        shC = find_shelling(simplex_boundary(C))
+        if shC.initial is not None:
+            steps.append(Shell((v,), tuple(sorted(shC.initial + D))))
+        steps.extend(
+            Shell(tuple(sorted((v,) + mv.A)), tuple(sorted(mv.B + D)))
+            for mv in shC.steps)
+        steps.append(Shell(tuple(sorted((v,) + shC.terminal)), D))
+        initial = tuple(sorted(C + D))
+        sh = ShellingSequence(sh.steps, sh.terminal)
+    steps.extend(Shell(mv.A, tuple(sorted(mv.B + C))) for mv in sh.steps)
+    steps.append(Shell(sh.terminal, C))
+    lifted = _cone_steps(_join_steps(sh, C), (v,))
+    return ShellingSequence(
+        tuple(steps) + lifted.steps, lifted.terminal, initial)
+
+
 def join_boundary_shelling(r, X, sh, labels=None):
     """Shelling of (boundary of an r-simplex) * X from a shelling of X.
 
@@ -107,43 +145,19 @@ def join_boundary_shelling(r, X, sh, labels=None):
     if set(W) & set(X.vertices()):
         raise ValueError("simplex labels collide with the base complex")
     _validate_shelling(X, sh)
-    if X.dim == -1:
-        # the join is just the simplex boundary itself
-        return find_shelling(simplex_boundary(W))
-    join = simplex_boundary(W).join(X)
-    if sh.initial is not None:
-        C, v = W[:-1], W[-1]
-        D = sh.initial
-        shC = find_shelling(simplex_boundary(C))
-        steps = []
-        if shC.initial is not None:
-            steps.append(Shell((v,), tuple(sorted(shC.initial + D))))
-        steps.extend(
-            Shell(tuple(sorted((v,) + mv.A)), tuple(sorted(mv.B + D)))
-            for mv in shC.steps)
-        steps.append(Shell(tuple(sorted((v,) + shC.terminal)), D))
-        ball = Complex.from_facets(set(X.facets) - {D})
-        tail = _join_ball(ball, ShellingSequence(sh.steps, sh.terminal), W)
-        out = ShellingSequence(
-            tuple(steps) + tail.steps, tail.terminal, tuple(sorted(C + D)))
-    else:
-        out = _join_ball(X, sh, W)
-    _validate_shelling(join, out, "join shelling")
+    out = _join_steps(sh, W)
+    _validate_shelling(simplex_boundary(W).join(X), out, "join shelling")
     return out
 
 
-def _join_ball(X, sh, W):
-    """Ball case of join_boundary_shelling, X already open."""
-    C, v = W[:-1], W[-1]
-    steps = [Shell(mv.A, tuple(sorted(mv.B + C))) for mv in sh.steps]
-    steps.append(Shell(sh.terminal, C))
-    inner = join_boundary_shelling(len(C) - 1, X, sh, labels=C)
-    lifted = _cone_steps(inner, (v,))
-    return ShellingSequence(
-        tuple(steps) + lifted.steps, lifted.terminal, None)
-
-
 # -- shelled balls vs cones over their boundaries ------------------------
+
+
+def _cone_flips(sh, v):
+    """ball_to_cone_transcript's moves, unchecked."""
+    moves = [Bistellar(tuple(sorted((v,) + mv.B)), mv.A) for mv in sh.steps]
+    moves.append(Bistellar((v,), sh.terminal))
+    return Transcript(tuple(moves))
 
 
 def ball_to_cone_transcript(X, sh, v):
@@ -153,17 +167,13 @@ def ball_to_cone_transcript(X, sh, v):
     facet of X, the i-th move gluing back the i-th shelled facet.  The
     inverse transcript therefore starts by starring the terminal facet
     at v."""
-    if sh.initial is not None:
-        raise ValueError("a ball shelling is required, not sphere mode")
+    if sh.initial is not None or X.dim < 0:
+        raise ValueError("a ball-mode shelling of a nonempty ball is required")
     if v in set(X.vertices()):
         raise ValueError(f"apex {v} already labels a vertex of the ball")
     _validate_shelling(X, sh)
-    moves = [Bistellar(tuple(sorted((v,) + mv.B)), mv.A) for mv in sh.steps]
-    moves.append(Bistellar((v,), sh.terminal))
-    t = Transcript(tuple(moves))
-    start = X.boundary().join(full_simplex((v,)))
-    if apply_transcript(start, t) != X:
-        raise RuntimeError("cone transcript does not replay to the ball")
+    t = _cone_flips(sh, v)
+    _certify(X.boundary().join(full_simplex((v,))), t, X, "cone transcript")
     return t
 
 
@@ -212,22 +222,19 @@ def _expand_star(M, A, budget, at):
         raise ValueError(
             f"lk({fmt_simplex(A)}) is unshellable; cannot expand this "
             "starring")
-    return _star_from_link_shelling(M, A, lk, sh, at)
+    return _star_from_link_shelling(M, A, sh, at)
 
 
-def _star_from_link_shelling(M, A, lk, sh, at):
+def _star_from_link_shelling(M, A, sh, at):
     """Shared tail of the starring expansions: cone the link shelling
-    over A, convert, invert, and certify against the one-move result.
-    Returns the transcript and the starred complex it replays to."""
+    over A, convert, invert, and certify by one replay in M against the
+    one-move result.  Returns the transcript and the starred complex."""
     a = M.fresh_vertex() if at is None else at
     if a in set(M.vertices()):
         raise ValueError(f"starring label {a} is already in use")
-    star = full_simplex(A).join(lk)
-    t = invert_transcript(
-        ball_to_cone_transcript(star, _cone_steps(sh, A), a))
+    t = invert_transcript(_cone_flips(_cone_steps(sh, A), a))
     end = apply_move(M, Star(A, a))
-    if apply_transcript(M, t) != end:
-        raise RuntimeError("starring expansion does not replay correctly")
+    _certify(M, t, end, "starring expansion")
     return t, end
 
 
@@ -279,9 +286,7 @@ class ExpansionSession:
         self.remaining = budget
 
     def absorb(self, K):
-        vs = K.vertices()
-        if vs:
-            self._next = max(self._next, vs[-1] + 1)
+        self.absorb_labels(K.vertices())
 
     def absorb_labels(self, labels):
         for v in labels:
@@ -363,17 +368,11 @@ def _relabel_witness_move(mv, ren):
 def _star_via_factors(M, A, B, spheres, a):
     """Starring expansion for lk(A) = dB * join of sphere boundaries:
     the link shelling is assembled structurally, no search involved."""
-    X = _EMPTY
     sh = ShellingSequence((), ())
     for W in (B,) + tuple(spheres):
-        if len(W) < 2:
-            continue
-        sh = join_boundary_shelling(len(W) - 1, X, sh, labels=W)
-        X = simplex_boundary(W).join(X)
-    lk = M.link(A)
-    if X != lk:
-        raise RuntimeError("factor join does not rebuild the link")
-    return _star_from_link_shelling(M, A, lk, sh, a)
+        if len(W) >= 2:
+            sh = _join_steps(sh, W)
+    return _star_from_link_shelling(M, A, sh, a)
 
 
 def _expand(M, A, B, target, core, spheres, wmoves, session):
@@ -471,8 +470,7 @@ def exchange_to_bistellar(M, A, B, factorization, witness,
     out = _expand(M, A, B, target, factorization.core,
                   tuple(factorization.spheres), tuple(witness.moves),
                   session)
-    if apply_transcript(M, out) != target:
-        raise RuntimeError("expansion does not replay to the exchange")
+    _certify(M, out, target, "exchange expansion")
     return out
 
 

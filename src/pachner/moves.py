@@ -180,17 +180,17 @@ def _check_unshell(M, A, B):
         return LegalityReport(False, "A and B must both be nonempty")
     if set(A) & set(B):
         return LegalityReport(False, "A and B share vertices")
-    F = tuple(sorted(A + B))
+    F = simplex(A + B)
     if F in M:
         return LegalityReport(False, f"glued facet {fmt_simplex(F)} already present")
     if set(_opposite(F, M.faces())) != set(B) or tuple(sorted(B)) in M:
         return LegalityReport(
             False, "the glued facet must meet the complex exactly in A * dB")
-    glued = Complex.from_facets(set(M.facets) | {F})
+    glued = _unshell_result(M, A, B, None)
     back = _check_shell(glued, A, B)
     if not back.legal:
         return LegalityReport(False, f"gluing is not a shelling inverse: {back.reason}")
-    if Complex.from_facets(set(glued.facets) - {F}) != M:
+    if glued.facets - {F} != M.facets:
         return LegalityReport(
             False, "removing the glued facet does not restore the complex")
     return LegalityReport(True)
@@ -227,7 +227,10 @@ def _shell_result(M, A, B, L):
 
 
 def _unshell_result(M, A, B, L):
-    return Complex.from_facets(set(M.facets) | {tuple(sorted(A + B))})
+    F = simplex(A + B)
+    inside = set(F).issuperset
+    return Complex(frozenset(f for f in M.facets if not inside(f)) | {F},
+                   _trusted=True)
 
 
 _ab = attrgetter("A", "B")

@@ -276,6 +276,17 @@ def test_recursion_limit_exits_2(tmp_path, sphere2, monkeypatch, capsys):
     assert "recursion" in capsys.readouterr().err
 
 
+def test_internal_fault_exits_2(tmp_path, sphere2, monkeypatch, capsys):
+    # a fault of the program is not a proven "no"
+    def broken(*args, **kwargs):
+        raise RuntimeError("starring expansion does not replay correctly")
+
+    monkeypatch.setattr(pachner.cli, "star_move_transcript", broken)
+    assert main(["expand-star", _cx(tmp_path, sphere2),
+                 "--simplex", "0 1"]) == 2
+    assert "does not replay" in capsys.readouterr().err
+
+
 def test_iso_yes_with_map(tmp_path, sphere2, capsys):
     other = sphere2.relabel({0: 10, 1: 11, 2: 12, 3: 13})
     rc = main(["iso", _cx(tmp_path, sphere2, "a.cx"),

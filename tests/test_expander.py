@@ -211,8 +211,12 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_star_expansion_replays_one_shelling(sphere2, sphere3, monkeypatch):
-    replays = _count_calls(monkeypatch, "replay_shelling")
+def test_star_expansion_replays_once_in_the_complex(sphere2, sphere3,
+                                                    monkeypatch):
+    """The star shelling and its flips are built by arithmetic; the only
+    replay is the flip transcript's one replay in M."""
+    shellings = _count_calls(monkeypatch, "replay_shelling")
+    replays = _count_calls(monkeypatch, "apply_transcript")
     for A in sphere2.faces():
         if A:
             del replays[:]
@@ -222,6 +226,17 @@ def test_star_expansion_replays_one_shelling(sphere2, sphere3, monkeypatch):
     del replays[:]
     subdivision_to_bistellar(sphere3, t)
     assert len(replays) == len(t) == 25
+    assert shellings == []
+
+
+def test_star_expansion_fault_is_a_runtime_error(sphere2, monkeypatch):
+    """A built transcript that fails its replay in M is our fault, not
+    an illegal move of the caller's."""
+    real = pachner.expander._cone_flips
+    monkeypatch.setattr(pachner.expander, "_cone_flips",
+                        lambda sh, v: Transcript(real(sh, v).moves[1:]))
+    with pytest.raises(RuntimeError, match="does not replay"):
+        star_move_transcript(sphere2, (0, 1))
 
 
 def test_subdivision_to_bistellar_matches_derived(sphere2):
@@ -234,22 +249,26 @@ def test_subdivision_to_bistellar_matches_derived(sphere2):
 
 
 def test_subdivision_to_bistellar_checks_each_star_once(monkeypatch):
-    """S4 -> sd S4: each starring is checked once, by the expansion that
-    certifies it, and the 516-flip transcript is pinned by its digest."""
-    stars = []
+    """S4 -> sd S4: each starring and each flip is checked once, by the
+    one replay that certifies the starring's expansion, and the 516-flip
+    transcript is pinned by its digest."""
+    stars, flips = [], []
     real = pachner.moves.check_move
 
     def counting(M, move):
         if isinstance(move, Star):
             stars.append(move)
+        elif isinstance(move, Bistellar):
+            flips.append(move)
         return real(M, move)
 
     monkeypatch.setattr(pachner.moves, "check_move", counting)
+    replays = _count_calls(monkeypatch, "apply_transcript")
     S4 = standard_sphere(4)
     t = derived_subdivision_transcript(S4)
     text = dumps_transcript(subdivision_to_bistellar(S4, t))
-    assert len(stars) == len(t) == 56
-    assert text.count("\n") == 516
+    assert len(stars) == len(t) == len(replays) == 56
+    assert text.count("\n") == len(flips) == 516
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "db06ded26737ded8fe0535209ac597f50e590870736777aa91795f90270dfbf0")
 
@@ -415,6 +434,14 @@ def test_exchange_expansions_are_pinned():
         M, (0,), (9,), LinkFactorization((9,), M.link((0,))),
         Witness((Exchange((2,), (4, 5)),)))
     assert dumps_transcript(detach) == DETACH_EXPANSION
+
+
+def test_hexagon_expansion_builds_join_shellings_privately(monkeypatch):
+    # the factor shellings come from the unchecked builder; the public
+    # combinator would replay its input and output at every level
+    public = _count_calls(monkeypatch, "join_boundary_shelling")
+    expand_exchange(suspended_hexagon(), (0,), (8,))
+    assert public == []
 
 
 def test_exchange_expansion_witness_label_collision():

@@ -163,3 +163,19 @@ def test_shell_enumeration_checks_at_most_once_per_facet(monkeypatch):
         del checked[:]
         moves = enumerate_moves(M, "shell")
         assert moves and len(checked) <= len(M.facets)
+
+
+def test_unshell_enumeration_builds_no_complex_from_facets(monkeypatch):
+    # gluing a facet is a trusted surgery: no maximality filter per
+    # candidate, in the check or in the glued result
+    strip = Complex.from_facets([(i, i + 1, i + 2) for i in range(12)])
+    built = []
+    real = Complex.from_facets
+
+    def counting(facets):
+        built.append(facets)
+        return real(facets)
+
+    monkeypatch.setattr(Complex, "from_facets", staticmethod(counting))
+    moves = enumerate_moves(strip, "unshell")
+    assert moves and built == []
