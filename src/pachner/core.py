@@ -369,12 +369,17 @@ def isomorphic(K, L, budget=500_000):
                     return False
         return True
 
-    def extend(i):
-        nonlocal nodes
-        if i == len(order):
-            return True
+    # depth-first over `order` with an explicit stack, so the depth of
+    # the Python stack does not grow with the vertex count: tried[i] is
+    # how many candidates order[i] has been offered so far
+    tried = [0] * len(order)
+    i = 0
+    while 0 <= i < len(order):
         v = order[i]
-        for w in classes[pk[v]]:
+        candidates = classes[pk[v]]
+        while tried[i] < len(candidates):
+            w = candidates[tried[i]]
+            tried[i] += 1
             if w in used:
                 continue
             nodes += 1
@@ -384,13 +389,18 @@ def isomorphic(K, L, budget=500_000):
                     dict(mapping))
             mapping[v] = w
             used.add(w)
-            if consistent(v) and extend(i + 1):
-                return True
+            if consistent(v):
+                i += 1
+                break
             del mapping[v]
             used.discard(w)
-        return False
-
-    return dict(mapping) if extend(0) else None
+        else:
+            # order[i] is out of candidates: undo order[i - 1] and resume it
+            tried[i] = 0
+            i -= 1
+            if i >= 0:
+                used.discard(mapping.pop(order[i]))
+    return dict(mapping) if i == len(order) else None
 
 
 # -- facet files ------------------------------------------------------

@@ -39,6 +39,7 @@ from .moves import (
     Shell,
     Star,
     Transcript,
+    _exchange_result,
     _minimal_nonfaces,
     apply_move,
     apply_transcript,
@@ -452,7 +453,13 @@ def exchange_to_bistellar(M, A, B, factorization, witness,
     [Bistellar(A, B)] whenever the move is already bistellar."""
     A = simplex(A)
     B = simplex(B)
-    target = apply_move(M, Exchange(A, B))
+    return _exchange_to_bistellar(M, A, B, apply_move(M, Exchange(A, B)),
+                                  factorization, witness, budget)
+
+
+def _exchange_to_bistellar(M, A, B, target, factorization, witness, budget):
+    """exchange_to_bistellar for sorted A and B, given `target`, the
+    already checked result of Exchange(A, B) on M."""
     if simplex(factorization.B) != B:
         raise ValueError("factorization B-part differs from the move")
     built = simplex_boundary(B).join(factorization.core)
@@ -483,7 +490,8 @@ def expand_exchange(M, A, B, budget=DEFAULT_EXPANSION_BUDGET):
     rep = check_move(M, mv)
     if not rep.legal:
         raise IllegalMoveError(mv, rep)
+    target = _exchange_result(M, A, B, rep.link_factor)
     core, spheres = factor_link(rep.link_factor)
     witness = search_witness(core, budget)
-    return exchange_to_bistellar(
-        M, A, B, LinkFactorization(B, core, spheres), witness, budget)
+    return _exchange_to_bistellar(
+        M, A, B, target, LinkFactorization(B, core, spheres), witness, budget)

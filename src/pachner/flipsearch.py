@@ -5,6 +5,13 @@ that shrink the total face count, and keeps the best complex seen.  All
 randomness comes from a SplitMix64 generator owned by this module, so a
 (seed, schedule) pair fully determines the outcome on every platform.
 
+The walk runs on one mutable working state (``moves._FlipState``), not
+on a new Complex per step.  On it ``enumerate_moves`` returns the kept
+list of legal flips, the same sorted list as on its complex, and
+``apply_move`` checks a flip by lookups and flips the state in place,
+re-testing only the links in the star it changed.  An immutable Complex
+is built only for a new best and at the end.
+
 A successful reduction to a simplex boundary certifies the input as a
 combinatorial sphere; two reductions meeting in isomorphic endpoints
 certify two complexes as flip-equivalent.
@@ -16,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .core import is_simplex_boundary, isomorphic
-from .moves import Transcript, apply_move, enumerate_moves
+from .moves import Transcript, _FlipState, apply_move, enumerate_moves
 
 _MASK = (1 << 64) - 1
 
@@ -58,12 +65,6 @@ class Schedule:
     decay: float = 0.95
 
 
-def _objective(M):
-    """Lexicographic objective: the f-vector read from the top dimension
-    down, so fewer facets always wins first."""
-    return tuple(reversed(M.f_vector().counts))
-
-
 def _face_delta(mv):
     """Change in total face count under a bistellar move: faces gained
     around B minus faces lost around A."""
@@ -80,13 +81,13 @@ def reduce(M, schedule=None):
     """
     sched = schedule if schedule is not None else Schedule()
     rng = SplitMix64(sched.seed)
-    cur = M
-    if is_simplex_boundary(cur):
-        return cur, Transcript()
+    if is_simplex_boundary(M):
+        return M, Transcript()
+    cur = _FlipState(M)
     trail = []
-    best = cur
+    best = M
     best_len = 0
-    best_obj = _objective(cur)
+    best_obj = cur.objective()
     temp = sched.temp
     for _ in range(sched.max_moves):
         moves = enumerate_moves(cur, "bistellar")
@@ -98,14 +99,14 @@ def reduce(M, schedule=None):
             u = rng.uniform()
             if temp <= 0.0 or u >= math.exp(-delta / temp):
                 continue
-        cur = apply_move(cur, mv)
+        apply_move(cur, mv)
         trail.append(mv)
         temp *= sched.decay
         if is_simplex_boundary(cur):
-            return cur, Transcript(tuple(trail))
-        obj = _objective(cur)
+            return cur.complex(), Transcript(tuple(trail))
+        obj = cur.objective()
         if obj < best_obj:
-            best = cur
+            best = cur.complex()
             best_obj = obj
             best_len = len(trail)
     return best, Transcript(tuple(trail[:best_len]))

@@ -25,7 +25,11 @@ data, legality check, surgery and inverse.  ``check_move`` returns a
 LegalityReport, also for malformed move data.  ``apply_move`` checks
 first and raises IllegalMoveError (carrying the report) on failure;
 ``apply_transcript`` replays through it, one check per step.  Every
-apply is pure; complexes are immutable.
+apply is pure; complexes are immutable.  The one mutable object is the
+private ``_FlipState``, a working copy that walks over bistellar moves
+re-test only where a flip changed it.  ``enumerate_moves(S, "bistellar")``
+and ``apply_move(S, move)`` accept it too: the first returns its kept
+move list, the second checks the move by lookups and flips S in place.
 """
 
 from __future__ import annotations
@@ -267,7 +271,14 @@ def check_move(M, move):
 
 
 def apply_move(M, move):
-    """Apply a legal move; raises IllegalMoveError otherwise."""
+    """Apply a legal move; raises IllegalMoveError otherwise.
+
+    On a ``_FlipState`` the move must be one its ``moves()`` lists; the
+    state is flipped in place and returned.
+    """
+    if isinstance(M, _FlipState):
+        M.apply(move)
+        return M
     report = check_move(M, move)
     if not report.legal:
         raise IllegalMoveError(move, report)
@@ -309,8 +320,15 @@ def enumerate_moves(M, kind):
     """All legal moves of one family, sorted by (A, B)-data.
 
     Moves that introduce a new vertex use fresh_vertex(M); the legality
-    checker accepts any unused label, but enumeration is canonical.
+    checker accepts any unused label, but enumeration is canonical.  On
+    a ``_FlipState`` only "bistellar" is enumerated, from its kept
+    candidates, with the same list as on its complex.
     """
+    if isinstance(M, _FlipState):
+        if kind != "bistellar":
+            raise ValueError(f"a flip state enumerates bistellar moves only, "
+                             f"not {kind!r}")
+        return M.moves()
     fresh = M.fresh_vertex()
     if kind == "star":
         return [Star(A, fresh) for A in sorted(f for f in M.faces() if f)]
@@ -347,6 +365,125 @@ def enumerate_moves(M, kind):
     # stream the candidates: a list of them all burdens the collector
     legal = [mv for mv in cands if check_move(M, mv).legal]
     return sorted(legal, key=lambda mv: _FAMILIES[type(mv)][0](mv))
+
+
+def _nonempty_faces(f):
+    return itertools.chain.from_iterable(
+        itertools.combinations(f, r) for r in range(1, len(f) + 1))
+
+
+class _FlipState:
+    """A mutable working copy of a complex for walks over bistellar moves.
+
+    It keeps the facet set, a vertex -> facets incidence, the number of
+    facets containing each nonempty face, per-size face counts, and for
+    every face A whose link is a simplex boundary the link's vertices
+    (() when A is a facet).  Flip A -> B is then legal exactly when B
+    is absent, as in ``enumerate_moves(M, "bistellar")``, whose list
+    ``moves()`` reproduces.  ``apply`` does the exchange surgery and
+    re-tests only the faces of the facets it removes and inserts: no
+    other link changes.  Like a Complex it has ``facets`` and
+    ``vertices()``, which is all ``is_simplex_boundary`` reads.  Walks
+    drive it through ``enumerate_moves`` and ``apply_move``.
+    """
+
+    def __init__(self, M):
+        self.facets = set()
+        self._incidence = {}     # vertex -> set of facets containing it
+        self._count = {}         # nonempty face -> number of facets
+        self._sizes = [0] * (M.dim + 2)  # face size -> number of faces
+        self._links = {}         # face -> its link's vertices, when the
+        #                          link is a simplex boundary
+        self._moves = None       # cached moves() until the next apply
+        for f in M.facets:
+            self._tally(f, 1)
+        self._retest(self._count)
+
+    def _tally(self, f, step):
+        """Insert (step 1) or remove (step -1) the facet f."""
+        if step > 0:
+            self.facets.add(f)
+        else:
+            self.facets.discard(f)
+        for v in f:
+            star = self._incidence.setdefault(v, set())
+            if step > 0:
+                star.add(f)
+            else:
+                star.discard(f)
+                if not star:
+                    del self._incidence[v]
+        count, sizes = self._count, self._sizes
+        for s in _nonempty_faces(f):
+            c = count.get(s, 0) + step
+            if c:
+                count[s] = c
+            else:
+                del count[s]
+            if c == (step > 0):  # the face appeared or disappeared
+                sizes[len(s)] += step
+
+    def _retest(self, faces):
+        links = self._links
+        for A in faces:
+            if A not in self._count:
+                links.pop(A, None)
+                continue
+            sa = set(A)
+            lk = Complex(frozenset(tuple(v for v in f if v not in sa)
+                                   for f in self._star(A)), _trusted=True)
+            if is_simplex_boundary(lk):
+                links[A] = lk.vertices()
+            else:
+                links.pop(A, None)
+
+    def _star(self, A):
+        """The facets containing the face A."""
+        return set.intersection(*(self._incidence[v] for v in A))
+
+    def vertices(self):
+        return self._incidence.keys()
+
+    def objective(self):
+        """The f-vector read from the top dimension down, so fewer
+        facets always wins first."""
+        return tuple(self._sizes[:0:-1])
+
+    def complex(self):
+        return Complex(frozenset(self.facets), _trusted=True)
+
+    def moves(self):
+        """The legal flips, sorted by A; a facet A flips to a fresh vertex."""
+        if self._moves is None:
+            fresh = (max(self._incidence) + 1,)
+            count = self._count
+            self._moves = [Bistellar(A, B or fresh)
+                           for A, B in sorted(self._links.items())
+                           if B not in count]
+        return self._moves
+
+    def _lists(self, mv):
+        """Whether moves() lists mv, by lookups instead of a scan."""
+        if type(mv) is not Bistellar or mv.A not in self._links:
+            return False
+        B = self._links[mv.A] or (max(self._incidence) + 1,)
+        return mv.B == B and B not in self._count
+
+    def apply(self, mv):
+        """Apply a flip that moves() lists; raises IllegalMoveError
+        otherwise.  No link is recomputed to check it."""
+        if not self._lists(mv):
+            raise IllegalMoveError(mv, LegalityReport(
+                False, "not a flip of the working state"))
+        A, B = mv.A, mv.B
+        gone = self._star(A)
+        new = {tuple(sorted(A[:i] + A[i + 1:] + B)) for i in range(len(A))}
+        for f in gone:
+            self._tally(f, -1)
+        for f in new:
+            self._tally(f, 1)
+        self._retest({s for f in gone | new for s in _nonempty_faces(f)})
+        self._moves = None
 
 
 # -- transcripts -------------------------------------------------------

@@ -465,16 +465,30 @@ def replay_shelling(X, sh):
 
 
 def _shell_ball(M, counter):
-    counter[0] -= 1
-    if counter[0] < 0:
-        raise BudgetExhaustedError("shelling search budget exhausted")
-    if len(M.facets) == 1:
-        return ShellingSequence((), next(iter(M.facets)), None)
-    for mv in enumerate_moves(M, "shell"):
-        sub = _shell_ball(apply_move(M, mv), counter)
-        if sub is not None:
-            return ShellingSequence((mv,) + sub.steps, sub.terminal, None)
-    return None
+    """Depth-first search for shell moves down to one facet, trying the
+    moves of each complex in enumeration order.  The stack is explicit,
+    so the depth of the Python stack does not grow with the facet
+    count; each node visited costs one unit of counter[0]."""
+    untried = []   # per depth: the moves not yet tried there
+    path = []      # the move taken at each depth above the current one
+    while True:
+        counter[0] -= 1
+        if counter[0] < 0:
+            raise BudgetExhaustedError("shelling search budget exhausted")
+        if len(M.facets) == 1:
+            return ShellingSequence(tuple(path), next(iter(M.facets)), None)
+        untried.append((M, iter(enumerate_moves(M, "shell"))))
+        while untried:
+            M, moves = untried[-1]
+            mv = next(moves, None)
+            if mv is not None:
+                break
+            untried.pop()
+        else:
+            return None
+        del path[len(untried) - 1:]
+        path.append(mv)
+        M = apply_move(M, mv)
 
 
 def find_shelling(X, budget=DEFAULT_SHELLING_BUDGET):

@@ -214,6 +214,17 @@ def test_isomorphism_budget_raises():
         isomorphic(c, c, budget=3)
 
 
+def test_isomorphic_depth_does_not_grow_with_vertex_count():
+    """One search level per vertex: a 1,500-vertex cycle is deeper than
+    the default recursion limit, and must still be matched."""
+    n = 1500
+    cycle = Complex.from_facets((i, (i + 1) % n) for i in range(n))
+    shifted = cycle.relabel({v: (v + 7) % n + n for v in range(n)})
+    m = isomorphic(cycle, shifted)
+    assert m is not None
+    assert cycle.relabel(m) == shifted
+
+
 def test_torus_is_isomorphic_to_its_own_rotation():
     T = csaszar_torus()
     rot = T.relabel({i: (i + 1) % 7 for i in range(7)})

@@ -444,6 +444,25 @@ def test_hexagon_expansion_builds_join_shellings_privately(monkeypatch):
     assert public == []
 
 
+def test_expand_exchange_checks_its_exchange_once(monkeypatch):
+    """The legality report of Exchange(A, B) also yields its result;
+    the expansion does not check the exchange again on M."""
+    checked = []
+    real = pachner.moves.check_move
+
+    def counting(M, move):
+        checked.append((M, move))
+        return real(M, move)
+
+    monkeypatch.setattr(pachner.moves, "check_move", counting)
+    monkeypatch.setattr(pachner.expander, "check_move", counting)
+    M = suspended_hexagon()
+    t = expand_exchange(M, (0,), (8,))
+    assert [N for N, mv in checked
+            if mv == Exchange((0,), (8,)) and N == M] == [M]
+    assert dumps_transcript(t) == HEXAGON_EXPANSION
+
+
 def test_exchange_expansion_witness_label_collision():
     M = suspended_hexagon()
     core = M.link((0,))

@@ -4,11 +4,19 @@ The SplitMix64 outputs below are frozen from an independent
 implementation of the published algorithm (seed 0 reproduces the
 well-known reference sequence e220a8397b1dcdaf, ...)."""
 
+import hashlib
 import time
 
 import pytest
 
-from pachner.core import Complex, is_simplex_boundary, isomorphic
+import pachner.moves
+from pachner.core import (
+    Complex,
+    full_simplex,
+    is_simplex_boundary,
+    isomorphic,
+    standard_sphere,
+)
 from pachner.flipsearch import (
     Certificate,
     Schedule,
@@ -17,12 +25,17 @@ from pachner.flipsearch import (
     reduce,
 )
 from pachner.moves import (
+    _FlipState,
+    Bistellar,
+    IllegalMoveError,
     apply_transcript,
     derived_subdivision,
     dumps_transcript,
     enumerate_moves,
     apply_move,
 )
+
+from conftest import csaszar_torus
 
 
 def test_splitmix64_reference_sequence():
@@ -125,3 +138,100 @@ def test_prove_equivalent_is_deterministic(sphere2):
     c2 = prove_equivalent(sphere2, sd)
     assert dumps_transcript(c1.transcript2) == dumps_transcript(c2.transcript2)
     assert c1.bijection == c2.bijection
+
+
+# -- the incremental flip state against the enumeration oracle ----------
+
+
+def _relabelled(K, seed):
+    labels = list(K.vertices())
+    rng = SplitMix64(seed)
+    for i in range(len(labels) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        labels[i], labels[j] = labels[j], labels[i]
+    return K.relabel({v: 3 * w + 5 for v, w in zip(K.vertices(), labels)})
+
+
+WALKS = {
+    "relabelled sd S3": lambda: _relabelled(
+        derived_subdivision(standard_sphere(3)), 11),
+    "Csaszar torus": csaszar_torus,
+    "bounded: sd of a 3-simplex": lambda: derived_subdivision(
+        full_simplex(range(4))),
+    "impure": lambda: Complex.from_facets(
+        [(0, 1, 2), (1, 2, 3), (2, 3, 4, 5), (5, 6), (6, 7), (5, 7), (8,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_flip_state_matches_enumeration_along_seeded_walks(name):
+    """After every step of a 300-step seeded walk the working state lists
+    exactly enumerate_moves(cur, "bistellar") and holds the complex the
+    apply_move chain reaches.  Moves that add facets are only taken
+    while the complex has below 1.25 times its starting facet count."""
+    cur = WALKS[name]()
+    state = _FlipState(cur)
+    cap = len(cur.facets) * 5 // 4
+    rng = SplitMix64(len(name))
+    for _ in range(300):
+        moves = enumerate_moves(state, "bistellar")
+        assert moves == enumerate_moves(cur, "bistellar")
+        assert state.complex() == cur
+        assert state.objective() == tuple(reversed(cur.f_vector().counts))
+        assert is_simplex_boundary(state) == is_simplex_boundary(cur)
+        if len(cur.facets) >= cap:
+            moves = [mv for mv in moves if len(mv.A) <= len(mv.B)]
+        mv = moves[rng.randrange(len(moves))]
+        assert apply_move(state, mv) is state
+        cur = apply_move(cur, mv)
+    assert state.complex() == cur
+
+
+def test_flip_state_rejects_a_flip_it_does_not_list():
+    """apply_move on the working state raises IllegalMoveError for any
+    flip outside its list and leaves the state as it was; it
+    enumerates bistellar moves only."""
+    torus = csaszar_torus()
+    state = _FlipState(torus)
+    facet = min(torus.facets)
+    edge = min(f for f in torus.faces() if len(f) == 2)
+    fresh = torus.fresh_vertex()
+    listed = {mv.A: mv.B for mv in enumerate_moves(state, "bistellar")}
+    for mv in (Bistellar(edge, (fresh,)),        # lk(edge) is not d[fresh]
+               Bistellar(facet, (fresh + 1,)),   # legal, but not canonical
+               Bistellar(facet, (facet[0],)),    # B present
+               Bistellar((fresh,), (0, 1)),      # A absent
+               pachner.moves.Star(facet, fresh)):
+        assert listed.get(mv.A) != getattr(mv, "B", None)
+        with pytest.raises(IllegalMoveError):
+            apply_move(state, mv)
+        assert state.complex() == torus
+    with pytest.raises(ValueError):
+        enumerate_moves(state, "shell")
+
+
+def test_reduce_checks_no_move(monkeypatch):
+    """The working state proposes only legal flips and checks a flip by
+    lookups, so reduce never calls check_move."""
+    sd = derived_subdivision(standard_sphere(3))
+    checked = []
+    real = pachner.moves.check_move
+
+    def counting(M, move):
+        checked.append(move)
+        return real(M, move)
+
+    monkeypatch.setattr(pachner.moves, "check_move", counting)
+    end, t = reduce(sd, Schedule(seed=12, max_moves=400))
+    assert checked == []
+    monkeypatch.undo()
+    assert apply_transcript(sd, t) == end
+
+
+def test_reduce_transcript_is_pinned():
+    """sd S3 under seed 12: the seeded transcript, pinned by digest."""
+    sd = derived_subdivision(standard_sphere(3))
+    end, t = reduce(sd, Schedule(seed=12, max_moves=400))
+    assert (len(t), len(end.facets)) == (26, 110)
+    assert hashlib.sha256(dumps_transcript(t).encode()).hexdigest() == (
+        "88aeb272abdd394337d923d8b423f0c0ffc982b63fe481c3139814855e3c3e33")

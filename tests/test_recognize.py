@@ -376,12 +376,10 @@ def test_find_shelling_budget_and_impossibility():
         find_shelling(standard_sphere(3), budget=2)
 
 
-def test_find_shelling_low_recursion_limit_is_no_disproof():
-    """A recursion limit hit inside a legality check surfaces as
-    RecursionError; it must never read as "no shelling exists"."""
-    strip = Complex.from_facets((i, i + 1, i + 2) for i in range(12))
+def _stack_depth():
+    """The recursion depth of the caller: one below the lowest
+    recursion limit Python accepts here."""
     limit = sys.getrecursionlimit()
-    # the recursion depth here is one below the lowest limit accepted
     depth = 0
     while True:
         try:
@@ -390,6 +388,15 @@ def test_find_shelling_low_recursion_limit_is_no_disproof():
         except RecursionError:
             depth += 1
     sys.setrecursionlimit(limit)
+    return depth
+
+
+def test_find_shelling_low_recursion_limit_is_no_disproof():
+    """A recursion limit hit inside a legality check surfaces as
+    RecursionError; it must never read as "no shelling exists"."""
+    strip = Complex.from_facets((i, i + 1, i + 2) for i in range(12))
+    limit = sys.getrecursionlimit()
+    depth = _stack_depth()
     outcomes = []
     for extra in range(2, 41):
         sys.setrecursionlimit(depth + extra)
@@ -401,6 +408,20 @@ def test_find_shelling_low_recursion_limit_is_no_disproof():
             sys.setrecursionlimit(limit)
     assert None not in outcomes
     assert outcomes[-1] is not RecursionError
+
+
+def test_find_shelling_depth_does_not_grow_with_facet_count():
+    """The search keeps its own stack: a 200-triangle strip shells with
+    the recursion limit 50 frames above the caller."""
+    strip = Complex.from_facets((i, i + 1, i + 2) for i in range(200))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        sh = find_shelling(strip)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(sh.steps) == 199
+    assert replay_shelling(strip, sh) == Complex.from_facets([sh.terminal])
 
 
 def test_find_shelling_empty_complex():
