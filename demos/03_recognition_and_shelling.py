@@ -1,9 +1,9 @@
 """Ball and sphere recognition with replayable evidence.
 
-Verdicts are conservative: a yes comes with evidence (a reduction
-transcript or a shelling) that is replayed here, a no comes with a
-counterexample, and a bounded search that gives up says Unknown rather
-than guessing.
+Verdicts are conservative: a yes comes with evidence (a shelling, or
+a sphere's shelling turned into flips) that is replayed here, a no
+comes with a counterexample, and a bounded search that gives up says
+Unknown rather than guessing.
 """
 
 from pachner import (

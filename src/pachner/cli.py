@@ -43,7 +43,7 @@ from .expander import (
 )
 from .flipsearch import (
     Schedule,
-    _certify,
+    _anneal_pair,
     _obstruction,
     reduce as reduce_complex,
 )
@@ -269,7 +269,7 @@ def _cmd_prove_equiv(args):
         print(f"reason: {reason}")
         return EXIT_NEGATIVE
     schedule = _schedule(args)
-    cert = _certify(K1, K2, schedule)
+    cert = _anneal_pair(K1, K2, schedule)
     if cert is None:
         print("equivalent: unknown")
         print(f"reason: no certificate within {schedule.max_moves} moves "
@@ -354,7 +354,8 @@ def _build_parser():
                 "structure report, manifold check, ball/sphere recognition")
     q.add_argument("complex", help="facet file")
     q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="recognition budget (default %(default)s)")
+                   help="shelling-search node budget of each recognition "
+                   "(default %(default)s)")
     q.add_argument("--all-links", action="store_true",
                    help="probe the link of every face, not just vertices")
     out_flag(q)

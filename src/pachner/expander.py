@@ -8,11 +8,11 @@ the star; and a general exchange expands by recursion on a witness -- a
 sequence of exchanges reducing the residual link factor to a simplex
 boundary.
 
-The private builders (_cone_steps, _join_steps, _cone_flips) compute
-steps by label arithmetic and check nothing.  Every returned object is
-certified once, in its own complex: a public combinator replays the
-caller's shelling and its own output, and a transcript is replayed once
-in the caller's complex (one check per move) against the exact one-move
+The private builders (_cone_steps, _join_steps, recognize._cone_flips)
+compute steps by label arithmetic and check nothing.  Every returned
+object is certified once, in its own complex: a public combinator
+replays the caller's shelling and its own output, and a transcript is
+replayed once in the caller's complex against the exact one-move
 result.  A failure of our own output is a fault, raised as RuntimeError.
 """
 
@@ -34,11 +34,11 @@ from .flipsearch import Schedule, reduce as _flip_reduce
 from .moves import (
     Bistellar,
     Exchange,
-    IllegalAtStepError,
     IllegalMoveError,
     Shell,
     Star,
     Transcript,
+    _certify,
     _exchange_result,
     _minimal_nonfaces,
     apply_move,
@@ -46,22 +46,17 @@ from .moves import (
     check_move,
     invert_transcript,
 )
-from .recognize import ShellingSequence, find_shelling, replay_shelling
+from .recognize import (
+    ShellingSequence,
+    _cone_flips,
+    find_shelling,
+    replay_shelling,
+)
 
 WITNESS_SEED = 271828
 DEFAULT_EXPANSION_BUDGET = 100_000
 
 _EMPTY = Complex.from_facets([])
-
-
-def _certify(M, t, end, what):
-    """Replay our own transcript t on M once; it must end at `end`."""
-    try:
-        if apply_transcript(M, t) == end:
-            return
-    except IllegalAtStepError:
-        pass
-    raise RuntimeError(f"{what} does not replay correctly")
 
 
 # -- shelling combinators -----------------------------------------------
@@ -154,13 +149,6 @@ def join_boundary_shelling(r, X, sh, labels=None):
 # -- shelled balls vs cones over their boundaries ------------------------
 
 
-def _cone_flips(sh, v):
-    """ball_to_cone_transcript's moves, unchecked."""
-    moves = [Bistellar(tuple(sorted((v,) + mv.B)), mv.A) for mv in sh.steps]
-    moves.append(Bistellar((v,), sh.terminal))
-    return Transcript(tuple(moves))
-
-
 def ball_to_cone_transcript(X, sh, v):
     """Bistellar transcript carrying (v * boundary of X) to X itself.
 
@@ -223,20 +211,19 @@ def _expand_star(M, A, budget, at):
         raise ValueError(
             f"lk({fmt_simplex(A)}) is unshellable; cannot expand this "
             "starring")
-    return _star_from_link_shelling(M, A, sh, at)
-
-
-def _star_from_link_shelling(M, A, sh, at):
-    """Shared tail of the starring expansions: cone the link shelling
-    over A, convert, invert, and certify by one replay in M against the
-    one-move result.  Returns the transcript and the starred complex."""
     a = M.fresh_vertex() if at is None else at
     if a in set(M.vertices()):
         raise ValueError(f"starring label {a} is already in use")
-    t = invert_transcript(_cone_flips(_cone_steps(sh, A), a))
+    t = _star_from_link_shelling(A, sh, a)
     end = apply_move(M, Star(A, a))
     _certify(M, t, end, "starring expansion")
     return t, end
+
+
+def _star_from_link_shelling(A, sh, a):
+    """The starring of A at the label a as flips, unchecked: cone the
+    shelling sh of lk(A) over A, convert and invert."""
+    return invert_transcript(_cone_flips(_cone_steps(sh, A), a))
 
 
 def subdivision_to_bistellar(M, transcript, budget=DEFAULT_EXPANSION_BUDGET):
@@ -366,19 +353,19 @@ def _relabel_witness_move(mv, ren):
                     simplex(ren.get(v, v) for v in mv.B))
 
 
-def _star_via_factors(M, A, B, spheres, a):
-    """Starring expansion for lk(A) = dB * join of sphere boundaries:
-    the link shelling is assembled structurally, no search involved."""
+def _star_via_factors(A, B, spheres, a):
+    """Starring flips for lk(A) = dB * join of sphere boundaries: the
+    link shelling is assembled structurally, no search involved."""
     sh = ShellingSequence((), ())
     for W in (B,) + tuple(spheres):
         if len(W) >= 2:
             sh = _join_steps(sh, W)
-    return _star_from_link_shelling(M, A, sh, a)
+    return _star_from_link_shelling(A, sh, a)
 
 
 def _expand(M, A, B, target, core, spheres, wmoves, session):
     """Bistellar transcript from M to target, the already checked
-    result of Exchange(A, B) on M."""
+    result of Exchange(A, B) on M; uncertified (the caller replays it)."""
     session.charge()
     # the exchange is already bistellar: single move
     if core == _EMPTY and not spheres:
@@ -392,11 +379,8 @@ def _expand(M, A, B, target, core, spheres, wmoves, session):
         # base: lk(A) is a join of simplex boundaries, hence a shellable
         # sphere; star A and B over the same fresh vertex and splice
         a = session.fresh()
-        t1, end1 = _star_via_factors(M, A, B, spheres, a)
-        t2, end2 = _star_via_factors(target, B, A, spheres, a)
-        if end1 != end2:
-            raise RuntimeError("starred forms disagree in the base case")
-        return t1 + invert_transcript(t2)
+        return (_star_via_factors(A, B, spheres, a)
+                + invert_transcript(_star_via_factors(B, A, spheres, a)))
     if not wmoves:
         raise ValueError(
             "witness exhausted before the core became a simplex boundary")
@@ -435,8 +419,6 @@ def _expand(M, A, B, target, core, spheres, wmoves, session):
     with_A = spheres + ((A,) if len(A) >= 2 else ())
     M1 = apply_move(M, Exchange(X, Y))
     M2 = apply_move(M1, Exchange(A, B))
-    if apply_move(target, Exchange(Xp, Y)) != M2:
-        raise RuntimeError("exchange square does not commute")
     t_x = _expand(M, X, Y, M1, sub, with_B, sub_moves, session)
     t_mid = _expand(M1, A, B, M2, mid_core, spheres, mid_moves, session)
     t_xp = _expand(target, Xp, Y, M2, sub, with_A, sub_moves, session)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .core import is_simplex_boundary, isomorphic
 from .moves import Transcript, _FlipState, apply_move, enumerate_moves
+from .recognize import homology
 
 _MASK = (1 << 64) - 1
 
@@ -129,8 +130,6 @@ class Certificate:
 def _obstruction(M1, M2):
     """Why M1 and M2 cannot be flip-equivalent, when their dimension or
     homology already shows it; None otherwise."""
-    from .recognize import homology
-
     if M1.dim != M2.dim:
         return f"dimensions differ ({M1.dim} vs {M2.dim})"
     h1, h2 = homology(M1), homology(M2)
@@ -139,7 +138,7 @@ def _obstruction(M1, M2):
     return None
 
 
-def _certify(M1, M2, schedule):
+def _anneal_pair(M1, M2, schedule):
     """Anneal both complexes under one schedule; a Certificate when the
     endpoints are isomorphic, None otherwise."""
     end1, t1 = reduce(M1, schedule)
@@ -160,4 +159,4 @@ def prove_equivalent(M1, M2, schedule=None):
     """
     if _obstruction(M1, M2) is not None:
         return None
-    return _certify(M1, M2, schedule)
+    return _anneal_pair(M1, M2, schedule)

@@ -537,6 +537,16 @@ def apply_transcript(M, t):
     return M
 
 
+def _certify(M, t, end, what):
+    """Replay our own transcript t on M once; it must end at `end`."""
+    try:
+        if apply_transcript(M, t) == end:
+            return
+    except IllegalAtStepError:
+        pass
+    raise RuntimeError(f"{what} does not replay correctly")
+
+
 def _parse_bracket(tok, where):
     tok = tok.strip()
     if not (tok.startswith("[") and tok.endswith("]")):

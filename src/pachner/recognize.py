@@ -5,13 +5,13 @@ Three layers:
 * integral simplicial homology, computed over the integers by Smith
   normal form (smallest-pivot elimination, arbitrary precision);
 * ball/sphere verdicts: exact classification in dimension <= 2, and a
-  homology screen followed by seeded bistellar reduction in dimension
-  >= 3 -- with Unknown as a first-class outcome on budget exhaustion;
+  homology screen followed by a shelling search in dimension >= 3 --
+  with Unknown as a first-class outcome when no shelling is found;
 * backtracking search for shelling sequences.
 
-Everything here is deterministic: verdict reductions run at a fixed
-internal seed (RECOGNITION_SEED) so identical inputs give identical
-verdicts and evidence.
+Sphere evidence is a shelling turned into flips (Lickorish's
+shelling/flip correspondence); unshellable spheres exist, so a failed
+search says Unknown, never no.  Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -26,10 +26,18 @@ from .core import (
     _ridge_degrees,
     fmt_simplex,
     is_simplex_boundary,
+    simplex_boundary,
 )
-from .moves import Transcript, apply_move, apply_transcript, enumerate_moves
+from .moves import (
+    Bistellar,
+    Transcript,
+    _certify,
+    apply_move,
+    apply_transcript,
+    enumerate_moves,
+    invert_transcript,
+)
 
-RECOGNITION_SEED = 1
 DEFAULT_BUDGET = 4000
 DEFAULT_SHELLING_BUDGET = 100_000
 
@@ -204,13 +212,15 @@ def _connected(adj):
 
 
 def _vertex_connected(K):
-    """Connectivity of the vertex graph (complexes of dimension >= 1)."""
+    """Connectivity of the vertex graph (complexes of dimension >= 1);
+    each facet's consecutive vertices stand in for all its edges."""
     if len(K.vertices()) <= 1:
         return True
     adj = {v: set() for v in K.vertices()}
-    for u, v in K.faces_of_dim(1):
-        adj[u].add(v)
-        adj[v].add(u)
+    for F in K.facets:
+        for u, v in zip(F, F[1:]):
+            adj[u].add(v)
+            adj[v].add(u)
     return _connected(adj)
 
 
@@ -249,9 +259,9 @@ UNKNOWN = "Unknown"
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a recognition question.  Yes-verdicts carry replayable
-    evidence (a Transcript, possibly empty); NotManifold carries the
-    counterexample simplex."""
+    """Outcome of a recognition question.  Yes-verdicts carry their
+    certificate as a Transcript, or None when none was found;
+    NotManifold carries the counterexample simplex."""
 
     value: str
     evidence: object = None
@@ -298,9 +308,9 @@ def _recognize_dim_le_2(K, budget):
     if n == 1:
         shape = _graph_shape(K)
         if shape == "cycle":
-            return Verdict(SPHERE, _sphere_evidence(K, budget), "a circle")
+            return Verdict(SPHERE, _evidence(K, budget), "a circle")
         if shape == "path":
-            return Verdict(BALL, _ball_evidence(K, budget), "an arc")
+            return Verdict(BALL, _evidence(K, budget), "an arc")
         return Verdict(OTHER, reason="graph is neither a circle nor an arc")
     # n == 2: exact surface classification
     try:
@@ -316,36 +326,42 @@ def _recognize_dim_le_2(K, budget):
     chi = K.f_vector().euler
     if rim.dim < 0:
         if chi == 2:
-            return Verdict(SPHERE, _sphere_evidence(K, budget),
+            return Verdict(SPHERE, _evidence(K, budget),
                            "closed surface with chi = 2")
         return Verdict(OTHER, reason=f"closed surface with chi = {chi}")
     if chi == 1 and _graph_shape(rim) == "cycle":
-        return Verdict(BALL, _ball_evidence(K, budget),
+        return Verdict(BALL, _evidence(K, budget),
                        "surface with chi = 1 and one boundary circle")
     return Verdict(OTHER, reason="bounded surface that is not a disk")
 
 
-def _sphere_evidence(K, budget):
-    """A flip transcript reducing K to a simplex boundary, when the
-    seeded reduction finds one within budget; empty otherwise."""
-    if is_simplex_boundary(K):
-        return Transcript()
-    from .flipsearch import Schedule, reduce as flip_reduce
-    end, t = flip_reduce(
-        K, Schedule(seed=RECOGNITION_SEED, max_moves=budget))
-    return t if is_simplex_boundary(end) else Transcript()
-
-
-def _ball_evidence(K, budget):
-    """A shelling transcript reducing K to one facet, when the search
-    succeeds within budget; empty otherwise."""
-    if len(K.facets) == 1:
+def _evidence(K, budget):
+    """A ball's shelling, or a sphere's shelling (initial facet F) turned
+    into the f_d - 1 flips that carry K to the boundary of F + (apex,),
+    certified by one replay in K; None when the shelling search finds
+    nothing within budget."""
+    if len(K.facets) == 1 or is_simplex_boundary(K):
         return Transcript()
     try:
         sh = find_shelling(K, budget)
     except BudgetExhaustedError:
-        return Transcript()
-    return Transcript(sh.steps) if sh is not None else Transcript()
+        return None
+    if sh is None:
+        return None
+    if sh.initial is None:
+        return Transcript(sh.steps)
+    apex = K.fresh_vertex()
+    t = invert_transcript(
+        _cone_flips(ShellingSequence(sh.steps, sh.terminal), apex))
+    _certify(K, t, simplex_boundary(sh.initial + (apex,)), "sphere evidence")
+    return t
+
+
+def _cone_flips(sh, v):
+    """Flips carrying v * (boundary of X) to the shelled ball X; unchecked."""
+    moves = [Bistellar(tuple(sorted((v,) + mv.B)), mv.A) for mv in sh.steps]
+    moves.append(Bistellar((v,), sh.terminal))
+    return Transcript(tuple(moves))
 
 
 def _cone_apex(K):
@@ -362,10 +378,10 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
     """Verdict on whether K is a combinatorial ball or sphere.
 
     Dimension <= 2 is decided exactly (components, Euler characteristic,
-    link shapes, boundary count).  Dimension >= 3 runs a homology screen
-    and then a seeded bistellar reduction toward a simplex boundary
-    (spheres) or a cone/shelling certificate (balls); Unknown is the
-    honest outcome when the budget runs out.
+    link shapes, boundary count); dimension >= 3 by a homology screen and
+    a shelling search of `budget` nodes, Unknown when it finds none.  The
+    evidence is a ball's shelling or a sphere's flips to a simplex
+    boundary, or None when no certificate was found.
     """
     n = K.dim
     if n <= 2:
@@ -380,32 +396,23 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
         return Verdict(OTHER, reason="a ridge lies in more than two facets")
     if not _vertex_connected(K):
         return Verdict(OTHER, reason="not connected")
-    if closed:
-        if homology(K) != _sphere_profile(n):
-            return Verdict(
-                OTHER, reason=f"homology differs from the {n}-sphere")
-        t = _sphere_evidence(K, budget)
-        if t.moves:  # K is no simplex boundary: empty means not found
-            return Verdict(SPHERE, t, "flip-reduced to a simplex boundary")
-        return Verdict(
-            UNKNOWN, reason="sphere homology, but the flip reduction "
-            "budget was exhausted")
-    if homology(K) != _ball_profile(n):
-        return Verdict(OTHER, reason=f"homology differs from the {n}-ball")
-    if len(K.facets) == 1:
-        return Verdict(BALL, Transcript(), "a single simplex")
-    t = _ball_evidence(K, budget)
-    if t.moves:  # K has several facets: empty means not found
-        return Verdict(BALL, t, "shellable")
-    apex = _cone_apex(K)
+    shape, profile = ((SPHERE, _sphere_profile(n)) if closed
+                      else (BALL, _ball_profile(n)))
+    if homology(K) != profile:
+        return Verdict(OTHER, reason=f"homology differs from the "
+                       f"{n}-{shape.lower()}")
+    t = _evidence(K, budget)
+    if t is not None:
+        return Verdict(shape, t, "shellable")
+    apex = None if closed else _cone_apex(K)
     if apex is not None:
         sub = recognize_ball_or_sphere(K.link((apex,)), budget)
         if sub.value in (SPHERE, BALL):
             return Verdict(
-                BALL, Transcript(),
-                f"cone with apex {apex} over a {sub.value.lower()}")
-    return Verdict(UNKNOWN, reason="ball homology, but neither a shelling "
-                   "nor a cone certificate was found within budget")
+                BALL, reason=f"cone with apex {apex} over a "
+                f"{sub.value.lower()}")
+    return Verdict(UNKNOWN, reason=f"{shape.lower()} homology, but no "
+                   "certificate was found within budget")
 
 
 def verify_combinatorial_manifold(M, budget=DEFAULT_BUDGET,

@@ -31,6 +31,7 @@ from pachner import (
     full_simplex,
     homology,
     invert,
+    is_simplex_boundary,
     prove_equivalent,
     recognize_ball_or_sphere,
     replay_shelling,
@@ -336,13 +337,24 @@ def _corpus():
 
 
 def test_criterion_09_recognition_matches_brute_force():
-    seen = 0
+    """Every verdict matches the oracle, and every sphere's evidence
+    replays to a simplex boundary in one flip per facet but one (none
+    when the sphere already is a simplex boundary)."""
+    seen = spheres = 0
     for generators in _corpus():
         expected = _oracle_shape(generators)
-        verdict = recognize_ball_or_sphere(Complex.from_facets(generators))
+        K = Complex.from_facets(generators)
+        verdict = recognize_ball_or_sphere(K)
         assert verdict.value == expected, generators
         seen += 1
+        if expected == "Sphere":
+            spheres += 1
+            end = apply_transcript(K, verdict.evidence)
+            assert is_simplex_boundary(end), generators
+            flips = 0 if is_simplex_boundary(K) else len(K.facets) - 1
+            assert len(verdict.evidence) == flips, generators
     assert seen > 70_000
+    assert spheres == 588
 
 
 def test_criterion_10_artifacts_are_byte_identical(tmp_path):

@@ -26,6 +26,7 @@ from pachner import (
     dump_transcript,
     dumps_complex,
     dumps_transcript,
+    is_simplex_boundary,
     isomorphic,
     load_complex,
     loads_complex,
@@ -235,6 +236,27 @@ def test_validate_wedge_exits_1(tmp_path, capsys):
     assert "bad link at = [0]" in got
 
 
+def test_validate_shelled_sphere_writes_flip_evidence(tmp_path, sphere3,
+                                                      capsys):
+    sd = derived_subdivision(sphere3)
+    out = tmp_path / "art"
+    assert main(["validate", _cx(tmp_path, sd), "--out", str(out)]) == 0
+    assert "shape: Sphere" in capsys.readouterr().out
+    t = loads_transcript((out / "evidence.tr").read_text(encoding="utf-8"))
+    assert len(t) == len(sd.facets) - 1 == 119
+    assert is_simplex_boundary(apply_transcript(sd, t))
+
+
+def test_validate_without_certificate_writes_no_evidence(tmp_path, sphere2,
+                                                         capsys):
+    out = tmp_path / "art"
+    sd = derived_subdivision(sphere2)
+    assert main(["validate", _cx(tmp_path, sd), "--budget", "5",
+                 "--out", str(out)]) == 0
+    assert "shape: Sphere" in capsys.readouterr().out
+    assert not (out / "evidence.tr").exists()
+
+
 def test_validate_budget_starved_exits_2(tmp_path, sphere3, capsys):
     big = derived_subdivision(sphere3)
     rc = main(["validate", _cx(tmp_path, big), "--budget", "1"])
@@ -387,8 +409,8 @@ def test_prove_equiv_computes_homology_once_per_input(tmp_path, sphere2,
         seen.append(K)
         return real(K, *args, **kwargs)
 
-    monkeypatch.setattr(pachner.recognize, "homology", counting)
-    monkeypatch.setattr(pachner.cli, "homology", counting)
+    for module in (pachner.recognize, pachner.flipsearch, pachner.cli):
+        monkeypatch.setattr(module, "homology", counting)
     assert main(["prove-equiv", _cx(tmp_path, sphere2, "a.cx"),
                  _cx(tmp_path, sd, "b.cx")]) == 0
     assert seen == [sphere2, sd]

@@ -200,6 +200,8 @@ def test_star_move_transcript_budget_error(sphere3):
 
 
 def _count_calls(monkeypatch, name):
+    """Count the calls of expander's `name` through every module that
+    binds it (moves._certify replays through moves.apply_transcript)."""
     calls = []
     real = getattr(pachner.expander, name)
 
@@ -207,7 +209,9 @@ def _count_calls(monkeypatch, name):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pachner.expander, name, counting)
+    for module in (pachner.moves, pachner.recognize, pachner.expander):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -442,6 +446,17 @@ def test_hexagon_expansion_builds_join_shellings_privately(monkeypatch):
     public = _count_calls(monkeypatch, "join_boundary_shelling")
     expand_exchange(suspended_hexagon(), (0,), (8,))
     assert public == []
+
+
+def test_hexagon_expansion_replays_once_in_the_complex(monkeypatch):
+    """The base-case starrings are not certified on their own: one
+    replay validates the witness on the core, and one replay of the
+    whole 28-flip transcript in M certifies the expansion."""
+    replays = _count_calls(monkeypatch, "apply_transcript")
+    t = expand_exchange(suspended_hexagon(), (0,), (8,))
+    assert dumps_transcript(t) == HEXAGON_EXPANSION
+    assert len(replays) == 2
+    assert sum(len(tr) for _, tr in replays) == 5 + len(t) == 33
 
 
 def test_expand_exchange_checks_its_exchange_once(monkeypatch):

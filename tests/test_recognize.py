@@ -278,7 +278,12 @@ def test_recognize_dim3_sphere_by_reduction(sphere3):
     grown = apply_move(sphere3, enumerate_moves(sphere3, "bistellar")[0])
     v = recognize_ball_or_sphere(grown)
     assert v.value == SPHERE
-    assert is_simplex_boundary(apply_transcript(grown, v.evidence))
+    # a sphere-mode shelling (initial F) becomes one flip per facet but
+    # one, ending at the boundary of F plus a fresh apex
+    sh = find_shelling(grown)
+    assert len(v.evidence) == len(grown.facets) - 1
+    assert (apply_transcript(grown, v.evidence)
+            == simplex_boundary(sh.initial + (grown.fresh_vertex(),)))
 
 
 def test_recognize_dim3_balls():
@@ -306,6 +311,45 @@ def test_recognize_budget_monotone(sphere2):
     small = recognize_ball_or_sphere(sd, budget=5)
     large = recognize_ball_or_sphere(sd, budget=5000)
     assert small.value == large.value == SPHERE
+    # the verdict is exact; a search out of budget leaves no certificate
+    assert small.evidence is None
+
+
+def test_recognize_runs_no_annealing(sphere2, sphere3, monkeypatch):
+    import pachner.flipsearch
+    from pachner.moves import derived_subdivision
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recognition called the annealer")
+
+    monkeypatch.setattr(pachner.flipsearch, "reduce", refuse)
+    circle = Complex.from_facets([(i, (i + 1) % 6) for i in range(6)])
+    for K in (derived_subdivision(sphere3), circle,
+              derived_subdivision(sphere2)):
+        v = recognize_ball_or_sphere(K)
+        assert v.value == SPHERE
+        assert is_simplex_boundary(apply_transcript(K, v.evidence))
+
+
+@pytest.mark.parametrize("outcome", ["none", "budget"])
+def test_recognize_failed_shelling_search_is_unknown(sphere3, monkeypatch,
+                                                     outcome):
+    """No shelling found proves nothing (unshellable spheres exist): a
+    closed 3-complex with sphere homology is Unknown, never Other."""
+    import pachner.recognize
+    from pachner.moves import enumerate_moves
+
+    def search(K, budget):
+        if outcome == "budget":
+            raise BudgetExhaustedError("out of nodes")
+        return None
+
+    grown = apply_move(sphere3, enumerate_moves(sphere3, "bistellar")[0])
+    assert not is_simplex_boundary(grown)
+    monkeypatch.setattr(pachner.recognize, "find_shelling", search)
+    v = recognize_ball_or_sphere(grown)
+    assert v.value == UNKNOWN
+    assert v.evidence is None
 
 
 # -- combinatorial manifold verification --------------------------------
