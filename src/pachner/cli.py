@@ -28,6 +28,7 @@ import os
 import sys
 
 from .core import (
+    DEFAULT_ISO_BUDGET,
     AbsentSimplexError,
     MalformedSimplexError,
     fmt_simplex,
@@ -76,8 +77,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_BAD_INPUT = 3
-
-DEFAULT_ISO_BUDGET = 500_000
 
 _DEFAULT_SCHEDULE = Schedule()
 

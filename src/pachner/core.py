@@ -328,7 +328,10 @@ def _vertex_profiles(K):
             for v in K.vertices()}
 
 
-def isomorphic(K, L, budget=500_000):
+DEFAULT_ISO_BUDGET = 500_000
+
+
+def isomorphic(K, L, budget=DEFAULT_ISO_BUDGET):
     """Search for a vertex bijection identifying K with L.
 
     Returns the mapping {v_K: v_L} or None.  Backtracking with

@@ -14,11 +14,12 @@ Five families, all exact surgeries on labelled face sets:
   A a vertex, and L = {-}.
 * ``Shell(A, B)`` / ``Unshell(A, B)`` -- elementary shelling of the
   facet F = A * B and its gluing inverse; A and B are vertex sets.  One
-  ridge rule: Shell is legal when the boundary ridges of F are exactly
-  the F - v for v in A and A is not in the boundary (A's closure then
-  meets the boundary in dA and B * dA lies in it), so each facet has
-  at most one split.  Unshell needs the F - v in M to be exactly those
-  for v in B, B absent, and Shell to undo it.
+  shelling rule: Shell is legal when the boundary ridges of F are
+  exactly the F - v for v in A, A is not in the boundary, and no other
+  facet contains B.  F then meets the boundary in B * dA and the rest
+  in A * dB, a ball, and each facet has at most one split.  Unshell is
+  Shell on the glued complex: gluing F must add F alone, and Shell
+  must then remove it.
 
 Every move is dispatched through one table from move type to (A, B)
 data, legality check, surgery and inverse.  ``check_move`` returns a
@@ -161,6 +162,32 @@ def _opposite(F, ridges):
     return tuple(v for i, v in enumerate(F) if F[:i] + F[i + 1:] in ridges)
 
 
+def _incidence(M):
+    """vertex -> the facets of M containing it."""
+    incidence = {}
+    for f in M.facets:
+        for v in f:
+            incidence.setdefault(v, []).append(f)
+    return incidence
+
+
+def _split(F, dM, incidence):
+    """The one split (A, B) of the facet F that Shell may remove, or None.
+
+    A is the vertices opposite F's boundary ridges (dM is the boundary).
+    The split is refused when A or B is empty, when A is a boundary
+    face, or when another facet contains B: F then meets the rest in
+    more than A * dB."""
+    A = _opposite(F, dM.facets)
+    B = tuple(v for v in F if v not in A)
+    if not A or not B or A in dM:
+        return None
+    sb = set(B)
+    if any(G != F and sb.issubset(G) for G in incidence[B[0]]):
+        return None
+    return A, B
+
+
 def _check_shell(M, A, B):
     if not A or not B:
         return LegalityReport(False, "A and B must both be nonempty")
@@ -173,30 +200,25 @@ def _check_shell(M, A, B):
         dM = M.boundary()
     except NotPseudomanifoldError as exc:
         return LegalityReport(False, f"boundary undefined: {exc}")
-    if set(_opposite(F, dM.facets)) != set(A) or tuple(sorted(A)) in dM:
+    if _split(F, dM, _incidence(M)) != (tuple(sorted(A)), tuple(sorted(B))):
         return LegalityReport(
-            False, "A*B must meet the boundary exactly in B * dA")
+            False, "A*B must meet the rest exactly in A * dB and the "
+            "boundary in B * dA")
     return LegalityReport(True)
 
 
 def _check_unshell(M, A, B):
-    if not A or not B:
-        return LegalityReport(False, "A and B must both be nonempty")
-    if set(A) & set(B):
-        return LegalityReport(False, "A and B share vertices")
+    """Gluing F = A * B must add F alone, and Shell must undo it."""
     F = simplex(A + B)
     if F in M:
         return LegalityReport(False, f"glued facet {fmt_simplex(F)} already present")
-    if set(_opposite(F, M.faces())) != set(B) or tuple(sorted(B)) in M:
-        return LegalityReport(
-            False, "the glued facet must meet the complex exactly in A * dB")
     glued = _unshell_result(M, A, B, None)
+    if len(glued.facets) != len(M.facets) + 1:
+        return LegalityReport(
+            False, f"glued facet {fmt_simplex(F)} contains a facet of the complex")
     back = _check_shell(glued, A, B)
     if not back.legal:
         return LegalityReport(False, f"gluing is not a shelling inverse: {back.reason}")
-    if glued.facets - {F} != M.facets:
-        return LegalityReport(
-            False, "removing the glued facet does not restore the complex")
     return LegalityReport(True)
 
 
@@ -345,20 +367,28 @@ def enumerate_moves(M, kind):
         cands = (Exchange(A, B) for A in sorted(f for f in M.faces() if f)
                  for B in [(fresh,)] + _minimal_nonfaces(M.link(A)))
     elif kind in ("shell", "unshell"):
-        # a facet's boundary ridges force its one candidate split
         try:
-            rim = M.boundary().facets
+            dM = M.boundary()
         except NotPseudomanifoldError:
             return []
         if kind == "shell":
-            cands = (Shell(A, tuple(v for v in F if v not in A))
-                     for F in M.facets for A in [_opposite(F, rim)])
-        else:
-            faces, labels = M.faces(), M.vertices() + (fresh,)
-            glued = {tuple(sorted(R + (w,)))
-                     for R in rim if R for w in labels if w not in R}
-            cands = (Unshell(tuple(v for v in F if v not in B), B)
-                     for F in glued for B in [_opposite(F, faces)])
+            # each facet's one split is legal as it stands: no check here
+            incidence = _incidence(M)
+            splits = (_split(F, dM, incidence) for F in M.facets)
+            return [Shell(A, B) for A, B in sorted(filter(None, splits))]
+        # a glued facet holds one boundary ridge and a fresh vertex, or two
+        # boundary ridges that alone share a codimension-2 face
+        rim = [R for R in dM.facets if R]
+        glued = {R + (fresh,) for R in rim}
+        sharing = {}
+        for R in rim:
+            for i in range(len(R)):
+                sharing.setdefault(R[:i] + R[i + 1:], []).append(R)
+        for pair in sharing.values():
+            if len(pair) == 2:
+                glued.add(tuple(sorted(set().union(*pair))))
+        cands = (Unshell(tuple(v for v in F if v not in B), B)
+                 for F in glued for B in [_opposite(F, dM.facets)])
     else:
         raise ValueError(
             f"unknown move kind {kind!r}; expected one of {MOVE_KINDS}")

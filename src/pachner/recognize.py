@@ -32,7 +32,7 @@ from .moves import (
     Bistellar,
     Transcript,
     _certify,
-    apply_move,
+    _shell_result,
     apply_transcript,
     enumerate_moves,
     invert_transcript,
@@ -473,9 +473,10 @@ def replay_shelling(X, sh):
 
 def _shell_ball(M, counter):
     """Depth-first search for shell moves down to one facet, trying the
-    moves of each complex in enumeration order.  The stack is explicit,
-    so the depth of the Python stack does not grow with the facet
-    count; each node visited costs one unit of counter[0]."""
+    moves of each complex in enumeration order.  Enumeration found each
+    move legal, so it is applied by the shell surgery alone.  The stack
+    is explicit, so the depth of the Python stack does not grow with the
+    facet count; each node visited costs one unit of counter[0]."""
     untried = []   # per depth: the moves not yet tried there
     path = []      # the move taken at each depth above the current one
     while True:
@@ -495,7 +496,7 @@ def _shell_ball(M, counter):
             return None
         del path[len(untried) - 1:]
         path.append(mv)
-        M = apply_move(M, mv)
+        M = _shell_result(M, mv.A, mv.B, None)
 
 
 def find_shelling(X, budget=DEFAULT_SHELLING_BUDGET):

@@ -56,6 +56,14 @@ def shellable_ball_fixtures():
     return [(name, Complex.from_facets(fs)) for name, fs in out]
 
 
+def pinched_complex():
+    """Four tetrahedra {0123, 0134, 0346, 0126}: ball homology, but the
+    link of vertex 6 is two triangles meeting in a point, so not a ball.
+    Removing 0126 leaves B = 6 in 0346, so it is no elementary shelling."""
+    return Complex.from_facets([(0, 1, 2, 3), (0, 1, 3, 4), (0, 3, 4, 6),
+                                (0, 1, 2, 6)])
+
+
 def flag_subdivision(K):
     """First derived subdivision built directly from chains of faces.
 

@@ -13,7 +13,7 @@ import pytest
 
 import pachner.cli
 import pachner.recognize
-from conftest import csaszar_torus
+from conftest import csaszar_torus, pinched_complex
 from pachner import (
     Complex,
     Exchange,
@@ -286,6 +286,11 @@ def test_shell_find_sphere_mode_notes_initial(tmp_path, sphere2, capsys):
 
 def test_shell_find_torus_exits_1(tmp_path, capsys):
     assert main(["shell-find", _cx(tmp_path, csaszar_torus())]) == 1
+    assert "no shelling exists" in capsys.readouterr().out
+
+
+def test_shell_find_pinched_complex_exits_1(tmp_path, capsys):
+    assert main(["shell-find", _cx(tmp_path, pinched_complex())]) == 1
     assert "no shelling exists" in capsys.readouterr().out
 
 

@@ -40,7 +40,7 @@ from pachner.recognize import (
     smith_normal_form,
     verify_combinatorial_manifold,
 )
-from conftest import csaszar_torus, shellable_ball_fixtures
+from conftest import csaszar_torus, pinched_complex, shellable_ball_fixtures
 from walk import seeded_walk
 
 
@@ -295,6 +295,14 @@ def test_recognize_dim3_balls():
         Complex.from_facets([(0, 1, 6), (1, 2, 6), (2, 3, 6),
                              (3, 4, 6), (4, 5, 6), (0, 5, 6)]))
     assert recognize_ball_or_sphere(cone).value == BALL
+
+
+def test_pinched_complex_is_no_shellable_ball():
+    # ball homology, but its one shelling candidate leaves B in a facet
+    K = pinched_complex()
+    assert homology(K) == HomologyProfile((1, 0, 0, 0), ((),) * 4)
+    assert find_shelling(K) is None
+    assert recognize_ball_or_sphere(K).value == UNKNOWN
 
 
 def test_recognize_never_sphere_on_wrong_homology(torus7):

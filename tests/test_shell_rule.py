@@ -1,17 +1,20 @@
-"""The ridge rule for Shell and Unshell against the face-set tests it
-replaced, and shell/unshell enumeration against a brute-force filter.
+"""The shelling rule for Shell and Unshell against the face-set tests
+it replaced, and shell/unshell enumeration against a brute-force filter.
 
 The reference functions below are the definitions written out on face
-sets: Shell(A, B) removes the facet A * B when closure(A) meets the
-boundary exactly in dA and B * dA lies in the boundary; Unshell(A, B)
-glues A * B when it meets the complex exactly in A * dB and Shell
-undoes it.  They take sorted A and B."""
+sets: Shell(A, B) removes the facet F = A * B when closure(A) meets the
+boundary exactly in dA, B * dA lies in the boundary, and F meets the
+rest exactly in A * dB; Unshell(A, B) glues F when it meets the complex
+exactly in A * dB and Shell undoes it.  They take sorted A and B.  The
+rule under test computes each facet's one split once, and Unshell is
+Shell on the glued complex."""
 
 import itertools
 import random
 from collections import Counter
 
 import pachner.moves
+from conftest import pinched_complex, shellable_ball_fixtures
 from pachner.core import (
     Complex,
     NotPseudomanifoldError,
@@ -22,19 +25,31 @@ from pachner.core import (
 from pachner.moves import (
     Shell,
     Unshell,
+    apply_move,
     check_move,
     derived_subdivision,
     enumerate_moves,
+    invert,
 )
+from pachner.recognize import find_shelling
 
 CORPUS_SEED = 4711
 CORPUS_SIZE = 160
 
 
+def _meets_exactly(F, A, B, K):
+    """Whether the closure of F meets K exactly in closure(A) * dB."""
+    expected = full_simplex(A).join(simplex_boundary(B)).faces()
+    return full_simplex(F).faces() & K.faces() == expected
+
+
 def reference_shell(M, A, B):
     if not A or not B or set(A) & set(B):
         return False
-    if tuple(sorted(A + B)) not in M.facets:
+    F = tuple(sorted(A + B))
+    if F not in M.facets:
+        return False
+    if not _meets_exactly(F, A, B, Complex.from_facets(set(M.facets) - {F})):
         return False
     try:
         boundary_faces = M.boundary().faces()
@@ -54,10 +69,7 @@ def reference_unshell(M, A, B):
     if not A or not B or set(A) & set(B):
         return False
     F = tuple(sorted(A + B))
-    if F in M:
-        return False
-    expected = full_simplex(A).join(simplex_boundary(B)).faces()
-    if full_simplex(F).faces() & M.faces() != expected:
+    if F in M or not _meets_exactly(F, A, B, M):
         return False
     glued = Complex.from_facets(set(M.facets) | {F})
     return (reference_shell(glued, A, B)
@@ -69,7 +81,8 @@ def _corpus():
     are pure and grown with every ridge in at most two facets, so they
     have a boundary; every fifth skips that cap, and every fourth is
     made impure by a lower-dimensional simplex on the otherwise unused
-    last vertex.  Last comes sd S2 less one facet."""
+    last vertex.  Then come sd S2 less one facet and the hand-built
+    shellable balls."""
     rng = random.Random(CORPUS_SEED)
     out = []
     for i in range(CORPUS_SIZE):
@@ -89,7 +102,7 @@ def _corpus():
         out.append(Complex.from_facets(facets))
     sd = derived_subdivision(standard_sphere(2))
     out.append(Complex.from_facets(sorted(sd.facets)[1:]))
-    return out
+    return out + [K for _, K in shellable_ball_fixtures()]
 
 
 CORPUS = _corpus()
@@ -149,22 +162,6 @@ def test_unshell_enumeration_is_the_brute_force_filter():
         assert enumerate_moves(M, "unshell") == brute, M
 
 
-def test_shell_enumeration_checks_at_most_once_per_facet(monkeypatch):
-    checked = []
-    real = pachner.moves.check_move
-
-    def counting(M, move):
-        checked.append(move)
-        return real(M, move)
-
-    monkeypatch.setattr(pachner.moves, "check_move", counting)
-    strip = Complex.from_facets([(i, i + 1, i + 2) for i in range(12)])
-    for M in (strip, CORPUS[-1]):
-        del checked[:]
-        moves = enumerate_moves(M, "shell")
-        assert moves and len(checked) <= len(M.facets)
-
-
 def test_unshell_enumeration_builds_no_complex_from_facets(monkeypatch):
     # gluing a facet is a trusted surgery: no maximality filter per
     # candidate, in the check or in the glued result
@@ -179,3 +176,34 @@ def test_unshell_enumeration_builds_no_complex_from_facets(monkeypatch):
     monkeypatch.setattr(Complex, "from_facets", staticmethod(counting))
     moves = enumerate_moves(strip, "unshell")
     assert moves and built == []
+
+
+def test_every_legal_shell_is_undone_by_its_unshell():
+    for M in CORPUS:
+        for mv in enumerate_moves(M, "shell"):
+            assert apply_move(apply_move(M, mv), invert(mv)) == M, (M, mv)
+
+
+def test_shell_must_leave_b_in_no_other_facet():
+    # 0126 meets the boundary in d(012) * 6, but 6 also lies in 0346
+    K = pinched_complex()
+    assert not check_move(K, Shell((0, 1, 2), (6,))).legal
+    assert enumerate_moves(K, "shell") == []
+
+
+def test_shell_enumeration_and_search_make_no_check(monkeypatch):
+    # enumeration reads each facet's split; the search applies what it
+    # enumerated by the shell surgery alone
+    checked = []
+    real = pachner.moves.check_move
+
+    def counting(M, move):
+        checked.append(move)
+        return real(M, move)
+
+    monkeypatch.setattr(pachner.moves, "check_move", counting)
+    strip = Complex.from_facets([(i, i + 1, i + 2) for i in range(30)])
+    for M in (strip, CORPUS[CORPUS_SIZE]):
+        assert enumerate_moves(M, "shell")
+    sh = find_shelling(strip)
+    assert len(sh.steps) == 29 and checked == []
