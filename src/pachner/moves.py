@@ -26,11 +26,15 @@ data, legality check, surgery and inverse.  ``check_move`` returns a
 LegalityReport, also for malformed move data.  ``apply_move`` checks
 first and raises IllegalMoveError (carrying the report) on failure;
 ``apply_transcript`` replays through it, one check per step.  Every
-apply is pure; complexes are immutable.  The one mutable object is the
-private ``_FlipState``, a working copy that walks over bistellar moves
-re-test only where a flip changed it.  ``enumerate_moves(S, "bistellar")``
-and ``apply_move(S, move)`` accept it too: the first returns its kept
-move list, the second checks the move by lookups and flips S in place.
+apply is pure; complexes are immutable.  The mutable objects are two
+private working copies, which searches change in place and re-test only
+where a move changed them: ``_FlipState`` for walks over bistellar
+moves, and ``_ShellState`` for the shelling search, which removes a
+facet, re-reads only the splits next to it and undoes a removal from
+its log.  ``enumerate_moves(S, kind)`` accepts either for its own
+family and returns its kept move list; ``apply_move(S, move)`` also
+accepts a ``_FlipState``, checks the move by lookups and flips S in
+place.
 """
 
 from __future__ import annotations
@@ -342,14 +346,15 @@ def enumerate_moves(M, kind):
     """All legal moves of one family, sorted by (A, B)-data.
 
     Moves that introduce a new vertex use fresh_vertex(M); the legality
-    checker accepts any unused label, but enumeration is canonical.  On
-    a ``_FlipState`` only "bistellar" is enumerated, from its kept
-    candidates, with the same list as on its complex.
+    checker accepts any unused label, but enumeration is canonical.  A
+    working state enumerates its own family only ("bistellar" on a
+    ``_FlipState``, "shell" on a ``_ShellState``), from what it keeps,
+    with the same list as on its complex.
     """
-    if isinstance(M, _FlipState):
-        if kind != "bistellar":
-            raise ValueError(f"a flip state enumerates bistellar moves only, "
-                             f"not {kind!r}")
+    if isinstance(M, _WorkingComplex):
+        if kind != M.kind:
+            raise ValueError(f"a {M.kind} working state enumerates "
+                             f"{M.kind} moves only, not {kind!r}")
         return M.moves()
     fresh = M.fresh_vertex()
     if kind == "star":
@@ -402,32 +407,23 @@ def _nonempty_faces(f):
         itertools.combinations(f, r) for r in range(1, len(f) + 1))
 
 
-class _FlipState:
-    """A mutable working copy of a complex for walks over bistellar moves.
-
-    It keeps the facet set, a vertex -> facets incidence, the number of
-    facets containing each nonempty face, per-size face counts, and for
-    every face A whose link is a simplex boundary the link's vertices
-    (() when A is a facet).  Flip A -> B is then legal exactly when B
-    is absent, as in ``enumerate_moves(M, "bistellar")``, whose list
-    ``moves()`` reproduces.  ``apply`` does the exchange surgery and
-    re-tests only the faces of the facets it removes and inserts: no
-    other link changes.  Like a Complex it has ``facets`` and
-    ``vertices()``, which is all ``is_simplex_boundary`` reads.  Walks
-    drive it through ``enumerate_moves`` and ``apply_move``.
+class _WorkingComplex:
+    """A mutable working copy of a complex: the facet set and a vertex ->
+    facets incidence, which ``_tally`` keeps as facets come and go.
+    Subclasses extend ``_tally`` with their own counts and list the
+    legal moves of their one family, ``kind``, in ``moves()``, cached in
+    ``_moves`` until the next change.  Like a Complex it has ``facets``
+    and ``vertices()``, which is all ``is_simplex_boundary`` reads.
     """
+
+    kind = ""
 
     def __init__(self, M):
         self.facets = set()
         self._incidence = {}     # vertex -> set of facets containing it
-        self._count = {}         # nonempty face -> number of facets
-        self._sizes = [0] * (M.dim + 2)  # face size -> number of faces
-        self._links = {}         # face -> its link's vertices, when the
-        #                          link is a simplex boundary
-        self._moves = None       # cached moves() until the next apply
+        self._moves = None
         for f in M.facets:
             self._tally(f, 1)
-        self._retest(self._count)
 
     def _tally(self, f, step):
         """Insert (step 1) or remove (step -1) the facet f."""
@@ -443,6 +439,44 @@ class _FlipState:
                 star.discard(f)
                 if not star:
                     del self._incidence[v]
+
+    def _star(self, A):
+        """The facets containing the nonempty face A."""
+        return set.intersection(*(self._incidence[v] for v in A))
+
+    def vertices(self):
+        return self._incidence.keys()
+
+    def complex(self):
+        return Complex(frozenset(self.facets), _trusted=True)
+
+
+class _FlipState(_WorkingComplex):
+    """A working copy of a complex for walks over bistellar moves.
+
+    Besides the facets and their incidence it keeps the number of facets
+    containing each nonempty face, per-size face counts, and for every
+    face A whose link is a simplex boundary the link's vertices (() when
+    A is a facet).  Flip A -> B is then legal exactly when B is absent,
+    as in ``enumerate_moves(M, "bistellar")``, whose list ``moves()``
+    reproduces.  ``apply`` does the exchange surgery and re-tests only
+    the faces of the facets it removes and inserts: no other link
+    changes.  Walks drive it through ``enumerate_moves`` and
+    ``apply_move``.
+    """
+
+    kind = "bistellar"
+
+    def __init__(self, M):
+        self._count = {}         # nonempty face -> number of facets
+        self._sizes = [0] * (M.dim + 2)  # face size -> number of faces
+        self._links = {}         # face -> its link's vertices, when the
+        #                          link is a simplex boundary
+        super().__init__(M)
+        self._retest(self._count)
+
+    def _tally(self, f, step):
+        super()._tally(f, step)
         count, sizes = self._count, self._sizes
         for s in _nonempty_faces(f):
             c = count.get(s, 0) + step
@@ -467,20 +501,10 @@ class _FlipState:
             else:
                 links.pop(A, None)
 
-    def _star(self, A):
-        """The facets containing the face A."""
-        return set.intersection(*(self._incidence[v] for v in A))
-
-    def vertices(self):
-        return self._incidence.keys()
-
     def objective(self):
         """The f-vector read from the top dimension down, so fewer
         facets always wins first."""
         return tuple(self._sizes[:0:-1])
-
-    def complex(self):
-        return Complex(frozenset(self.facets), _trusted=True)
 
     def moves(self):
         """The legal flips, sorted by A; a facet A flips to a fresh vertex."""
@@ -513,6 +537,140 @@ class _FlipState:
         for f in new:
             self._tally(f, 1)
         self._retest({s for f in gone | new for s in _nonempty_faces(f)})
+        self._moves = None
+
+
+_NO_RIDGES = frozenset({EMPTY})  # the facets of {-}
+
+
+class _Rim:
+    """The boundary ridges of a working complex, as ``_split`` reads
+    ``M.boundary()``: ``facets`` holds the ridges in one facet, or just
+    () when there are none, and ``s in rim`` asks whether s lies in one."""
+
+    def __init__(self):
+        self.ridges = set()
+        self._through = {}   # vertex -> the boundary ridges containing it
+
+    @property
+    def facets(self):
+        return self.ridges or _NO_RIDGES
+
+    def __contains__(self, s):
+        if not s:
+            return True
+        inside = set(s).issubset
+        return any(inside(R) for R in self._through.get(s[0], ()))
+
+    def add(self, R):
+        self.ridges.add(R)
+        for v in R:
+            self._through.setdefault(v, set()).add(R)
+
+    def discard(self, R):
+        self.ridges.discard(R)
+        for v in R:
+            self._through[v].discard(R)
+
+
+class _ShellState(_WorkingComplex):
+    """A working copy of a complex for searches over shell moves.
+
+    Besides the facets and their incidence it keeps the number of facets
+    on each ridge, the boundary ridges (``_Rim``), and each facet's read:
+    the vertices A opposite its boundary ridges and ``_split``'s answer,
+    so ``moves()`` lists ``enumerate_moves(M, "shell")``.  ``remove(G)``
+    drops the facet G and re-reads only the facets meeting G that share
+    a ridge with it or whose A or B lies in G: no other split can change.
+    It logs the reads it overwrites, and ``undo()`` pops the log to
+    restore the complex before the last removal without re-reading.
+    """
+
+    kind = "shell"
+
+    def __init__(self, M):
+        self._degree = {}        # ridge -> number of facets on it
+        self._over = 0           # ridges in three or more facets
+        self._widths = {}        # facet size -> number of facets
+        self._rim = _Rim()
+        self._reads = {}         # facet -> (A, its split or None)
+        self._free = {}          # facet -> its split, when it has one
+        self._log = []           # per removal: (facet, read) pairs it
+        #                          replaced, the removed facet first
+        super().__init__(M)
+        for F in self.facets:
+            self._store(F, self._read(F))
+
+    def _tally(self, f, step):
+        super()._tally(f, step)
+        self._widths[len(f)] = self._widths.get(len(f), 0) + step
+        if not self._widths[len(f)]:
+            del self._widths[len(f)]
+        degree, rim = self._degree, self._rim
+        for r in itertools.combinations(f, len(f) - 1):
+            old = degree.get(r, 0)
+            new = old + step
+            if new:
+                degree[r] = new
+            else:
+                del degree[r]
+            self._over += (new > 2) - (old > 2)
+            if old == 1:
+                rim.discard(r)
+            if new == 1:
+                rim.add(r)
+
+    def _read(self, F):
+        return _opposite(F, self._rim.facets), _split(F, self._rim,
+                                                       self._incidence)
+
+    def _store(self, F, read):
+        self._reads[F] = read
+        if read[1]:
+            self._free[F] = read[1]
+        else:
+            self._free.pop(F, None)
+
+    def moves(self):
+        """The legal shell moves, sorted by (A, B); none unless the
+        complex is pure with every ridge in at most two facets, when
+        its boundary is defined."""
+        if self._moves is None:
+            defined = not self._over and len(self._widths) == 1
+            self._moves = [Shell(A, B) for A, B in sorted(
+                self._free.values())] if defined else []
+        return self._moves
+
+    def remove(self, G):
+        """Remove the facet G (the shell surgery) and re-read the splits
+        it can change, logging the reads it replaces."""
+        self._tally(G, -1)
+        replaced = [(G, self._reads.pop(G))]
+        self._free.pop(G, None)
+        gs = set(G)
+        if len(G) > 1:
+            near = set().union(*(self._incidence.get(v, ()) for v in G))
+        else:
+            near = set(self.facets)  # every point shares the ridge ()
+        for F in near:
+            read = self._reads[F]
+            A = read[0]
+            shared = gs.intersection(F)
+            B = set(F).difference(A)
+            if (len(shared) == len(F) - 1 == len(G) - 1
+                    or A and shared.issuperset(A) or B and B <= shared):
+                replaced.append((F, read))
+                self._store(F, self._read(F))
+        self._log.append(replaced)
+        self._moves = None
+
+    def undo(self):
+        """Put back the facet of the last ``remove`` and the reads it
+        replaced."""
+        replaced = self._log.pop()
+        self._tally(replaced[0][0], 1)
+        for F, read in replaced:
+            self._store(F, read)
         self._moves = None
 
 

@@ -31,8 +31,8 @@ from .core import (
 from .moves import (
     Bistellar,
     Transcript,
+    _ShellState,
     _certify,
-    _shell_result,
     apply_transcript,
     enumerate_moves,
     invert_transcript,
@@ -308,9 +308,9 @@ def _recognize_dim_le_2(K, budget):
     if n == 1:
         shape = _graph_shape(K)
         if shape == "cycle":
-            return Verdict(SPHERE, _evidence(K, budget), "a circle")
+            return Verdict(SPHERE, _exact_evidence(K, budget), "a circle")
         if shape == "path":
-            return Verdict(BALL, _evidence(K, budget), "an arc")
+            return Verdict(BALL, _exact_evidence(K, budget), "an arc")
         return Verdict(OTHER, reason="graph is neither a circle nor an arc")
     # n == 2: exact surface classification
     try:
@@ -326,11 +326,11 @@ def _recognize_dim_le_2(K, budget):
     chi = K.f_vector().euler
     if rim.dim < 0:
         if chi == 2:
-            return Verdict(SPHERE, _evidence(K, budget),
+            return Verdict(SPHERE, _exact_evidence(K, budget),
                            "closed surface with chi = 2")
         return Verdict(OTHER, reason=f"closed surface with chi = {chi}")
     if chi == 1 and _graph_shape(rim) == "cycle":
-        return Verdict(BALL, _evidence(K, budget),
+        return Verdict(BALL, _exact_evidence(K, budget),
                        "surface with chi = 1 and one boundary circle")
     return Verdict(OTHER, reason="bounded surface that is not a disk")
 
@@ -338,14 +338,12 @@ def _recognize_dim_le_2(K, budget):
 def _evidence(K, budget):
     """A ball's shelling, or a sphere's shelling (initial facet F) turned
     into the f_d - 1 flips that carry K to the boundary of F + (apex,),
-    certified by one replay in K; None when the shelling search finds
-    nothing within budget."""
+    certified by one replay in K.  None when the shelling search proves
+    that K has no shelling; BudgetExhaustedError when it runs out of
+    budget first."""
     if len(K.facets) == 1 or is_simplex_boundary(K):
         return Transcript()
-    try:
-        sh = find_shelling(K, budget)
-    except BudgetExhaustedError:
-        return None
+    sh = find_shelling(K, budget)
     if sh is None:
         return None
     if sh.initial is None:
@@ -355,6 +353,15 @@ def _evidence(K, budget):
         _cone_flips(ShellingSequence(sh.steps, sh.terminal), apex))
     _certify(K, t, simplex_boundary(sh.initial + (apex,)), "sphere evidence")
     return t
+
+
+def _exact_evidence(K, budget):
+    """The evidence of a verdict decided exactly, None when the shelling
+    search finds none within budget."""
+    try:
+        return _evidence(K, budget)
+    except BudgetExhaustedError:
+        return None
 
 
 def _cone_flips(sh, v):
@@ -379,9 +386,11 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
 
     Dimension <= 2 is decided exactly (components, Euler characteristic,
     link shapes, boundary count); dimension >= 3 by a homology screen and
-    a shelling search of `budget` nodes, Unknown when it finds none.  The
-    evidence is a ball's shelling or a sphere's flips to a simplex
-    boundary, or None when no certificate was found.
+    a shelling search of `budget` nodes, Unknown when it finds none; the
+    reason then says whether the search proved that no shelling exists
+    or ran out of budget.  The evidence is a ball's shelling or a
+    sphere's flips to a simplex boundary, or None when no certificate
+    was found.
     """
     n = K.dim
     if n <= 2:
@@ -401,7 +410,12 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
     if homology(K) != profile:
         return Verdict(OTHER, reason=f"homology differs from the "
                        f"{n}-{shape.lower()}")
-    t = _evidence(K, budget)
+    try:
+        t = _evidence(K, budget)
+        missing = "it has no shelling"
+    except BudgetExhaustedError:
+        t = None
+        missing = f"the shelling search ran out of its {budget}-node budget"
     if t is not None:
         return Verdict(shape, t, "shellable")
     apex = None if closed else _cone_apex(K)
@@ -411,8 +425,7 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
             return Verdict(
                 BALL, reason=f"cone with apex {apex} over a "
                 f"{sub.value.lower()}")
-    return Verdict(UNKNOWN, reason=f"{shape.lower()} homology, but no "
-                   "certificate was found within budget")
+    return Verdict(UNKNOWN, reason=f"{shape.lower()} homology, but {missing}")
 
 
 def verify_combinatorial_manifold(M, budget=DEFAULT_BUDGET,
@@ -471,39 +484,40 @@ def replay_shelling(X, sh):
     return apply_transcript(M, Transcript(sh.steps))
 
 
-def _shell_ball(M, counter):
+def _shell_ball(S, counter):
     """Depth-first search for shell moves down to one facet, trying the
-    moves of each complex in enumeration order.  Enumeration found each
-    move legal, so it is applied by the shell surgery alone.  The stack
-    is explicit, so the depth of the Python stack does not grow with the
-    facet count; each node visited costs one unit of counter[0]."""
+    moves of each node in enumeration order, on the working state S
+    (a ``moves._ShellState``).  Enumeration found each move legal, so
+    taking it removes its facet from S, and backtracking undoes the
+    removal; each node re-reads only the splits its removal changed.
+    The stack is explicit, so the depth of the Python stack does not
+    grow with the facet count; each node visited costs one unit of
+    counter[0].  S is back as it came when the search returns None."""
     untried = []   # per depth: the moves not yet tried there
     path = []      # the move taken at each depth above the current one
     while True:
         counter[0] -= 1
         if counter[0] < 0:
             raise BudgetExhaustedError("shelling search budget exhausted")
-        if len(M.facets) == 1:
-            return ShellingSequence(tuple(path), next(iter(M.facets)), None)
-        untried.append((M, iter(enumerate_moves(M, "shell"))))
-        while untried:
-            M, moves = untried[-1]
-            mv = next(moves, None)
-            if mv is not None:
-                break
+        if len(S.facets) == 1:
+            return ShellingSequence(tuple(path), next(iter(S.facets)), None)
+        untried.append(iter(enumerate_moves(S, "shell")))
+        while (mv := next(untried[-1], None)) is None:
             untried.pop()
-        else:
-            return None
-        del path[len(untried) - 1:]
+            if not untried:
+                return None
+            S.undo()
+            path.pop()
         path.append(mv)
-        M = _shell_result(M, mv.A, mv.B, None)
+        S.remove(tuple(sorted(mv.A + mv.B)))
 
 
 def find_shelling(X, budget=DEFAULT_SHELLING_BUDGET):
     """First shelling in deterministic (A, B)-lexicographic order.
 
-    Closed complexes are searched in sphere mode: each facet is tried
-    as the initial removal.  Returns None when the whole search space
+    Closed complexes are searched in sphere mode: each facet F is tried
+    as the initial removal, on one working state of X that removes F,
+    searches and puts F back.  Returns None when the whole search space
     is exhausted (a proof of unshellability); raises
     BudgetExhaustedError when the node budget runs out first.
     """
@@ -516,11 +530,13 @@ def find_shelling(X, budget=DEFAULT_SHELLING_BUDGET):
     except NotPseudomanifoldError:
         closed = False
     counter = [budget]
+    S = _ShellState(X)
     if closed:
         for F in X.facet_list():
-            ball = Complex.from_facets(set(X.facets) - {F})
-            seq = _shell_ball(ball, counter)
+            S.remove(F)
+            seq = _shell_ball(S, counter)
             if seq is not None:
                 return ShellingSequence(seq.steps, seq.terminal, F)
+            S.undo()
         return None
-    return _shell_ball(X, counter)
+    return _shell_ball(S, counter)

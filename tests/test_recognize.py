@@ -358,6 +358,24 @@ def test_recognize_failed_shelling_search_is_unknown(sphere3, monkeypatch,
     v = recognize_ball_or_sphere(grown)
     assert v.value == UNKNOWN
     assert v.evidence is None
+    assert v.reason.endswith({"none": "it has no shelling",
+                              "budget": "ran out of its 4000-node budget"}[
+                                  outcome])
+
+
+def test_unknown_reason_tells_no_shelling_from_no_budget():
+    """An exhausted search proves that no shelling exists, which a
+    budget running out does not; both stay Unknown, since unshellable
+    balls and spheres exist."""
+    from pachner.moves import derived_subdivision
+    v = recognize_ball_or_sphere(pinched_complex())
+    assert (v.value, v.reason) == (
+        UNKNOWN, "ball homology, but it has no shelling")
+    v = recognize_ball_or_sphere(derived_subdivision(standard_sphere(3)),
+                                 budget=5)
+    assert (v.value, v.reason) == (
+        UNKNOWN, "sphere homology, but the shelling search ran out of its "
+        "5-node budget")
 
 
 # -- combinatorial manifold verification --------------------------------

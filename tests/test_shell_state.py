@@ -1,0 +1,180 @@
+"""The shelling search's working state against enumeration on immutable
+complexes, and the search's pinned behaviour.
+
+``moves._ShellState`` keeps each facet's split and re-reads only the
+splits a removed facet can change; ``enumerate_moves`` on the complex
+the state holds is its oracle after every removal and every undo, both
+along the search itself (backtracking included) and along seeded walks
+that remove any facet, legal shelling or not.  The pinned digests and
+node counts below come from the search that re-enumerated every node
+on an immutable complex; the state must not change them."""
+
+import hashlib
+import random
+
+import pytest
+
+import pachner.moves
+import pachner.recognize
+from conftest import csaszar_torus, pinched_complex
+from pachner.cli import main
+from pachner.core import (
+    BudgetExhaustedError,
+    Complex,
+    dump_complex,
+    full_simplex,
+    standard_sphere,
+)
+from pachner.moves import _ShellState, derived_subdivision, enumerate_moves
+from pachner.recognize import find_shelling
+
+
+def _strip(n):
+    return Complex.from_facets((i, i + 1, i + 2) for i in range(n))
+
+
+def _relabelled(K, seed):
+    labels = list(K.vertices())
+    random.Random(seed).shuffle(labels)
+    return K.relabel({v: 3 * w + 5 for v, w in zip(K.vertices(), labels)})
+
+
+INPUTS = {
+    "strip of 30": lambda: _strip(30),
+    "relabelled sd S3": lambda: _relabelled(
+        derived_subdivision(standard_sphere(3)), 11),
+    "sd of a 3-simplex": lambda: derived_subdivision(full_simplex(range(4))),
+    "pinched K": pinched_complex,
+    "Csaszar torus": csaszar_torus,
+    "impure": lambda: Complex.from_facets(
+        [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5, 6), (4, 5), (6, 7)]),
+    "not a pseudomanifold": lambda: Complex.from_facets(
+        [(0, 1, 2), (0, 1, 3), (0, 1, 4), (1, 2, 5), (2, 5, 6), (3, 4, 7)]),
+}
+
+
+def _agrees(S):
+    """The state lists what enumeration lists on the complex it holds."""
+    assert enumerate_moves(S, "shell") == enumerate_moves(S.complex(), "shell")
+
+
+class _Checked(_ShellState):
+    """A working state that checks itself against its oracle after every
+    removal and undo the search makes."""
+
+    steps = 0
+
+    def remove(self, G):
+        super().remove(G)
+        _Checked.steps += 1
+        _agrees(self)
+
+    def undo(self):
+        super().undo()
+        _Checked.steps += 1
+        _agrees(self)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_state_matches_enumeration_along_the_search(name, monkeypatch):
+    """The search's own removals and undos, backtracking included: the
+    torus is searched exhaustively in sphere mode."""
+    K = INPUTS[name]()
+    _agrees(_ShellState(K))
+    unchecked = find_shelling(K)
+    _Checked.steps = 0
+    monkeypatch.setattr(pachner.recognize, "_ShellState", _Checked)
+    found = find_shelling(K)
+    assert found == unchecked
+    if name == "Csaszar torus":
+        assert found is None and _Checked.steps > 1000
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_state_matches_enumeration_along_seeded_walks(name):
+    """Remove random facets (any facet, not only a listed shelling) and
+    undo at random, back to the start; the state must stay exact."""
+    K = INPUTS[name]()
+    S = _ShellState(K)
+    rng = random.Random(len(name))
+    removed = []
+    for _ in range(120):
+        if removed and (len(S.facets) == 1 or rng.random() < 0.4):
+            S.undo()
+            removed.pop()
+        else:
+            G = rng.choice(sorted(S.facets))
+            S.remove(G)
+            removed.append(G)
+        assert S.complex() == Complex.from_facets(set(K.facets) - set(removed))
+        _agrees(S)
+    while removed:
+        S.undo()
+        removed.pop()
+    assert S.complex() == K
+    _agrees(S)
+
+
+def test_shell_state_enumerates_shell_moves_only():
+    S = _ShellState(_strip(5))
+    assert enumerate_moves(S, "shell")
+    with pytest.raises(ValueError):
+        enumerate_moves(S, "bistellar")
+
+
+SHELLINGS = {
+    "strip of 300": (
+        lambda: _strip(300),
+        "b23f39904f040f5f5b93537ae942f77e0a4d77ce152495b3351044b4abae27f0"),
+    "sd S3": (
+        lambda: derived_subdivision(standard_sphere(3)),
+        "0114e3da68bbb4501d8042c43c4ed42c7969e4132cf55a75671672b2086b4af7"),
+    "sd2 S2": (
+        lambda: derived_subdivision(derived_subdivision(standard_sphere(2))),
+        "51c84242d781d5f137abf85cb1ebf9b25c32df5e7e195184fbc0899cf92d0f0c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHELLINGS))
+def test_shell_find_artifact_is_pinned(name, tmp_path, capsys):
+    build, digest = SHELLINGS[name]
+    path = tmp_path / "input.cx"
+    dump_complex(build(), str(path))
+    out = tmp_path / "art"
+    assert main(["shell-find", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "shelling.tr").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build, nodes", [
+    (lambda: _strip(300), 300),
+    (lambda: derived_subdivision(standard_sphere(3)), 119),
+])
+def test_smallest_succeeding_budget_is_pinned(build, nodes):
+    K = build()
+    assert find_shelling(K, nodes) is not None
+    with pytest.raises(BudgetExhaustedError):
+        find_shelling(K, nodes - 1)
+
+
+def test_search_reads_a_bounded_number_of_splits(monkeypatch):
+    """Each removal re-reads only the splits next to it: on the strip of
+    300 triangles the search reads at most 10 splits per facet (it read
+    45,149 when every node re-read every facet)."""
+    calls = []
+    real = pachner.moves._split
+
+    def counting(F, dM, incidence):
+        calls.append(F)
+        return real(F, dM, incidence)
+
+    monkeypatch.setattr(pachner.moves, "_split", counting)
+    sh = find_shelling(_strip(300))
+    assert len(sh.steps) == 299
+    assert len(calls) <= 10 * 300
+
+
+def test_long_strip_shells_within_the_default_budget():
+    sh = find_shelling(_strip(1200))
+    assert len(sh.steps) == 1199 and sh.initial is None
