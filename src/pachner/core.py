@@ -250,7 +250,8 @@ class Complex:
                 raise MalformedSimplexError("relabelling collapses a simplex")
             tops.add(g)
         out = Complex.from_facets(tops)
-        if len(out.faces()) != len(self.faces()):
+        vs = self.vertices()
+        if len({mapping.get(v, v) for v in vs}) != len(vs):
             raise MalformedSimplexError("relabelling is not injective")
         return out
 
@@ -278,6 +279,8 @@ class Complex:
 
 # -- canonical small complexes ---------------------------------------
 
+_TRIVIAL = Complex(frozenset({EMPTY}), _trusted=True)  # {-}
+
 
 def full_simplex(verts):
     """The closure of a single simplex on the given labels."""
@@ -291,7 +294,7 @@ def simplex_boundary(verts):
     """
     vs = simplex(verts)
     if not vs:
-        return Complex.from_facets([])
+        return _TRIVIAL
     return Complex.from_facets(itertools.combinations(vs, len(vs) - 1))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .core import (
     BudgetExhaustedError,
     Complex,
-    _ridge_degrees,
+    _TRIVIAL,
     fmt_simplex,
     full_simplex,
     is_simplex_boundary,
@@ -49,15 +49,13 @@ from .moves import (
 from .recognize import (
     ShellingSequence,
     _cone_flips,
+    _ridges_paired,
     find_shelling,
     replay_shelling,
 )
 
 WITNESS_SEED = 271828
 DEFAULT_EXPANSION_BUDGET = 100_000
-
-_EMPTY = Complex.from_facets([])
-
 
 # -- shelling combinators -----------------------------------------------
 
@@ -166,20 +164,6 @@ def ball_to_cone_transcript(X, sh, v):
     return t
 
 
-def _link_is_closed(K):
-    """Every ridge in exactly two facets; vacuously true for {-}.
-
-    This is the condition under which the boundary of A * K is exactly
-    (boundary of A) * K, which the starring expansion relies on.  Note
-    that Complex.boundary() cannot be used here: a single point and a
-    closed complex both report the {-} boundary."""
-    if K.dim < 0:
-        return True
-    if not K.is_pure():
-        return False
-    return all(d == 2 for d in _ridge_degrees(K).values())
-
-
 def star_move_transcript(M, A, budget=DEFAULT_EXPANSION_BUDGET, at=None):
     """Bistellar transcript realizing the starring of A on M.
 
@@ -197,7 +181,9 @@ def _expand_star(M, A, budget, at):
     if not A:
         raise ValueError("cannot star the empty simplex")
     lk = M.link(A)
-    if not _link_is_closed(lk):
+    # the boundary of A * lk is then exactly dA * lk, which the
+    # starring expansion relies on
+    if not _ridges_paired(lk):
         raise ValueError(
             f"lk({fmt_simplex(A)}) is not closed; this starring has no "
             "bistellar expansion")
@@ -301,7 +287,7 @@ def factor_link(L):
     while True:
         if L.vertices() and is_simplex_boundary(L):
             spheres.append(L.vertices())
-            L = _EMPTY
+            L = _TRIVIAL
             break
         try:
             cands = _minimal_nonfaces(L)
@@ -368,14 +354,14 @@ def _expand(M, A, B, target, core, spheres, wmoves, session):
     result of Exchange(A, B) on M; uncertified (the caller replays it)."""
     session.charge()
     # the exchange is already bistellar: single move
-    if core == _EMPTY and not spheres:
+    if core == _TRIVIAL and not spheres:
         return Transcript((Bistellar(A, B),))
     # a spherical core is one more join factor; the witness is spent
     if core.vertices() and is_simplex_boundary(core):
         spheres = spheres + (core.vertices(),)
-        core = _EMPTY
+        core = _TRIVIAL
         wmoves = ()
-    if core == _EMPTY:
+    if core == _TRIVIAL:
         # base: lk(A) is a join of simplex boundaries, hence a shellable
         # sphere; star A and B over the same fresh vertex and splice
         a = session.fresh()

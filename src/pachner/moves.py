@@ -47,6 +47,7 @@ from .core import (
     BudgetExhaustedError,
     Complex,
     EMPTY,
+    _TRIVIAL,
     fmt_simplex,
     is_simplex_boundary,
     simplex,
@@ -137,9 +138,6 @@ class IllegalAtStepError(ValueError):
 
 # -- legality ----------------------------------------------------------
 
-_TRIVIAL = Complex.from_facets([])  # {-}, the link factor of a flip
-
-
 def _check_exchange(M, A, B):
     """Shared legality core: lk(A, M) = dB * L with B absent from M."""
     if not A:
@@ -175,18 +173,23 @@ def _incidence(M):
     return incidence
 
 
-def _split(F, dM, incidence):
+def _split(F, ridges, through, incidence):
     """The one split (A, B) of the facet F that Shell may remove, or None.
 
-    A is the vertices opposite F's boundary ridges (dM is the boundary).
-    The split is refused when A or B is empty, when A is a boundary
-    face, or when another facet contains B: F then meets the rest in
-    more than A * dB."""
-    A = _opposite(F, dM.facets)
+    Three maps describe the complex: ``ridges`` holds its boundary
+    ridges, ``through`` maps a vertex to the boundary ridges containing
+    it, and ``incidence`` a vertex to the facets containing it.  A is the
+    vertices opposite F's boundary ridges.  The split is refused when A
+    or B is empty, when A is a boundary face (some boundary ridge through
+    A[0] contains it), or when another facet contains B: F then meets the
+    rest in more than A * dB."""
+    A = _opposite(F, ridges)
     B = tuple(v for v in F if v not in A)
-    if not A or not B or A in dM:
+    if not A or not B:
         return None
-    sb = set(B)
+    sa, sb = set(A), set(B)
+    if any(sa.issubset(R) for R in through.get(A[0], ())):
+        return None
     if any(G != F and sb.issubset(G) for G in incidence[B[0]]):
         return None
     return A, B
@@ -204,7 +207,8 @@ def _check_shell(M, A, B):
         dM = M.boundary()
     except NotPseudomanifoldError as exc:
         return LegalityReport(False, f"boundary undefined: {exc}")
-    if _split(F, dM, _incidence(M)) != (tuple(sorted(A)), tuple(sorted(B))):
+    split = _split(F, dM.facets, _incidence(dM), _incidence(M))
+    if split != (tuple(sorted(A)), tuple(sorted(B))):
         return LegalityReport(
             False, "A*B must meet the rest exactly in A * dB and the "
             "boundary in B * dA")
@@ -378,8 +382,8 @@ def enumerate_moves(M, kind):
             return []
         if kind == "shell":
             # each facet's one split is legal as it stands: no check here
-            incidence = _incidence(M)
-            splits = (_split(F, dM, incidence) for F in M.facets)
+            maps = dM.facets, _incidence(dM), _incidence(M)
+            splits = (_split(F, *maps) for F in M.facets)
             return [Shell(A, B) for A, B in sorted(filter(None, splits))]
         # a glued facet holds one boundary ridge and a fresh vertex, or two
         # boundary ridges that alone share a codimension-2 face
@@ -540,48 +544,17 @@ class _FlipState(_WorkingComplex):
         self._moves = None
 
 
-_NO_RIDGES = frozenset({EMPTY})  # the facets of {-}
-
-
-class _Rim:
-    """The boundary ridges of a working complex, as ``_split`` reads
-    ``M.boundary()``: ``facets`` holds the ridges in one facet, or just
-    () when there are none, and ``s in rim`` asks whether s lies in one."""
-
-    def __init__(self):
-        self.ridges = set()
-        self._through = {}   # vertex -> the boundary ridges containing it
-
-    @property
-    def facets(self):
-        return self.ridges or _NO_RIDGES
-
-    def __contains__(self, s):
-        if not s:
-            return True
-        inside = set(s).issubset
-        return any(inside(R) for R in self._through.get(s[0], ()))
-
-    def add(self, R):
-        self.ridges.add(R)
-        for v in R:
-            self._through.setdefault(v, set()).add(R)
-
-    def discard(self, R):
-        self.ridges.discard(R)
-        for v in R:
-            self._through[v].discard(R)
-
-
 class _ShellState(_WorkingComplex):
     """A working copy of a complex for searches over shell moves.
 
     Besides the facets and their incidence it keeps the number of facets
-    on each ridge, the boundary ridges (``_Rim``), and each facet's read:
-    the vertices A opposite its boundary ridges and ``_split``'s answer,
-    so ``moves()`` lists ``enumerate_moves(M, "shell")``.  ``remove(G)``
-    drops the facet G and re-reads only the facets meeting G that share
-    a ridge with it or whose A or B lies in G: no other split can change.
+    on each ridge, the boundary ridges with a vertex -> boundary ridges
+    map (with the incidence, the three maps ``_split`` reads), and each
+    facet's read: the vertices A opposite its boundary ridges and
+    ``_split``'s answer, so ``moves()`` lists ``enumerate_moves(M,
+    "shell")``.  ``remove(G)`` drops the facet G and re-reads only the
+    facets meeting G that share a ridge with it or whose A or B lies in
+    G: no other split can change.
     It logs the reads it overwrites, and ``undo()`` pops the log to
     restore the complex before the last removal without re-reading.
     """
@@ -592,7 +565,8 @@ class _ShellState(_WorkingComplex):
         self._degree = {}        # ridge -> number of facets on it
         self._over = 0           # ridges in three or more facets
         self._widths = {}        # facet size -> number of facets
-        self._rim = _Rim()
+        self._rim = set()        # the ridges in one facet
+        self._through = {}       # vertex -> the boundary ridges on it
         self._reads = {}         # facet -> (A, its split or None)
         self._free = {}          # facet -> its split, when it has one
         self._log = []           # per removal: (facet, read) pairs it
@@ -606,7 +580,7 @@ class _ShellState(_WorkingComplex):
         self._widths[len(f)] = self._widths.get(len(f), 0) + step
         if not self._widths[len(f)]:
             del self._widths[len(f)]
-        degree, rim = self._degree, self._rim
+        degree, rim, through = self._degree, self._rim, self._through
         for r in itertools.combinations(f, len(f) - 1):
             old = degree.get(r, 0)
             new = old + step
@@ -615,14 +589,15 @@ class _ShellState(_WorkingComplex):
             else:
                 del degree[r]
             self._over += (new > 2) - (old > 2)
-            if old == 1:
-                rim.discard(r)
-            if new == 1:
-                rim.add(r)
+            if old == 1 or new == 1:  # r leaves or joins the boundary
+                change = set.add if new == 1 else set.discard
+                change(rim, r)
+                for v in r:
+                    change(through.setdefault(v, set()), r)
 
     def _read(self, F):
-        return _opposite(F, self._rim.facets), _split(F, self._rim,
-                                                       self._incidence)
+        return _opposite(F, self._rim), _split(F, self._rim, self._through,
+                                                self._incidence)
 
     def _store(self, F, read):
         self._reads[F] = read

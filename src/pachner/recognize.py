@@ -237,14 +237,19 @@ def _facet_graph_connected(K):
     return _connected(adj)
 
 
+def _ridges_paired(K):
+    """Pure, with every ridge in exactly two facets; vacuously true for
+    {-}, which has no ridges.  ``K.boundary()`` cannot tell this: a
+    single point and a closed complex both have the boundary {-}."""
+    if K.dim < 0:
+        return True
+    return K.is_pure() and all(d == 2 for d in _ridge_degrees(K).values())
+
+
 def is_closed_pseudomanifold(K):
     """Pure, every ridge in exactly two facets, and the facet adjacency
     graph connected."""
-    if K.dim < 0 or not K.is_pure():
-        return False
-    if any(d != 2 for d in _ridge_degrees(K).values()):
-        return False
-    return _facet_graph_connected(K)
+    return K.dim >= 0 and _ridges_paired(K) and _facet_graph_connected(K)
 
 
 # -- verdicts --------------------------------------------------------------
@@ -515,23 +520,21 @@ def _shell_ball(S, counter):
 def find_shelling(X, budget=DEFAULT_SHELLING_BUDGET):
     """First shelling in deterministic (A, B)-lexicographic order.
 
-    Closed complexes are searched in sphere mode: each facet F is tried
-    as the initial removal, on one working state of X that removes F,
-    searches and puts F back.  Returns None when the whole search space
-    is exhausted (a proof of unshellability); raises
-    BudgetExhaustedError when the node budget runs out first.
+    The search runs on one working state of X.  X is closed, and searched
+    in sphere mode, when the state has no boundary ridge and no ridge in
+    three or more facets: each facet F is then tried as the initial
+    removal, which removes F from the state, searches and puts F back.
+    Returns None when the whole search space is exhausted (a proof of
+    unshellability); raises BudgetExhaustedError when the node budget
+    runs out first.
     """
     if len(X.facets) == 1:
         return ShellingSequence((), next(iter(X.facets)), None)
     if not X.is_pure():
         return None
-    try:
-        closed = X.boundary() == Complex.from_facets([])
-    except NotPseudomanifoldError:
-        closed = False
     counter = [budget]
     S = _ShellState(X)
-    if closed:
+    if not S._rim and not S._over:
         for F in X.facet_list():
             S.remove(F)
             seq = _shell_ball(S, counter)

@@ -26,11 +26,13 @@ from pachner import (
     dump_transcript,
     dumps_complex,
     dumps_transcript,
+    full_simplex,
     is_simplex_boundary,
     isomorphic,
     load_complex,
     loads_complex,
     loads_transcript,
+    parse_simplex,
     standard_sphere,
 )
 from pachner.cli import main
@@ -282,6 +284,27 @@ def test_shell_find_sphere_mode_notes_initial(tmp_path, sphere2, capsys):
     assert main(["shell-find", _cx(tmp_path, sphere2)]) == 0
     payload = capsys.readouterr().out
     assert payload.splitlines()[0].startswith("# initial ")
+
+
+def test_sphere_mode_shelling_replays_without_its_initial_facet(
+        tmp_path, sphere2, capsys):
+    cx = _cx(tmp_path, sphere2)
+    out = tmp_path / "art"
+    assert main(["shell-find", cx, "--out", str(out)]) == 0
+    tr = out / "shelling.tr"
+    head = dict(line[2:].split(" ", 1)
+                for line in tr.read_text(encoding="utf-8").splitlines()
+                if line.startswith("# "))
+    initial, terminal = (parse_simplex(head[k])
+                         for k in ("initial", "terminal"))
+    tr = str(tr)
+    assert main(["replay", tr, cx]) == 1  # the initial facet is still there
+    opened = _cx(tmp_path, Complex.from_facets(sphere2.facets - {initial}),
+                 "opened.cx")
+    replayed = tmp_path / "replayed"
+    assert main(["replay", tr, opened, "--out", str(replayed)]) == 0
+    capsys.readouterr()
+    assert load_complex(str(replayed / "result.cx")) == full_simplex(terminal)
 
 
 def test_shell_find_torus_exits_1(tmp_path, capsys):

@@ -131,6 +131,9 @@ def test_restrict_and_relabel(sphere2):
     assert moved == simplex_boundary([1, 2, 3, 9])
     with pytest.raises(MalformedSimplexError):
         sphere2.relabel({0: 1})
+    # 0 and 2 share no simplex, so no simplex collapses
+    with pytest.raises(MalformedSimplexError, match="not injective"):
+        Complex.from_facets([(0, 1), (1, 2)]).relabel({0: 2})
 
 
 def test_is_simplex_boundary(sphere2):

@@ -25,7 +25,13 @@ from pachner.core import (
     full_simplex,
     standard_sphere,
 )
-from pachner.moves import _ShellState, derived_subdivision, enumerate_moves
+from pachner.moves import (
+    Shell,
+    _ShellState,
+    check_move,
+    derived_subdivision,
+    enumerate_moves,
+)
 from pachner.recognize import find_shelling
 
 
@@ -165,14 +171,35 @@ def test_search_reads_a_bounded_number_of_splits(monkeypatch):
     calls = []
     real = pachner.moves._split
 
-    def counting(F, dM, incidence):
+    def counting(F, *maps):
         calls.append(F)
-        return real(F, dM, incidence)
+        return real(F, *maps)
 
     monkeypatch.setattr(pachner.moves, "_split", counting)
     sh = find_shelling(_strip(300))
     assert len(sh.steps) == 299
     assert len(calls) <= 10 * 300
+
+
+def test_shell_rule_on_a_complex_builds_no_face_set(monkeypatch):
+    """The shelling rule reads ridge maps: on an immutable strip of 30
+    triangles, enumerating shell moves and checking one, legal or not,
+    never builds a face set (enumeration built 30 when "A is a boundary
+    face" was asked of the boundary complex)."""
+    M = _strip(30)
+    calls = []
+    real = Complex.faces
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Complex, "faces", counting)
+    moves = enumerate_moves(M, "shell")
+    assert moves == [Shell((1, 2), (0,)), Shell((29, 30), (31,))]
+    assert check_move(M, moves[0]).legal
+    assert not check_move(M, Shell((1,), (2, 3))).legal
+    assert calls == []
 
 
 def test_long_strip_shells_within_the_default_budget():
