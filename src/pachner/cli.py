@@ -63,6 +63,7 @@ from .moves import (
 )
 from .recognize import (
     DEFAULT_BUDGET,
+    DEFAULT_MAX_CELLS,
     DEFAULT_SHELLING_BUDGET,
     NOT_MANIFOLD,
     UNKNOWN,
@@ -364,7 +365,7 @@ def _build_parser():
 
     q = command("homology", _cmd_homology, "exact integral homology")
     q.add_argument("complex", help="facet file")
-    q.add_argument("--max-cells", type=int, default=200_000,
+    q.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
                    help="face-count ceiling (default %(default)s)")
 
     q = command("link", _cmd_link, "link of a simplex")

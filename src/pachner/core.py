@@ -10,7 +10,9 @@ link factors uniformly instead of special-casing them.
 
 A complex is determined by its facets (inclusion-maximal simplexes).
 All vertex labels are non-negative integers; `fresh_vertex` hands out
-1 + the largest label in use, and 0 for {-}.
+1 + the largest label in use, and 0 for {-}.  Membership, links and
+stars read a cached vertex -> facets incidence; only `faces()` builds
+the closure of every face.
 """
 
 from __future__ import annotations
@@ -89,16 +91,18 @@ class Complex:
 
     Construct via `from_facets`; the raw constructor trusts its input to
     be normalised (sorted tuples, mutually incomparable, nonempty set).
+    Membership, links and stars read the vertex -> facets incidence,
+    built on first use; only `faces()` builds the face closure.
     """
 
-    __slots__ = ("_facets", "_facet_sets", "_faces", "_by_dim", "_vertices",
+    __slots__ = ("_facets", "_by_vertex", "_faces", "_by_dim", "_vertices",
                  "_boundary")
 
     def __init__(self, facets, _trusted=False):
         if not _trusted:
             raise TypeError("use Complex.from_facets(...)")
         self._facets = facets            # frozenset of sorted tuples
-        self._facet_sets = None          # list of (tuple, frozenset) pairs
+        self._by_vertex = None           # vertex -> list of its facets
         self._faces = None               # frozenset of all faces incl. ()
         self._by_dim = None              # dict dim -> sorted tuple of faces
         self._vertices = None
@@ -164,8 +168,28 @@ class Complex:
             self._vertices = tuple(sorted(vs))
         return self._vertices
 
+    def _incidence(self):
+        """vertex -> the facets containing it, in facet order."""
+        if self._by_vertex is None:
+            self._by_vertex = by = {}
+            for f in self._facets:
+                for v in f:
+                    by.setdefault(v, []).append(f)
+        return self._by_vertex
+
+    def _star(self, a):
+        """The facets containing the simplex a (all for ()), or [] if a is
+        not one; labels are compared only once a facet holds them all."""
+        if not a:
+            return list(self._facets)
+        tops = [f for f in self._incidence().get(a[0], ())
+                if all(v in f for v in a)]
+        if tops and any(u >= v for u, v in zip(a, a[1:])):
+            return []
+        return tops
+
     def __contains__(self, s):
-        return tuple(s) in self.faces()
+        return bool(self._star(tuple(s)))
 
     def n_faces(self):
         """Number of nonempty faces."""
@@ -189,29 +213,20 @@ class Complex:
 
     # -- constructions ------------------------------------------------
 
-    def _facet_pairs(self):
-        if self._facet_sets is None:
-            self._facet_sets = [(f, frozenset(f)) for f in self._facets]
-        return self._facet_sets
-
     def link(self, a):
         """lk(a, K): all b with a*b in K.  lk((), K) = K."""
         a = tuple(a)
-        if a not in self:
-            raise AbsentSimplexError(f"{a} is not a simplex of the complex")
         sa = set(a)
-        tops = [tuple(v for v in f if v not in sa)
-                for f, fs in self._facet_pairs() if sa <= fs]
         # facets containing `a` give mutually incomparable remainders
-        return Complex(frozenset(tops), _trusted=True)
+        return Complex(frozenset(tuple(v for v in f if v not in sa)
+                                 for f in self.star(a).facets), _trusted=True)
 
     def star(self, a):
         """st(a, K) = a * lk(a, K): closure of the facets containing a."""
         a = tuple(a)
-        if a not in self:
+        tops = self._star(a)
+        if not tops:
             raise AbsentSimplexError(f"{a} is not a simplex of the complex")
-        sa = set(a)
-        tops = [f for f, fs in self._facet_pairs() if sa <= fs]
         return Complex(frozenset(tops), _trusted=True)
 
     def join(self, other):

@@ -164,15 +164,6 @@ def _opposite(F, ridges):
     return tuple(v for i, v in enumerate(F) if F[:i] + F[i + 1:] in ridges)
 
 
-def _incidence(M):
-    """vertex -> the facets of M containing it."""
-    incidence = {}
-    for f in M.facets:
-        for v in f:
-            incidence.setdefault(v, []).append(f)
-    return incidence
-
-
 def _split(F, ridges, through, incidence):
     """The one split (A, B) of the facet F that Shell may remove, or None.
 
@@ -207,7 +198,7 @@ def _check_shell(M, A, B):
         dM = M.boundary()
     except NotPseudomanifoldError as exc:
         return LegalityReport(False, f"boundary undefined: {exc}")
-    split = _split(F, dM.facets, _incidence(dM), _incidence(M))
+    split = _split(F, dM.facets, dM._incidence(), M._incidence())
     if split != (tuple(sorted(A)), tuple(sorted(B))):
         return LegalityReport(
             False, "A*B must meet the rest exactly in A * dB and the "
@@ -244,16 +235,11 @@ def _check_bistellar(M, A, B):
 
 
 def _exchange_result(M, A, B, L):
-    """Facet-level surgery for a legal exchange: drop the facets
-    containing A, insert (A - v) * B * C over v in A, C a facet of L."""
-    sa = set(A)
-    keep = [f for f in M.facets if not sa <= set(f)]
-    new = set()
-    for i in range(len(A)):
-        rest = A[:i] + A[i + 1:]
-        for C in L.facets:
-            new.add(tuple(sorted(rest + B + C)))
-    return Complex(frozenset(keep) | new, _trusted=True)
+    """Facet-level surgery for a legal exchange: drop st(A, M), insert
+    (A - v) * B * C over v in A, C a facet of L."""
+    new = {tuple(sorted(A[:i] + A[i + 1:] + B + C))
+           for i in range(len(A)) for C in L.facets}
+    return Complex(M.facets.difference(M._star(A)) | new, _trusted=True)
 
 
 def _shell_result(M, A, B, L):
@@ -382,7 +368,7 @@ def enumerate_moves(M, kind):
             return []
         if kind == "shell":
             # each facet's one split is legal as it stands: no check here
-            maps = dM.facets, _incidence(dM), _incidence(M)
+            maps = dM.facets, dM._incidence(), M._incidence()
             splits = (_split(F, *maps) for F in M.facets)
             return [Shell(A, B) for A, B in sorted(filter(None, splits))]
         # a glued facet holds one boundary ridge and a fresh vertex, or two

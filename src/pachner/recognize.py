@@ -40,6 +40,7 @@ from .moves import (
 
 DEFAULT_BUDGET = 4000
 DEFAULT_SHELLING_BUDGET = 100_000
+DEFAULT_MAX_CELLS = 200_000
 
 
 # -- Smith normal form ---------------------------------------------------
@@ -162,7 +163,7 @@ class HomologyProfile:
             for k, (b, t) in enumerate(zip(self.betti, self.torsion)))
 
 
-def homology(K, max_cells=200_000):
+def homology(K, max_cells=DEFAULT_MAX_CELLS):
     """Exact integral homology of K; raises BudgetExhaustedError when
     the total face count exceeds max_cells."""
     n = K.dim
@@ -377,13 +378,9 @@ def _cone_flips(sh, v):
 
 
 def _cone_apex(K):
-    common = None
-    for F in K.facets:
-        s = set(F)
-        common = s if common is None else (common & s)
-        if not common:
-            return None
-    return min(common) if common else None
+    n = len(K.facets)
+    return min((v for v, tops in K._incidence().items() if len(tops) == n),
+               default=None)
 
 
 def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):

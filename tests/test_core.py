@@ -94,6 +94,44 @@ def test_star_of_edge_direct_enumeration(sphere2):
          (0, 1, 2), (0, 1, 3)})
 
 
+MEMBERSHIP_FIXTURES = {
+    "boundary of the 3-simplex": simplex_boundary(range(4)),
+    "sd S2": flag_subdivision(standard_sphere(2)),
+    "Csaszar torus": csaszar_torus(),
+    "impure": Complex.from_facets([(0, 1, 2), (2, 3), (4,)]),
+    "point": full_simplex([0]),
+    "{-}": Complex.from_facets([]),
+}
+
+
+@pytest.mark.parametrize("name", MEMBERSHIP_FIXTURES)
+def test_membership_links_and_stars_match_the_face_closure(name):
+    """Membership, links and stars, which read the vertex -> facets
+    incidence, agree with their definitions over the face closure."""
+    K = MEMBERSHIP_FIXTURES[name]
+    faces = K.faces()
+    for s in faces:
+        assert s in K
+        ss = set(s)
+        assert K.link(s) == Complex.from_facets(
+            t for t in faces
+            if not ss & set(t) and tuple(sorted(s + t)) in faces)
+        assert K.star(s) == Complex.from_facets(
+            t for t in faces if ss <= set(t))
+    vs = K.vertices()
+    for r in range(2, min(len(vs), K.dim + 2) + 1):
+        for s in itertools.combinations(vs, r):
+            assert (s in K) == (s in faces)
+    # unsorted, repeated, absent and non-integer labels; a guard that
+    # compares labels before finding them in a facet raises on (0, "a")
+    for s in [(1, 0), (0, 0), (K.fresh_vertex(),), (0, "a")]:
+        assert s not in K
+        with pytest.raises(AbsentSimplexError):
+            K.link(s)
+        with pytest.raises(AbsentSimplexError):
+            K.star(s)
+
+
 def test_join_of_two_zero_spheres_is_square():
     sq = simplex_boundary([0, 1]).join(simplex_boundary([2, 3]))
     assert sq.facets == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})

@@ -233,6 +233,24 @@ def test_star_expansion_replays_once_in_the_complex(sphere2, sphere3,
     assert shellings == []
 
 
+def test_flip_replay_on_a_complex_builds_no_face_set(monkeypatch):
+    """Checking flips on an immutable complex asks only membership and
+    links, which read the incidence: replaying the expansion of a
+    starred edge of the 3-sphere never builds a face set."""
+    M = simplex_boundary(range(5))
+    t = star_move_transcript(M, (0, 1))
+    calls = []
+    real = Complex.faces
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Complex, "faces", counting)
+    assert apply_transcript(M, t) == apply_move(M, Star((0, 1), 5))
+    assert calls == []
+
+
 def test_star_expansion_fault_is_a_runtime_error(sphere2, monkeypatch):
     """A built transcript that fails its replay in M is our fault, not
     an illegal move of the caller's."""
