@@ -10,9 +10,12 @@ link factors uniformly instead of special-casing them.
 
 A complex is determined by its facets (inclusion-maximal simplexes).
 All vertex labels are non-negative integers; `fresh_vertex` hands out
-1 + the largest label in use, and 0 for {-}.  Membership, links and
-stars read a cached vertex -> facets incidence; only `faces()` builds
-the closure of every face.
+1 + the largest label in use, and 0 for {-}.  Complexes are immutable
+to callers.  Membership, links and stars read one private working copy
+per complex (`_WorkingComplex`: the facet set and a vertex -> facets
+incidence), built on first use and never changed; only `faces()` builds
+the closure of every face.  The move replays of `moves` change such a
+copy in place.
 """
 
 from __future__ import annotations
@@ -91,18 +94,18 @@ class Complex:
 
     Construct via `from_facets`; the raw constructor trusts its input to
     be normalised (sorted tuples, mutually incomparable, nonempty set).
-    Membership, links and stars read the vertex -> facets incidence,
+    Membership, links and stars read the working copy `_incidence()`,
     built on first use; only `faces()` builds the face closure.
     """
 
-    __slots__ = ("_facets", "_by_vertex", "_faces", "_by_dim", "_vertices",
+    __slots__ = ("_facets", "_working", "_faces", "_by_dim", "_vertices",
                  "_boundary")
 
     def __init__(self, facets, _trusted=False):
         if not _trusted:
             raise TypeError("use Complex.from_facets(...)")
         self._facets = facets            # frozenset of sorted tuples
-        self._by_vertex = None           # vertex -> list of its facets
+        self._working = None             # the _WorkingComplex of _incidence
         self._faces = None               # frozenset of all faces incl. ()
         self._by_dim = None              # dict dim -> sorted tuple of faces
         self._vertices = None
@@ -169,27 +172,14 @@ class Complex:
         return self._vertices
 
     def _incidence(self):
-        """vertex -> the facets containing it, in facet order."""
-        if self._by_vertex is None:
-            self._by_vertex = by = {}
-            for f in self._facets:
-                for v in f:
-                    by.setdefault(v, []).append(f)
-        return self._by_vertex
-
-    def _star(self, a):
-        """The facets containing the simplex a (all for ()), or [] if a is
-        not one; labels are compared only once a facet holds them all."""
-        if not a:
-            return list(self._facets)
-        tops = [f for f in self._incidence().get(a[0], ())
-                if all(v in f for v in a)]
-        if tops and any(u >= v for u, v in zip(a, a[1:])):
-            return []
-        return tops
+        """The working copy that membership, links and stars read, built
+        on first use; nothing changes it."""
+        if self._working is None:
+            self._working = _WorkingComplex(self)
+        return self._working
 
     def __contains__(self, s):
-        return bool(self._star(tuple(s)))
+        return bool(self._incidence()._star(tuple(s)))
 
     def n_faces(self):
         """Number of nonempty faces."""
@@ -216,15 +206,12 @@ class Complex:
     def link(self, a):
         """lk(a, K): all b with a*b in K.  lk((), K) = K."""
         a = tuple(a)
-        sa = set(a)
-        # facets containing `a` give mutually incomparable remainders
-        return Complex(frozenset(tuple(v for v in f if v not in sa)
-                                 for f in self.star(a).facets), _trusted=True)
+        return _link(self.star(a).facets, a)
 
     def star(self, a):
         """st(a, K) = a * lk(a, K): closure of the facets containing a."""
         a = tuple(a)
-        tops = self._star(a)
+        tops = self._incidence()._star(a)
         if not tops:
             raise AbsentSimplexError(f"{a} is not a simplex of the complex")
         return Complex(frozenset(tops), _trusted=True)
@@ -290,6 +277,81 @@ class Complex:
         if len(fs) > 6:
             shown += f", ... ({len(fs)} facets)"
         return f"Complex<{shown or '-'}>"
+
+
+def _link(tops, a):
+    """lk(a) from the facets `tops` of st(a): each facet without the
+    vertices of a; the remainders are mutually incomparable."""
+    sa = set(a)
+    return Complex(frozenset(tuple(v for v in f if v not in sa) for f in tops),
+                   _trusted=True)
+
+
+class _WorkingComplex:
+    """A mutable working copy of a complex: the facet set and a vertex ->
+    facets incidence, which ``_tally`` keeps as facets come and go.
+
+    It is private.  A Complex reads its membership, links and stars from
+    one, which nothing changes; a move replay changes its own copy in
+    place by ``_replace``.  Subclasses in ``moves`` extend ``_tally``
+    with their own counts and list the legal moves of their one family,
+    ``kind``, in ``moves()``, cached in ``_moves`` until the next change.
+    Like a Complex it has ``facets`` and ``vertices()``, which is all
+    ``is_simplex_boundary`` reads.
+    """
+
+    kind = ""
+
+    def __init__(self, M):
+        self.facets = set()
+        self._by_vertex = {}     # vertex -> set of facets containing it
+        self._moves = None
+        for f in M.facets:
+            self._tally(f, 1)
+
+    def _tally(self, f, step):
+        """Insert (step 1) or remove (step -1) the facet f."""
+        by = self._by_vertex
+        if step < 0:
+            self.facets.discard(f)
+            for v in f:
+                by[v].discard(f)
+                if not by[v]:
+                    del by[v]
+            return
+        self.facets.add(f)
+        for v in f:
+            if v in by:
+                by[v].add(f)
+            else:
+                by[v] = {f}
+
+    def _replace(self, gone, new):
+        """The surgery of a move, in place: remove the facets `gone`, then
+        insert the facets `new`.  Returns the copy."""
+        for f in gone:
+            self._tally(f, -1)
+        for f in new:
+            self._tally(f, 1)
+        self._moves = None
+        return self
+
+    def _star(self, a):
+        """The facets containing the simplex a (all for ()), or none if a
+        is not one; labels are compared only once all are vertices."""
+        if not a:
+            return set(self.facets)
+        try:
+            tops = set.intersection(*[self._by_vertex[v] for v in a])
+        except (KeyError, TypeError):
+            return set()
+        return set() if any(u >= v for u, v in zip(a, a[1:])) else tops
+
+    def vertices(self):
+        return self._by_vertex.keys()
+
+    def complex(self):
+        return Complex(frozenset(self.facets), _trusted=True)
 
 
 # -- canonical small complexes ---------------------------------------

@@ -24,6 +24,7 @@ from .core import (
     BudgetExhaustedError,
     Complex,
     _TRIVIAL,
+    _WorkingComplex,
     fmt_simplex,
     full_simplex,
     is_simplex_boundary,
@@ -38,8 +39,8 @@ from .moves import (
     Shell,
     Star,
     Transcript,
+    _apply,
     _certify,
-    _exchange_result,
     _minimal_nonfaces,
     apply_move,
     apply_transcript,
@@ -458,7 +459,7 @@ def expand_exchange(M, A, B, budget=DEFAULT_EXPANSION_BUDGET):
     rep = check_move(M, mv)
     if not rep.legal:
         raise IllegalMoveError(mv, rep)
-    target = _exchange_result(M, A, B, rep.link_factor)
+    target = _apply(_WorkingComplex(M), mv, rep).complex()
     core, spheres = factor_link(rep.link_factor)
     witness = search_witness(core, budget)
     return _exchange_to_bistellar(

@@ -22,19 +22,22 @@ Five families, all exact surgeries on labelled face sets:
   must then remove it.
 
 Every move is dispatched through one table from move type to (A, B)
-data, legality check, surgery and inverse.  ``check_move`` returns a
-LegalityReport, also for malformed move data.  ``apply_move`` checks
-first and raises IllegalMoveError (carrying the report) on failure;
-``apply_transcript`` replays through it, one check per step.  Every
-apply is pure; complexes are immutable.  The mutable objects are two
-private working copies, which searches change in place and re-test only
-where a move changed them: ``_FlipState`` for walks over bistellar
-moves, and ``_ShellState`` for the shelling search, which removes a
-facet, re-reads only the splits next to it and undoes a removal from
-its log.  ``enumerate_moves(S, kind)`` accepts either for its own
-family and returns its kept move list; ``apply_move(S, move)`` also
-accepts a ``_FlipState``, checks the move by lookups and flips S in
-place.
+data, legality check, surgery and inverse.  A surgery is written once
+per family: it returns the facets the move removes and inserts, which
+``core._WorkingComplex._replace`` applies in place.  ``check_move``
+returns a LegalityReport, also for malformed move data, and reads a
+complex through its working copy.  ``apply_move`` checks first and
+raises IllegalMoveError (carrying the report) on failure, then applies
+the surgery to a fresh working copy; ``apply_transcript`` replays on one
+working copy, one check per step.  Complexes stay immutable to callers;
+the working copies are private.  Two of them also serve searches, which
+re-test only where a move changed them: ``_FlipState`` for walks over
+bistellar moves, and ``_ShellState`` for the shelling search, which
+removes a facet, re-reads only the splits next to it and undoes a
+removal from its log.  ``enumerate_moves(S, kind)`` accepts either for
+its own family and returns its kept move list; ``apply_move(S, move)``
+also accepts a ``_FlipState``, checks the move by lookups and flips S
+in place.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from .core import (
     Complex,
     EMPTY,
     _TRIVIAL,
+    _WorkingComplex,
+    _link,
     fmt_simplex,
     is_simplex_boundary,
     simplex,
@@ -138,18 +143,24 @@ class IllegalAtStepError(ValueError):
 
 # -- legality ----------------------------------------------------------
 
-def _check_exchange(M, A, B):
-    """Shared legality core: lk(A, M) = dB * L with B absent from M."""
+# A check reads the working copy S of the complex: S._star, S.facets and
+# S._by_vertex.
+
+
+def _check_exchange(S, A, B):
+    """Shared legality core: lk(A, M) = dB * L with B absent from M; st(A)
+    is read once."""
     if not A:
         return LegalityReport(False, "A must be nonempty")
-    if A not in M:
+    star = S._star(A)
+    if not star:
         return LegalityReport(False, f"A = {fmt_simplex(A)} is not in the complex")
     if set(A) & set(B):
         return LegalityReport(False, "A and B share vertices")
-    if B in M:
+    if S._star(B):
         # covers B = () too: the empty simplex is in every complex
         return LegalityReport(False, f"B = {fmt_simplex(B)} is already in the complex")
-    lk = M.link(A)
+    lk = _link(star, A)
     L = lk.restrict(set(lk.vertices()) - set(B))
     if simplex_boundary(B).join(L) != lk:
         return LegalityReport(
@@ -186,19 +197,23 @@ def _split(F, ridges, through, incidence):
     return A, B
 
 
-def _check_shell(M, A, B):
+def _check_shell(S, A, B):
     if not A or not B:
         return LegalityReport(False, "A and B must both be nonempty")
     if set(A) & set(B):
         return LegalityReport(False, "A and B share vertices")
     F = tuple(sorted(A + B))
-    if F not in M.facets:
+    if F not in S.facets:
         return LegalityReport(False, f"A*B = {fmt_simplex(F)} is not a facet")
     try:
-        dM = M.boundary()
+        dM = S.complex().boundary()
     except NotPseudomanifoldError as exc:
         return LegalityReport(False, f"boundary undefined: {exc}")
-    split = _split(F, dM.facets, dM._incidence(), M._incidence())
+    # _split looks up only the boundary ridges through the least vertex
+    # of its A, which must be min(A) for the split to match
+    a = min(A)
+    through = {a: [R for R in dM.facets if a in R]}
+    split = _split(F, dM.facets, through, S._by_vertex)
     if split != (tuple(sorted(A)), tuple(sorted(B))):
         return LegalityReport(
             False, "A*B must meet the rest exactly in A * dB and the "
@@ -206,24 +221,24 @@ def _check_shell(M, A, B):
     return LegalityReport(True)
 
 
-def _check_unshell(M, A, B):
+def _check_unshell(S, A, B):
     """Gluing F = A * B must add F alone, and Shell must undo it."""
     F = simplex(A + B)
-    if F in M:
+    if S._star(F):
         return LegalityReport(False, f"glued facet {fmt_simplex(F)} already present")
-    glued = _unshell_result(M, A, B, None)
-    if len(glued.facets) != len(M.facets) + 1:
+    gone, new = _unshell_surgery(S, A, B, None)
+    if gone:
         return LegalityReport(
             False, f"glued facet {fmt_simplex(F)} contains a facet of the complex")
-    back = _check_shell(glued, A, B)
+    back = _check_shell(_WorkingComplex(S)._replace(gone, new), A, B)
     if not back.legal:
         return LegalityReport(False, f"gluing is not a shelling inverse: {back.reason}")
     return LegalityReport(True)
 
 
-def _check_bistellar(M, A, B):
+def _check_bistellar(S, A, B):
     """An exchange whose residual link factor L is {-}."""
-    rep = _check_exchange(M, A, B)
+    rep = _check_exchange(S, A, B)
     if rep.legal and rep.link_factor != _TRIVIAL:
         return LegalityReport(
             False, "lk(A) is not exactly dB (residual factor present)",
@@ -234,63 +249,74 @@ def _check_bistellar(M, A, B):
 # -- application -------------------------------------------------------
 
 
-def _exchange_result(M, A, B, L):
-    """Facet-level surgery for a legal exchange: drop st(A, M), insert
-    (A - v) * B * C over v in A, C a facet of L."""
-    new = {tuple(sorted(A[:i] + A[i + 1:] + B + C))
-           for i in range(len(A)) for C in L.facets}
-    return Complex(M.facets.difference(M._star(A)) | new, _trusted=True)
+# A surgery maps (S, A, B, link factor) for a legal move to (gone, new):
+# the facets of the working copy S it removes and the facets it inserts.
 
 
-def _shell_result(M, A, B, L):
-    return Complex(frozenset(M.facets) - {tuple(sorted(A + B))}, _trusted=True)
+def _exchange_surgery(S, A, B, L):
+    """A legal exchange drops st(A) and inserts (A - v) * B * C over v in
+    A, C a facet of L."""
+    return S._star(A), {tuple(sorted(A[:i] + A[i + 1:] + B + C))
+                        for i in range(len(A)) for C in L.facets}
 
 
-def _unshell_result(M, A, B, L):
+def _shell_surgery(S, A, B, L):
+    return (tuple(sorted(A + B)),), ()
+
+
+def _unshell_surgery(S, A, B, L):
+    """Gluing F = A * B drops the facets inside F (none when legal)."""
     F = simplex(A + B)
     inside = set(F).issuperset
-    return Complex(frozenset(f for f in M.facets if not inside(f)) | {F},
-                   _trusted=True)
+    return [f for f in S.facets if inside(f)], (F,)
 
 
 _ab = attrgetter("A", "B")
 
-# move type -> (its (A, B) data, legality check on (M, A, B), surgery on
-# (M, A, B, link factor), the move undoing it).  Star, Weld, Bistellar
-# and Exchange are the one exchange surgery; Shell and Unshell remove
-# and glue the facet A * B.
+# move type -> (its (A, B) data, legality check on (S, A, B), surgery,
+# the move undoing it).  Star, Weld, Bistellar and Exchange are the one
+# exchange surgery; Shell and Unshell remove and glue the facet A * B.
 _FAMILIES = {
-    Star: (lambda m: (m.A, (m.a,)), _check_exchange, _exchange_result,
+    Star: (lambda m: (m.A, (m.a,)), _check_exchange, _exchange_surgery,
            lambda m: Weld(m.a, m.A)),
-    Weld: (lambda m: ((m.a,), m.A), _check_exchange, _exchange_result,
+    Weld: (lambda m: ((m.a,), m.A), _check_exchange, _exchange_surgery,
            lambda m: Star(m.A, m.a)),
-    Bistellar: (_ab, _check_bistellar, _exchange_result,
+    Bistellar: (_ab, _check_bistellar, _exchange_surgery,
                 lambda m: Bistellar(m.B, m.A)),
-    Exchange: (_ab, _check_exchange, _exchange_result,
+    Exchange: (_ab, _check_exchange, _exchange_surgery,
                lambda m: Exchange(m.B, m.A)),
-    Shell: (_ab, _check_shell, _shell_result, lambda m: Unshell(m.A, m.B)),
-    Unshell: (_ab, _check_unshell, _unshell_result, lambda m: Shell(m.A, m.B)),
+    Shell: (_ab, _check_shell, _shell_surgery, lambda m: Unshell(m.A, m.B)),
+    Unshell: (_ab, _check_unshell, _unshell_surgery, lambda m: Shell(m.A, m.B)),
 }
 
 
 def check_move(M, move):
-    """Legality report for `move` on M.  Malformed move data yields an
-    illegal report; only faults such as RecursionError propagate."""
+    """Legality report for `move` on M, a complex or a working copy.
+    Malformed move data yields an illegal report; only faults such as
+    RecursionError propagate."""
     try:
         pair, check, _, _ = _FAMILIES[type(move)]
     except KeyError:
         return LegalityReport(False, f"unknown move type {type(move).__name__}")
+    S = M if isinstance(M, _WorkingComplex) else M._incidence()
     try:
-        return check(M, *pair(move))
+        return check(S, *pair(move))
     except (ValueError, TypeError, KeyError) as exc:
         return LegalityReport(False, f"check failed: {exc}")
+
+
+def _apply(S, move, report):
+    """Apply a move checked legal on the working copy S to S in place."""
+    pair, _, surgery, _ = _FAMILIES[type(move)]
+    return S._replace(*surgery(S, *pair(move), report.link_factor))
 
 
 def apply_move(M, move):
     """Apply a legal move; raises IllegalMoveError otherwise.
 
-    On a ``_FlipState`` the move must be one its ``moves()`` lists; the
-    state is flipped in place and returned.
+    The result is a new complex.  On a ``_FlipState`` the move must be
+    one its ``moves()`` lists; the state is flipped in place and
+    returned.
     """
     if isinstance(M, _FlipState):
         M.apply(move)
@@ -298,8 +324,7 @@ def apply_move(M, move):
     report = check_move(M, move)
     if not report.legal:
         raise IllegalMoveError(move, report)
-    pair, _, result, _ = _FAMILIES[type(move)]
-    return result(M, *pair(move), report.link_factor)
+    return _apply(_WorkingComplex(M), move, report).complex()
 
 
 def invert(move):
@@ -346,6 +371,9 @@ def enumerate_moves(M, kind):
             raise ValueError(f"a {M.kind} working state enumerates "
                              f"{M.kind} moves only, not {kind!r}")
         return M.moves()
+    if kind == "shell":
+        # each facet's one split is legal as it stands: no check here
+        return _ShellState(M).moves() if M.dim >= 0 else []
     fresh = M.fresh_vertex()
     if kind == "star":
         return [Star(A, fresh) for A in sorted(f for f in M.faces() if f)]
@@ -361,16 +389,11 @@ def enumerate_moves(M, kind):
     elif kind == "exchange":
         cands = (Exchange(A, B) for A in sorted(f for f in M.faces() if f)
                  for B in [(fresh,)] + _minimal_nonfaces(M.link(A)))
-    elif kind in ("shell", "unshell"):
+    elif kind == "unshell":
         try:
             dM = M.boundary()
         except NotPseudomanifoldError:
             return []
-        if kind == "shell":
-            # each facet's one split is legal as it stands: no check here
-            maps = dM.facets, dM._incidence(), M._incidence()
-            splits = (_split(F, *maps) for F in M.facets)
-            return [Shell(A, B) for A, B in sorted(filter(None, splits))]
         # a glued facet holds one boundary ridge and a fresh vertex, or two
         # boundary ridges that alone share a codimension-2 face
         rim = [R for R in dM.facets if R]
@@ -395,50 +418,6 @@ def enumerate_moves(M, kind):
 def _nonempty_faces(f):
     return itertools.chain.from_iterable(
         itertools.combinations(f, r) for r in range(1, len(f) + 1))
-
-
-class _WorkingComplex:
-    """A mutable working copy of a complex: the facet set and a vertex ->
-    facets incidence, which ``_tally`` keeps as facets come and go.
-    Subclasses extend ``_tally`` with their own counts and list the
-    legal moves of their one family, ``kind``, in ``moves()``, cached in
-    ``_moves`` until the next change.  Like a Complex it has ``facets``
-    and ``vertices()``, which is all ``is_simplex_boundary`` reads.
-    """
-
-    kind = ""
-
-    def __init__(self, M):
-        self.facets = set()
-        self._incidence = {}     # vertex -> set of facets containing it
-        self._moves = None
-        for f in M.facets:
-            self._tally(f, 1)
-
-    def _tally(self, f, step):
-        """Insert (step 1) or remove (step -1) the facet f."""
-        if step > 0:
-            self.facets.add(f)
-        else:
-            self.facets.discard(f)
-        for v in f:
-            star = self._incidence.setdefault(v, set())
-            if step > 0:
-                star.add(f)
-            else:
-                star.discard(f)
-                if not star:
-                    del self._incidence[v]
-
-    def _star(self, A):
-        """The facets containing the nonempty face A."""
-        return set.intersection(*(self._incidence[v] for v in A))
-
-    def vertices(self):
-        return self._incidence.keys()
-
-    def complex(self):
-        return Complex(frozenset(self.facets), _trusted=True)
 
 
 class _FlipState(_WorkingComplex):
@@ -480,13 +459,10 @@ class _FlipState(_WorkingComplex):
     def _retest(self, faces):
         links = self._links
         for A in faces:
-            if A not in self._count:
-                links.pop(A, None)
-                continue
-            sa = set(A)
-            lk = Complex(frozenset(tuple(v for v in f if v not in sa)
-                                   for f in self._star(A)), _trusted=True)
-            if is_simplex_boundary(lk):
+            # lk(A) when A is still a face
+            lk = A in self._count and _link(
+                set.intersection(*[self._by_vertex[v] for v in A]), A)
+            if lk and is_simplex_boundary(lk):
                 links[A] = lk.vertices()
             else:
                 links.pop(A, None)
@@ -499,7 +475,7 @@ class _FlipState(_WorkingComplex):
     def moves(self):
         """The legal flips, sorted by A; a facet A flips to a fresh vertex."""
         if self._moves is None:
-            fresh = (max(self._incidence) + 1,)
+            fresh = (max(self._by_vertex) + 1,)
             count = self._count
             self._moves = [Bistellar(A, B or fresh)
                            for A, B in sorted(self._links.items())
@@ -510,7 +486,7 @@ class _FlipState(_WorkingComplex):
         """Whether moves() lists mv, by lookups instead of a scan."""
         if type(mv) is not Bistellar or mv.A not in self._links:
             return False
-        B = self._links[mv.A] or (max(self._incidence) + 1,)
+        B = self._links[mv.A] or (max(self._by_vertex) + 1,)
         return mv.B == B and B not in self._count
 
     def apply(self, mv):
@@ -519,15 +495,9 @@ class _FlipState(_WorkingComplex):
         if not self._lists(mv):
             raise IllegalMoveError(mv, LegalityReport(
                 False, "not a flip of the working state"))
-        A, B = mv.A, mv.B
-        gone = self._star(A)
-        new = {tuple(sorted(A[:i] + A[i + 1:] + B)) for i in range(len(A))}
-        for f in gone:
-            self._tally(f, -1)
-        for f in new:
-            self._tally(f, 1)
+        gone, new = _exchange_surgery(self, mv.A, mv.B, _TRIVIAL)
+        self._replace(gone, new)
         self._retest({s for f in gone | new for s in _nonempty_faces(f)})
-        self._moves = None
 
 
 class _ShellState(_WorkingComplex):
@@ -583,7 +553,7 @@ class _ShellState(_WorkingComplex):
 
     def _read(self, F):
         return _opposite(F, self._rim), _split(F, self._rim, self._through,
-                                                self._incidence)
+                                                self._by_vertex)
 
     def _store(self, F, read):
         self._reads[F] = read
@@ -605,12 +575,12 @@ class _ShellState(_WorkingComplex):
     def remove(self, G):
         """Remove the facet G (the shell surgery) and re-read the splits
         it can change, logging the reads it replaces."""
-        self._tally(G, -1)
+        self._replace((G,), ())
         replaced = [(G, self._reads.pop(G))]
         self._free.pop(G, None)
         gs = set(G)
         if len(G) > 1:
-            near = set().union(*(self._incidence.get(v, ()) for v in G))
+            near = set().union(*(self._by_vertex.get(v, ()) for v in G))
         else:
             near = set(self.facets)  # every point shares the ridge ()
         for F in near:
@@ -623,16 +593,14 @@ class _ShellState(_WorkingComplex):
                 replaced.append((F, read))
                 self._store(F, self._read(F))
         self._log.append(replaced)
-        self._moves = None
 
     def undo(self):
         """Put back the facet of the last ``remove`` and the reads it
         replaced."""
         replaced = self._log.pop()
-        self._tally(replaced[0][0], 1)
+        self._replace((), (replaced[0][0],))
         for F, read in replaced:
             self._store(F, read)
-        self._moves = None
 
 
 # -- transcripts -------------------------------------------------------
@@ -676,14 +644,15 @@ def invert_transcript(t):
 
 
 def apply_transcript(M, t):
-    """Replay every move in order; IllegalAtStepError names the first
-    failing step."""
+    """Replay every move in order on one working copy of M, one check per
+    step; IllegalAtStepError names the first failing step."""
+    S = _WorkingComplex(M)
     for i, move in enumerate(t.moves):
-        try:
-            M = apply_move(M, move)
-        except IllegalMoveError as exc:
-            raise IllegalAtStepError(i, move, exc.report) from None
-    return M
+        report = check_move(S, move)
+        if not report.legal:
+            raise IllegalAtStepError(i, move, report)
+        _apply(S, move, report)
+    return S.complex()
 
 
 def _certify(M, t, end, what):

@@ -23,6 +23,7 @@ from .core import (
     BudgetExhaustedError,
     Complex,
     NotPseudomanifoldError,
+    _TRIVIAL,
     _ridge_degrees,
     fmt_simplex,
     is_simplex_boundary,
@@ -378,9 +379,8 @@ def _cone_flips(sh, v):
 
 
 def _cone_apex(K):
-    n = len(K.facets)
-    return min((v for v, tops in K._incidence().items() if len(tops) == n),
-               default=None)
+    n, by = len(K.facets), K._incidence()._by_vertex
+    return min((v for v in by if len(by[v]) == n), default=None)
 
 
 def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
@@ -479,11 +479,12 @@ class ShellingSequence:
 
 
 def replay_shelling(X, sh):
-    """Replay a ShellingSequence on X, returning the final complex."""
-    M = X
+    """Replay a ShellingSequence on X, returning the final complex; a
+    sphere's initial facet is dropped first, without a maximality filter:
+    the rest are facets already."""
     if sh.initial is not None:
-        M = Complex.from_facets(set(M.facets) - {sh.initial})
-    return apply_transcript(M, Transcript(sh.steps))
+        X = Complex(X.facets - {sh.initial} or _TRIVIAL.facets, _trusted=True)
+    return apply_transcript(X, Transcript(sh.steps))
 
 
 def _shell_ball(S, counter):

@@ -21,6 +21,7 @@ import pachner.moves
 from pachner.core import (
     BudgetExhaustedError,
     Complex,
+    _WorkingComplex,
     full_simplex,
     is_simplex_boundary,
     simplex_boundary,
@@ -249,6 +250,33 @@ def test_flip_replay_on_a_complex_builds_no_face_set(monkeypatch):
     monkeypatch.setattr(Complex, "faces", counting)
     assert apply_transcript(M, t) == apply_move(M, Star((0, 1), 5))
     assert calls == []
+
+
+def test_flip_replay_reads_one_working_copy(monkeypatch):
+    """Replaying the 516 flips of S4 -> sd S4 builds one working copy and
+    reads at most three stars per flip: st(A) and B for the check, st(A)
+    for the surgery."""
+    S4 = simplex_boundary(range(6))
+    t = subdivision_to_bistellar(S4, derived_subdivision_transcript(S4))
+    assert len(t) == 516
+    built, stars = [], []
+    real_init, real_star = _WorkingComplex.__init__, _WorkingComplex._star
+
+    def counting_init(self, M):
+        built.append(type(self))
+        real_init(self, M)
+
+    def counting_star(self, a):
+        stars.append(a)
+        return real_star(self, a)
+
+    monkeypatch.setattr(_WorkingComplex, "__init__", counting_init)
+    monkeypatch.setattr(_WorkingComplex, "_star", counting_star)
+    end = apply_transcript(S4, t)
+    assert built == [_WorkingComplex]
+    assert len(stars) <= 3 * len(t)
+    monkeypatch.undo()
+    assert end.f_vector() == derived_subdivision(S4).f_vector()
 
 
 def test_star_expansion_fault_is_a_runtime_error(sphere2, monkeypatch):

@@ -1,11 +1,14 @@
 """Move legality, surgery exactness, inversion, enumeration, transcripts."""
 
+import random
+
 import pytest
 
 import pachner.moves
 from pachner.core import (
     BudgetExhaustedError,
     Complex,
+    _WorkingComplex,
     full_simplex,
     isomorphic,
     simplex_boundary,
@@ -15,6 +18,7 @@ from pachner.moves import (
     Bistellar,
     Exchange,
     IllegalAtStepError,
+    MOVE_KINDS,
     IllegalMoveError,
     Shell,
     Star,
@@ -22,6 +26,7 @@ from pachner.moves import (
     TranscriptParseError,
     Unshell,
     Weld,
+    _apply,
     _minimal_nonfaces,
     apply_move,
     apply_transcript,
@@ -36,7 +41,7 @@ from pachner.moves import (
     parse_move,
 )
 from conftest import flag_subdivision
-from walk import seeded_walk
+from walk import _candidates, seeded_walk
 
 
 def octahedron():
@@ -287,10 +292,43 @@ def test_nonface_enumeration_cap_is_a_budget_error():
     assert len(_minimal_nonfaces(points, max_vertices=17)) == 136
 
 
+# malformed move data: a repeated label, empty simplexes, no move at all,
+# a label that is no integer, an unsorted simplex
+GARBAGE = (Star((9, 9), 1), Bistellar((), ()), "simplex",
+           Exchange((0, "a"), (9,)), Weld(0, (2, 1)))
+
+
 def test_check_move_never_raises_on_garbage(sphere2):
-    assert not check_move(sphere2, Star((9, 9), 1)).legal
-    assert not check_move(sphere2, Bistellar((), ())).legal
-    assert not check_move(sphere2, "simplex").legal
+    for mv in GARBAGE:
+        assert not check_move(sphere2, mv).legal, mv
+
+
+def test_working_copy_checks_as_its_complex():
+    """A working copy changed in place by each step's surgery answers
+    every check as a complex built afresh from its facets, reason and
+    link factor included: for the step, its inverse, the garbage moves
+    and a few candidates of every family.  The walk's transcript replays
+    to where its one-move applications end."""
+    strip = Complex.from_facets([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+    seen = set()
+    for M, seed in ((standard_sphere(2), 11), (strip, 12)):
+        S = _WorkingComplex(M)
+        rng = random.Random(seed)
+        moves = []
+        for mv, nxt in seeded_walk(M, 20, seed, cap=9):
+            K = S.complex()
+            probes = [mv, invert(mv), *GARBAGE]
+            for kind in MOVE_KINDS:
+                probes += _candidates(K, kind, rng)[:3]
+            for probe in probes:
+                assert check_move(S, probe) == check_move(K, probe), probe
+            _apply(S, mv, check_move(S, mv))
+            assert S.complex() == nxt
+            moves.append(mv)
+        assert len(moves) == 20
+        assert apply_transcript(M, Transcript(tuple(moves))) == nxt
+        seen.update(type(mv) for mv in moves)
+    assert seen == {Star, Weld, Bistellar, Exchange, Shell, Unshell}
 
 
 def test_exchange_surgery_matches_face_set_oracle(sphere2):

@@ -421,6 +421,25 @@ def test_find_shelling_sphere_mode(sphere2):
     assert final.facets == frozenset({sh.terminal})
 
 
+def test_sphere_mode_replay_filters_no_facets(monkeypatch):
+    """Dropping a sphere's initial facet leaves facets: the replay of a
+    shelling of sd S3 builds no complex through the maximality filter."""
+    from pachner.moves import derived_subdivision
+    sd = derived_subdivision(standard_sphere(3))
+    sh = find_shelling(sd)
+    assert sh.initial is not None
+    built = []
+    real = Complex.from_facets
+
+    def counting(facets):
+        built.append(facets)
+        return real(facets)
+
+    monkeypatch.setattr(Complex, "from_facets", staticmethod(counting))
+    assert replay_shelling(sd, sh).facets == frozenset({sh.terminal})
+    assert built == []
+
+
 def test_find_shelling_fixture_balls():
     for name, X in shellable_ball_fixtures():
         sh = find_shelling(X)
