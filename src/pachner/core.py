@@ -95,7 +95,8 @@ class Complex:
     Construct via `from_facets`; the raw constructor trusts its input to
     be normalised (sorted tuples, mutually incomparable, nonempty set).
     Membership, links and stars read the working copy `_incidence()`,
-    built on first use; only `faces()` builds the face closure.
+    built on first use unless the move that made the complex handed its
+    own copy over; only `faces()` builds the face closure.
     """
 
     __slots__ = ("_facets", "_working", "_faces", "_by_dim", "_vertices",
@@ -115,19 +116,28 @@ class Complex:
     def from_facets(facets):
         """Build a complex from an iterable of vertex collections.
 
-        Non-maximal entries are dropped.  No entries at all gives {-},
-        the complex whose only simplex is the empty one.
+        Non-maximal entries are dropped, with no comparison of pairs.
+        Entries of one length are all kept.  Otherwise, taken longest
+        first, an entry is dropped when the kept facets on each of its
+        vertices have a common member.  () is dropped whenever another
+        entry is given; no entries at all, or () alone, gives {-}, the
+        complex whose only simplex is the empty one.
         """
         normalised = {simplex(f) for f in facets}
+        normalised.discard(EMPTY)  # in place: ties keep their order
         if not normalised:
             return Complex(frozenset({EMPTY}), _trusted=True)
-        keep = []
-        as_sets = []
-        for f in sorted(normalised, key=len, reverse=True):
-            fs = set(f)
-            if not any(fs <= other for other in as_sets):
-                keep.append(f)
-                as_sets.append(fs)
+        order = sorted(normalised, key=len, reverse=True)
+        if len(order[0]) == len(order[-1]):
+            return Complex(frozenset(order), _trusted=True)
+        keep, on = [], {}        # on: vertex -> the kept facets on it
+        for f in order:
+            if all(v in on for v in f) and set.intersection(
+                    *[on[v] for v in f]):
+                continue
+            keep.append(f)
+            for v in f:
+                on.setdefault(v, set()).add(f)
         return Complex(frozenset(keep), _trusted=True)
 
     # -- basic queries ------------------------------------------------
@@ -173,7 +183,7 @@ class Complex:
 
     def _incidence(self):
         """The working copy that membership, links and stars read, built
-        on first use; nothing changes it."""
+        on first use or handed over by a move; nothing changes it."""
         if self._working is None:
             self._working = _WorkingComplex(self)
         return self._working
@@ -293,11 +303,12 @@ class _WorkingComplex:
 
     It is private.  A Complex reads its membership, links and stars from
     one, which nothing changes; a move replay changes its own copy in
-    place by ``_replace``.  Subclasses in ``moves`` extend ``_tally``
-    with their own counts and list the legal moves of their one family,
-    ``kind``, in ``moves()``, cached in ``_moves`` until the next change.
-    Like a Complex it has ``facets`` and ``vertices()``, which is all
-    ``is_simplex_boundary`` reads.
+    place by ``_replace``, then hands it to the complex it returns.
+    Subclasses in ``moves`` extend ``_tally`` with their own counts and
+    list the legal moves of their one family, ``kind``, in ``moves()``,
+    cached in ``_moves`` until the next change.  Like a Complex it has
+    ``facets`` and ``vertices()``, which is all ``is_simplex_boundary``
+    reads.
     """
 
     kind = ""

@@ -28,12 +28,15 @@ per family: it returns the facets the move removes and inserts, which
 returns a LegalityReport, also for malformed move data, and reads a
 complex through its working copy.  ``apply_move`` checks first and
 raises IllegalMoveError (carrying the report) on failure, then applies
-the surgery to a fresh working copy; ``apply_transcript`` replays on one
-working copy, one check per step.  Complexes stay immutable to callers;
-the working copies are private.  Two of them also serve searches, which
-re-test only where a move changed them: ``_FlipState`` for walks over
-bistellar moves, and ``_ShellState`` for the shelling search, which
-removes a facet, re-reads only the splits next to it and undoes a
+the surgery to a fresh working copy, which becomes the result's
+incidence; ``apply_transcript`` replays on one working copy, one check
+per step.  Complexes stay immutable to callers; the working copies are
+private.  Two of them also serve searches, which re-test only where a
+move changed them: ``_FlipState`` for walks over bistellar moves, which
+decides each link by counting facets (lk(A) = dB exactly when A lies in
+len(B) facets of len(A) + len(B) - 1 vertices, whose vertices outside A
+are B's, or A is a facet), and ``_ShellState`` for the shelling search,
+which removes a facet, re-reads only the splits next to it and undoes a
 removal from its log.  ``enumerate_moves(S, kind)`` accepts either for
 its own family and returns its kept move list; ``apply_move(S, move)``
 also accepts a ``_FlipState``, checks the move by lookups and flips S
@@ -311,12 +314,21 @@ def _apply(S, move, report):
     return S._replace(*surgery(S, *pair(move), report.link_factor))
 
 
+def _handed_over(S):
+    """The complex of the working copy S, which keeps S as its incidence:
+    S must be fresh, held by nothing else and changed no more."""
+    K = S.complex()
+    K._working = S
+    return K
+
+
 def apply_move(M, move):
     """Apply a legal move; raises IllegalMoveError otherwise.
 
-    The result is a new complex.  On a ``_FlipState`` the move must be
-    one its ``moves()`` lists; the state is flipped in place and
-    returned.
+    The result is a new complex, which keeps the fresh working copy
+    the move was applied to as its incidence.  On a ``_FlipState`` the
+    move must be one its ``moves()`` lists; the state is flipped in
+    place and returned.
     """
     if isinstance(M, _FlipState):
         M.apply(move)
@@ -324,7 +336,7 @@ def apply_move(M, move):
     report = check_move(M, move)
     if not report.legal:
         raise IllegalMoveError(move, report)
-    return _apply(_WorkingComplex(M), move, report).complex()
+    return _handed_over(_apply(_WorkingComplex(M), move, report))
 
 
 def invert(move):
@@ -426,11 +438,16 @@ class _FlipState(_WorkingComplex):
     Besides the facets and their incidence it keeps the number of facets
     containing each nonempty face, per-size face counts, and for every
     face A whose link is a simplex boundary the link's vertices (() when
-    A is a facet).  Flip A -> B is then legal exactly when B is absent,
-    as in ``enumerate_moves(M, "bistellar")``, whose list ``moves()``
-    reproduces.  ``apply`` does the exchange surgery and re-tests only
-    the faces of the facets it removes and inserts: no other link
-    changes.  Walks drive it through ``enumerate_moves`` and
+    A is a facet).  The link is decided by counting, with no link built:
+    lk(A) is the boundary of a simplex on n vertices exactly when A lies
+    in n facets, each with len(A) + n - 1 vertices, whose vertices
+    outside A number n; or when A is a facet, with link {-}.  As a
+    facet has at most dim + 1 vertices, a face with n + len(A) above
+    dim + 2 is skipped at once.  Flip A -> B is then legal exactly when
+    B is absent, as in ``enumerate_moves(M, "bistellar")``, whose list
+    ``moves()`` reproduces.  ``apply`` does the exchange surgery and
+    re-tests only the faces of the facets it removes and inserts: no
+    other link changes.  Walks drive it through ``enumerate_moves`` and
     ``apply_move``.
     """
 
@@ -457,15 +474,18 @@ class _FlipState(_WorkingComplex):
                 sizes[len(s)] += step
 
     def _retest(self, faces):
-        links = self._links
+        links, count, top = self._links, self._count, len(self._sizes)
         for A in faces:
-            # lk(A) when A is still a face
-            lk = A in self._count and _link(
-                set.intersection(*[self._by_vertex[v] for v in A]), A)
-            if lk and is_simplex_boundary(lk):
-                links[A] = lk.vertices()
-            else:
-                links.pop(A, None)
+            n = count.get(A, top)  # an absent face is skipped
+            if n + len(A) <= top:
+                star = set.intersection(*[self._by_vertex[v] for v in A])
+                rest = set().union(*star).difference(A)
+                # no vertex left: A is a facet, with link {-}
+                if len(rest) in (0, n) and all(
+                        len(F) == len(A) + n - 1 for F in star):
+                    links[A] = tuple(sorted(rest))
+                    continue
+            links.pop(A, None)
 
     def objective(self):
         """The f-vector read from the top dimension down, so fewer
@@ -652,7 +672,7 @@ def apply_transcript(M, t):
         if not report.legal:
             raise IllegalAtStepError(i, move, report)
         _apply(S, move, report)
-    return S.complex()
+    return _handed_over(S)
 
 
 def _certify(M, t, end, what):

@@ -1,6 +1,7 @@
 """Core complex operations against hand-enumerated expected values."""
 
 import itertools
+import random
 
 import pytest
 
@@ -68,6 +69,54 @@ def test_fvectors_of_standard_spheres():
 def test_from_facets_drops_dominated_entries():
     K = Complex.from_facets([(0, 1), (0, 1, 2), (2,)])
     assert K.facets == frozenset({(0, 1, 2)})
+
+
+def _pairwise_maximal(entries):
+    """The all-pairs rule: an entry is kept unless a longer kept entry
+    contains it."""
+    normalised = {simplex(e) for e in entries}
+    if not normalised:
+        return frozenset({()})
+    keep, as_sets = [], []
+    for f in sorted(normalised, key=len, reverse=True):
+        fs = set(f)
+        if not any(fs <= other for other in as_sets):
+            keep.append(f)
+            as_sets.append(fs)
+    return frozenset(keep)
+
+
+def test_from_facets_keeps_exactly_the_pairwise_maximal_entries():
+    """Seeded families with duplicates, unsorted entries, (), nested
+    chains and equal-length sets, plus the empty family; a malformed
+    label still raises."""
+    rng = random.Random(13)
+    families = [[], [()], [(), ()], [(), (3,)]]
+    for _ in range(400):
+        labels = rng.sample(range(12), rng.randint(1, 8))
+        family = []
+        for _ in range(rng.randrange(10)):
+            kind = rng.randrange(5)
+            if kind == 0:
+                family.append(())
+            elif kind == 1 and family:    # a duplicate, reordered
+                family.append(sorted(rng.choice(family), reverse=True))
+            elif kind == 2:               # a nested chain
+                chain = rng.sample(labels, rng.randint(1, len(labels)))
+                family.extend(chain[:k] for k in range(1, len(chain) + 1))
+            elif kind == 3:               # equal-length sets
+                k = rng.randint(1, len(labels))
+                family.extend(set(rng.sample(labels, k)) for _ in range(3))
+            else:                         # unsorted
+                family.append(rng.sample(labels, rng.randint(0, len(labels))))
+        rng.shuffle(family)
+        families.append(family)
+    for family in families:
+        assert Complex.from_facets(family).facets == _pairwise_maximal(
+            family), family
+    for bad in ([-1, 2], [3, 3], ["a"], [True, 2], [1.5]):
+        with pytest.raises(MalformedSimplexError):
+            Complex.from_facets([(0, 1, 2), bad, (4,)])
 
 
 def test_link_of_vertex_and_edge_on_sphere(sphere2):

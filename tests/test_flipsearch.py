@@ -35,7 +35,7 @@ from pachner.moves import (
     apply_move,
 )
 
-from conftest import csaszar_torus
+from conftest import csaszar_torus, pinched_complex
 
 
 def test_splitmix64_reference_sequence():
@@ -185,6 +185,47 @@ def test_flip_state_matches_enumeration_along_seeded_walks(name):
         assert apply_move(state, mv) is state
         cur = apply_move(cur, mv)
     assert state.complex() == cur
+
+
+def _simplex_boundary_links(K):
+    """Every nonempty face of K whose link, built by closure, is a
+    simplex boundary, with the link's vertices."""
+    links = {}
+    for A in K.faces():
+        if A and is_simplex_boundary(K.link(A)):
+            links[A] = K.link(A).vertices()
+    return links
+
+
+COUNT_RULE_FIXTURES = {
+    "boundary of the 3-simplex": lambda: standard_sphere(2),
+    "Csaszar torus": csaszar_torus,
+    "three triangles on one edge": lambda: Complex.from_facets(
+        [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+    # vertex 0 lies in n = 4 facets whose link has 4 vertices, but the
+    # facets have 3 and 2 vertices, not 1 + n - 1
+    "impure: a face in facets of two sizes": lambda: Complex.from_facets(
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4), (5, 6, 7, 8, 9)]),
+    "single simplex": lambda: full_simplex(range(4)),
+    "pinched": pinched_complex,
+    "disjoint union": lambda: Complex.from_facets(
+        [*standard_sphere(1).facets, *standard_sphere(2, offset=3).facets,
+         (7, 8, 9, 10)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_RULE_FIXTURES))
+def test_flip_state_counts_agree_with_closure_links(name):
+    """The links the working state decides by counting facets are those
+    whose closure is a simplex boundary: at construction and after each
+    of 20 seeded flips."""
+    state = _FlipState(COUNT_RULE_FIXTURES[name]())
+    rng = SplitMix64(len(name))
+    assert state._links == _simplex_boundary_links(state.complex())
+    for _ in range(20):
+        moves = state.moves()
+        apply_move(state, moves[rng.randrange(len(moves))])
+        assert state._links == _simplex_boundary_links(state.complex())
 
 
 def test_flip_state_rejects_a_flip_it_does_not_list():

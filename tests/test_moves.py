@@ -413,6 +413,27 @@ def test_apply_transcript_checks_each_step_once(sphere2, monkeypatch):
     assert checked == list(t.moves)
 
 
+def test_a_walk_builds_one_working_copy_per_move(sphere2, monkeypatch):
+    """apply_move hands the working copy it applied the move to over to
+    its result, so the next step checks on that copy instead of
+    building a second one; apply_transcript hands its copy over too."""
+    built = []
+    real = _WorkingComplex.__init__
+
+    def counting(self, M):
+        built.append(M)
+        real(self, M)
+
+    monkeypatch.setattr(_WorkingComplex, "__init__", counting)
+    steps = list(seeded_walk(sphere2, 30, 5))
+    assert len(steps) == 30
+    assert len(built) <= 31
+    for K in (steps[-1][1], apply_transcript(
+            sphere2, Transcript(tuple(mv for mv, _ in steps)))):
+        assert K._incidence().facets == K.facets
+    assert len(built) <= 32
+
+
 def test_apply_transcript_reports_failing_index(sphere2):
     t = loads_transcript("STAR [0 1 2] 4\nSTAR [0 1 2] 5\n")
     with pytest.raises(IllegalAtStepError) as err:
