@@ -4,9 +4,11 @@ Three layers:
 
 * integral simplicial homology, computed over the integers by Smith
   normal form (smallest-pivot elimination, arbitrary precision);
-* ball/sphere verdicts: exact classification in dimension <= 2, and a
-  homology screen followed by a shelling search in dimension >= 3 --
-  with Unknown as a first-class outcome when no shelling is found;
+* ball/sphere verdicts: exact classification in dimension <= 2, read
+  from one pass over the facets (vertex graph, edge degrees, each
+  vertex link as a graph, and chi from the counts), and a homology
+  screen followed by a shelling search in dimension >= 3 -- with
+  Unknown as a first-class outcome when no shelling is found;
 * backtracking search for shelling sequences.
 
 Sphere evidence is a shelling turned into flips (Lickorish's
@@ -200,30 +202,44 @@ def _ball_profile(n):
 # -- connectivity helpers -------------------------------------------------
 
 
-def _connected(adj):
-    """Whether the graph given by adjacency sets (nonempty) is connected."""
-    start = next(iter(adj))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adj)
+def _components(adj):
+    """Number of connected components of the graph given by its
+    adjacency: vertex -> iterable of neighbours."""
+    seen = set()
+    count = 0
+    for start in adj:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def _adjacency(edges):
+    """The graph of distinct edges (u, v): vertex -> list of neighbours,
+    whose length is the vertex's degree."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
 
 
 def _vertex_connected(K):
-    """Connectivity of the vertex graph (complexes of dimension >= 1);
-    each facet's consecutive vertices stand in for all its edges."""
-    if len(K.vertices()) <= 1:
-        return True
+    """Connectivity of the vertex graph; each facet's consecutive
+    vertices stand in for all its edges."""
     adj = {v: set() for v in K.vertices()}
     for F in K.facets:
         for u, v in zip(F, F[1:]):
             adj[u].add(v)
             adj[v].add(u)
-    return _connected(adj)
+    return _components(adj) <= 1
 
 
 def _facet_graph_connected(K):
@@ -236,7 +252,7 @@ def _facet_graph_connected(K):
         for a, b in itertools.combinations(group, 2):
             adj[a].add(b)
             adj[b].add(a)
-    return _connected(adj)
+    return _components(adj) == 1
 
 
 def _ridges_paired(K):
@@ -278,68 +294,73 @@ class Verdict:
         return f"{self.value}: {self.reason}" if self.reason else self.value
 
 
-def _graph_shape(G):
-    """Classify a pure 1-complex: 'cycle', 'path', or None.
+def _classify_dim_le_2(K):
+    """The exact Verdict of K, of dimension <= 2, without evidence.
 
-    A single point counts as a degenerate path (it is the link shape of
-    a boundary vertex only in dimension 1, where links are 0-spheres or
-    points, handled separately)."""
-    if G.dim != 1 or not G.is_pure():
-        return None
-    deg = _ridge_degrees(G)   # the ridges of a graph are its vertices
-    if not _vertex_connected(G):
-        return None
-    if all(d == 2 for d in deg.values()):
-        return "cycle"
-    ones = sum(1 for d in deg.values() if d == 1)
-    if ones == 2 and all(d <= 2 for d in deg.values()):
-        return "path"
-    return None
-
-
-def _recognize_dim_le_2(K, budget):
+    One pass over the facets gives the vertex graph and, for a surface,
+    the edge degrees and every vertex link as a graph (triangle abc adds
+    the edge bc to lk(a)); no link complex is built.  A graph is decided
+    by its component count and vertex degrees.
+    """
     n = K.dim
     if n == -1:
-        return Verdict(SPHERE, Transcript(), "boundary of a point")
+        return Verdict(SPHERE, reason="boundary of a point")
     if not K.is_pure():
         return Verdict(OTHER, reason="not pure")
     if n == 0:
-        k = len(K.vertices())
+        k = len(K.facets)
         if k == 1:
-            return Verdict(BALL, Transcript(), "a single point")
+            return Verdict(BALL, reason="a single point")
         if k == 2:
-            return Verdict(SPHERE, Transcript(), "two points")
+            return Verdict(SPHERE, reason="two points")
         return Verdict(OTHER, reason=f"{k} isolated points")
-    if not _vertex_connected(K):
+    # edge -> the number of facets on it: the ridges of a surface, and
+    # the facets of a graph
+    degree = _ridge_degrees(K) if n == 2 else dict.fromkeys(K.facets, 1)
+    adj = _adjacency(degree)
+    if _components(adj) > 1:
         return Verdict(OTHER, reason="not connected")
     if n == 1:
-        shape = _graph_shape(K)
-        if shape == "cycle":
-            return Verdict(SPHERE, _exact_evidence(K, budget), "a circle")
-        if shape == "path":
-            return Verdict(BALL, _exact_evidence(K, budget), "an arc")
-        return Verdict(OTHER, reason="graph is neither a circle nor an arc")
+        # a connected graph of degree <= 2 is a circle or an arc
+        if any(len(nb) > 2 for nb in adj.values()):
+            return Verdict(OTHER, reason="graph is neither a circle nor an arc")
+        if all(len(nb) == 2 for nb in adj.values()):
+            return Verdict(SPHERE, reason="a circle")
+        return Verdict(BALL, reason="an arc")
     # n == 2: exact surface classification
-    try:
-        rim = K.boundary()
-    except NotPseudomanifoldError:
+    if any(d > 2 for d in degree.values()):
         return Verdict(OTHER, reason="an edge lies in more than two triangles")
-    for v in K.vertices():
-        shape = _graph_shape(K.link((v,)))
-        if shape is None:
+    links = {v: [] for v in adj}
+    for F in K.facets:
+        for i, v in enumerate(F):
+            links[v].append(F[:i] + F[i + 1:])
+    # a link vertex w of lk(v) has the degree of the edge vw, 1 or 2, so
+    # lk(v) is a circle or an arc exactly when it is connected
+    for v in sorted(links):
+        if _components(_adjacency(links[v])) > 1:
             return Verdict(
                 OTHER, reason=f"the link of vertex {v} is neither a "
                 "circle nor an arc")
-    chi = K.f_vector().euler
-    if rim.dim < 0:
+    chi = len(adj) - len(degree) + len(K.facets)
+    rim = _adjacency(e for e, d in degree.items() if d == 1)
+    if not rim:
         if chi == 2:
-            return Verdict(SPHERE, _exact_evidence(K, budget),
-                           "closed surface with chi = 2")
+            return Verdict(SPHERE, reason="closed surface with chi = 2")
         return Verdict(OTHER, reason=f"closed surface with chi = {chi}")
-    if chi == 1 and _graph_shape(rim) == "cycle":
-        return Verdict(BALL, _exact_evidence(K, budget),
-                       "surface with chi = 1 and one boundary circle")
+    # a disk has chi = 1 and a connected rim; every rim vertex has an arc
+    # as its link, whose two ends are its two rim edges, so the rim is a
+    # union of circles, and one circle exactly when it is connected
+    if chi == 1 and _components(rim) == 1:
+        return Verdict(BALL, reason="surface with chi = 1 and one boundary circle")
     return Verdict(OTHER, reason="bounded surface that is not a disk")
+
+
+def _link_verdict(L, budget):
+    """The verdict of a link, without the evidence no caller reads in
+    dimension <= 2, where it never decides the value."""
+    if L.dim <= 2:
+        return _classify_dim_le_2(L)
+    return recognize_ball_or_sphere(L, budget)
 
 
 def _evidence(K, budget):
@@ -386,17 +407,24 @@ def _cone_apex(K):
 def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
     """Verdict on whether K is a combinatorial ball or sphere.
 
-    Dimension <= 2 is decided exactly (components, Euler characteristic,
-    link shapes, boundary count); dimension >= 3 by a homology screen and
-    a shelling search of `budget` nodes, Unknown when it finds none; the
-    reason then says whether the search proved that no shelling exists
-    or ran out of budget.  The evidence is a ball's shelling or a
-    sphere's flips to a simplex boundary, or None when no certificate
-    was found.
+    Dimension <= 2 is decided exactly from one pass over the facets:
+    the component count of the vertex graph, the edge degrees, the
+    component count of each vertex link taken as a graph, chi =
+    #vertices - #edges + #triangles and the rim of degree-1 edges; no
+    link complex is built, and `budget` only bounds the search for the
+    evidence of a yes-verdict.  Dimension >= 3 is decided by a
+    homology screen and a shelling search of `budget` nodes, Unknown
+    when it finds none; the reason then says whether the search proved
+    that no shelling exists or ran out of budget.  The evidence is a
+    ball's shelling or a sphere's flips to a simplex boundary, or None
+    when no certificate was found.
     """
     n = K.dim
     if n <= 2:
-        return _recognize_dim_le_2(K, budget)
+        v = _classify_dim_le_2(K)
+        if v.value in (SPHERE, BALL):
+            return Verdict(v.value, _exact_evidence(K, budget), v.reason)
+        return v
     if not K.is_pure():
         return Verdict(OTHER, reason="not pure")
     if is_simplex_boundary(K):
@@ -422,7 +450,7 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
         return Verdict(shape, t, "shellable")
     apex = None if closed else _cone_apex(K)
     if apex is not None:
-        sub = recognize_ball_or_sphere(K.link((apex,)), budget)
+        sub = _link_verdict(K.link((apex,)), budget)
         if sub.value in (SPHERE, BALL):
             return Verdict(
                 BALL, reason=f"cone with apex {apex} over a "
@@ -446,7 +474,7 @@ def verify_combinatorial_manifold(M, budget=DEFAULT_BUDGET,
         probes = [(v,) for v in M.vertices()]
     unknown = None
     for A in probes:
-        sub = recognize_ball_or_sphere(M.link(A), budget)
+        sub = _link_verdict(M.link(A), budget)
         if sub.value in (SPHERE, BALL):
             continue
         if sub.value == UNKNOWN:

@@ -21,7 +21,12 @@ from pachner.core import (
     simplex_boundary,
     standard_sphere,
 )
-from pachner.moves import Transcript, apply_move, apply_transcript
+from pachner.moves import (
+    Transcript,
+    apply_move,
+    apply_transcript,
+    dumps_transcript,
+)
 from pachner.recognize import (
     BALL,
     HomologyProfile,
@@ -241,15 +246,20 @@ def test_recognize_surfaces(sphere2, torus7):
     assert recognize_ball_or_sphere(impure).value == OTHER
 
 
-def test_recognize_rejects_pinched_euler_2_complex(sphere2):
+def _pinched_tetrahedron_and_octahedron():
+    octa = simplex_boundary([0, 1]).join(
+        simplex_boundary([4, 5])).join(simplex_boundary([6, 7]))
+    return Complex.from_facets(
+        set(standard_sphere(2).facets) | set(octa.facets))
+
+
+def test_recognize_rejects_pinched_euler_2_complex():
     """Vertex-connected, every edge in two triangles, chi = 2, yet not
     a sphere: a tetrahedron boundary and an octahedron sharing exactly
     two non-adjacent vertices.  Vertex links must be inspected, not
     just chi.  (The two parts share no edge, so the facet-adjacency
     graph is disconnected and the pseudomanifold test already fails.)"""
-    octa = simplex_boundary([0, 1]).join(
-        simplex_boundary([4, 5])).join(simplex_boundary([6, 7]))
-    pinched = Complex.from_facets(set(sphere2.facets) | set(octa.facets))
+    pinched = _pinched_tetrahedron_and_octahedron()
     assert pinched.f_vector().euler == 2
     edge_deg = {}
     for F in pinched.facets:
@@ -261,6 +271,153 @@ def test_recognize_rejects_pinched_euler_2_complex(sphere2):
     verdict = recognize_ball_or_sphere(pinched)
     assert verdict.value == OTHER
     assert "link of vertex" in verdict.reason
+
+
+def _moebius_strip():
+    return Complex.from_facets(
+        [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)])
+
+
+DIM_LE_2_BRANCHES = [
+    ("{-}", lambda: Complex.from_facets([]), SPHERE, "boundary of a point"),
+    ("point", lambda: full_simplex([7]), BALL, "a single point"),
+    ("two points", lambda: Complex.from_facets([(0,), (3,)]), SPHERE,
+     "two points"),
+    ("three points", lambda: Complex.from_facets([(0,), (1,), (2,)]), OTHER,
+     "3 isolated points"),
+    ("dangling edge", lambda: Complex.from_facets([(0, 1, 2), (2, 3)]),
+     OTHER, "not pure"),
+    ("two triangles", lambda: Complex.from_facets([(0, 1, 2), (3, 4, 5)]),
+     OTHER, "not connected"),
+    ("cycle", lambda: Complex.from_facets([(i, (i + 1) % 5)
+                                           for i in range(5)]),
+     SPHERE, "a circle"),
+    ("path", lambda: Complex.from_facets([(0, 1), (1, 2), (2, 3)]), BALL,
+     "an arc"),
+    ("lollipop", lambda: Complex.from_facets([(0, 1), (1, 2), (0, 2), (0, 3)]),
+     OTHER, "graph is neither a circle nor an arc"),
+    ("three triangles on an edge",
+     lambda: Complex.from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+     OTHER, "an edge lies in more than two triangles"),
+    ("bowtie", lambda: Complex.from_facets([(0, 1, 2), (0, 3, 4)]), OTHER,
+     "the link of vertex 0 is neither a circle nor an arc"),
+    ("tetrahedron and octahedron pinched", _pinched_tetrahedron_and_octahedron,
+     OTHER, "the link of vertex 0 is neither a circle nor an arc"),
+    ("torus7", csaszar_torus, OTHER, "closed surface with chi = 0"),
+    ("RP2", rp2_six_vertices, OTHER, "closed surface with chi = 1"),
+    ("tetrahedron boundary", lambda: standard_sphere(2), SPHERE,
+     "closed surface with chi = 2"),
+    ("disk", lambda: Complex.from_facets(
+        [(0, 1, 6), (1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6), (0, 5, 6)]),
+     BALL, "surface with chi = 1 and one boundary circle"),
+    ("annulus", lambda: Complex.from_facets(
+        [(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5)]),
+     OTHER, "bounded surface that is not a disk"),
+    ("Moebius strip", _moebius_strip, OTHER,
+     "bounded surface that is not a disk"),
+]
+
+
+@pytest.mark.parametrize("build,value,reason",
+                         [case[1:] for case in DIM_LE_2_BRANCHES],
+                         ids=[case[0] for case in DIM_LE_2_BRANCHES])
+def test_recognize_dim_le_2_pins_value_and_reason(build, value, reason):
+    v = recognize_ball_or_sphere(build())
+    assert (v.value, v.reason) == (value, reason)
+    if value == OTHER:
+        assert v.evidence is None
+
+
+def _reference_shape(G):
+    """'cycle', 'path' or None for a complex by the rules of a graph:
+    pure of dimension 1, connected, and every vertex in two edges (a
+    circle) or in at most two with exactly two in one (an arc)."""
+    if G.dim != 1 or not G.is_pure():
+        return None
+    if not _reference_connected(G.vertices(), G.facets):
+        return None
+    deg = {v: 0 for v in G.vertices()}
+    for e in G.facets:
+        for v in e:
+            deg[v] += 1
+    if all(d == 2 for d in deg.values()):
+        return "cycle"
+    ones = sum(1 for d in deg.values() if d == 1)
+    if ones == 2 and all(d <= 2 for d in deg.values()):
+        return "path"
+    return None
+
+
+def _reference_connected(verts, edges):
+    reach = {v: {v} for v in verts}
+    for u, v in edges:
+        if reach[u] is not reach[v]:
+            merged = reach[u] | reach[v]
+            for w in merged:
+                reach[w] = merged
+    return len({id(r) for r in reach.values()}) <= 1
+
+
+def _reference_dim_le_2(K):
+    """(value, reason) of a complex of dimension <= 2, link by link: each
+    vertex link is built by ``Complex.link`` and given its own shape
+    check; chi comes from the f-vector and the rim from the boundary."""
+    n = K.dim
+    if n == -1:
+        return SPHERE, "boundary of a point"
+    if not K.is_pure():
+        return OTHER, "not pure"
+    if n == 0:
+        k = len(K.vertices())
+        return {1: (BALL, "a single point"), 2: (SPHERE, "two points")}.get(
+            k, (OTHER, f"{k} isolated points"))
+    if not _reference_connected(K.vertices(), K.faces_of_dim(1)):
+        return OTHER, "not connected"
+    if n == 1:
+        return {"cycle": (SPHERE, "a circle"), "path": (BALL, "an arc")}.get(
+            _reference_shape(K), (OTHER, "graph is neither a circle nor an arc"))
+    if any(len(K.link(e).facets) > 2 for e in K.faces_of_dim(1)):
+        return OTHER, "an edge lies in more than two triangles"
+    for v in K.vertices():
+        if _reference_shape(K.link((v,))) is None:
+            return OTHER, (f"the link of vertex {v} is neither a circle nor "
+                           "an arc")
+    chi = K.f_vector().euler
+    rim = K.boundary()
+    if rim.dim < 0:
+        if chi == 2:
+            return SPHERE, "closed surface with chi = 2"
+        return OTHER, f"closed surface with chi = {chi}"
+    if chi == 1 and _reference_shape(rim) == "cycle":
+        return BALL, "surface with chi = 1 and one boundary circle"
+    return OTHER, "bounded surface that is not a disk"
+
+
+def _evidence_text(ev):
+    return dumps_transcript(ev) if isinstance(ev, Transcript) else repr(ev)
+
+
+def test_recognize_dim_le_2_matches_link_by_link_reference():
+    """Every pure 2-complex and every graph on five vertices, as given
+    and under a seeded relabelling into range(2n): value, reason and
+    evidence equal those of the link-by-link reference, whose yes-verdicts
+    carry the evidence of an exactly decided verdict."""
+    from pachner.recognize import DEFAULT_BUDGET, _exact_evidence
+    rng = random.Random(1414)
+    for k in (2, 3):
+        cells = list(itertools.combinations(range(5), k))
+        for mask in range(1 << len(cells)):
+            K = Complex.from_facets(
+                [c for i, c in enumerate(cells) if mask >> i & 1])
+            vs = K.vertices()
+            image = rng.sample(range(2 * len(vs)), len(vs))
+            for M in (K, K.relabel(dict(zip(vs, image)))):
+                value, reason = _reference_dim_le_2(M)
+                ev = (_exact_evidence(M, DEFAULT_BUDGET)
+                      if value in (SPHERE, BALL) else None)
+                v = recognize_ball_or_sphere(M)
+                assert (v.value, v.reason, _evidence_text(v.evidence)) == (
+                    value, reason, _evidence_text(ev)), M
 
 
 def test_recognize_low_dim_sphere_evidence_reduces(sphere2):
@@ -403,6 +560,28 @@ def test_verify_manifold_audits_all_links(sphere3, torus7):
             if A:
                 sub = recognize_ball_or_sphere(M.link(A))
                 assert sub.value in (SPHERE, BALL)
+
+
+def test_verify_manifold_reads_no_link_evidence(sphere3, torus7,
+                                               monkeypatch):
+    """Links of dimension <= 2 are classified without evidence, so
+    checking every vertex link of sd S3 or the torus runs no shelling
+    search, and the verdicts stay as they were."""
+    import pachner.recognize
+    from pachner.moves import derived_subdivision
+    calls = []
+    search = pachner.recognize.find_shelling
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(pachner.recognize, "find_shelling", counted)
+    for M in (derived_subdivision(sphere3), torus7):
+        v = verify_combinatorial_manifold(M)
+        assert (v.value, v.evidence, v.reason) == (
+            MANIFOLD, None, "every vertex link is a ball or sphere")
+    assert calls == []
 
 
 # -- shelling search -----------------------------------------------------
