@@ -24,6 +24,7 @@ and single-threaded: identical inputs and flags give identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -323,6 +324,7 @@ def _cmd_iso(args):
 # -- parser ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="pachner",
                      description="move calculus on simplicial complexes")
@@ -457,6 +459,9 @@ def _build_parser():
 
 
 def main(argv=None):
+    # One parser serves every call in a process: building it costs more
+    # than many commands.  parse_args fills a fresh Namespace each time,
+    # and each _cmd_* looks up the library names when it runs.
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

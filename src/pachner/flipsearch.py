@@ -6,11 +6,12 @@ randomness comes from a SplitMix64 generator owned by this module, so a
 (seed, schedule) pair fully determines the outcome on every platform.
 
 The walk runs on one mutable working state (``moves._FlipState``), not
-on a new Complex per step.  On it ``enumerate_moves`` returns the kept
-list of legal flips, the same sorted list as on its complex, and
-``apply_move`` checks a flip by lookups and flips the state in place,
-re-testing only the links in the star it changed.  An immutable Complex
-is built only for a new best and at the end.
+on a new Complex per step.  On it ``enumerate_moves`` returns the legal
+flips, the same sorted list as on its complex, read in one pass from
+faces the state keeps in order, and ``apply_move`` checks a flip by
+lookups and flips the state in place, re-testing only the links in the
+star it changed; a flip re-sorts nothing.  An immutable Complex is
+built only for a new best and at the end.
 
 A successful reduction to a simplex boundary certifies the input as a
 combinatorial sphere; two reductions meeting in isomorphic endpoints

@@ -35,17 +35,18 @@ private.  Two of them also serve searches, which re-test only where a
 move changed them: ``_FlipState`` for walks over bistellar moves, which
 decides each link by counting facets (lk(A) = dB exactly when A lies in
 len(B) facets of len(A) + len(B) - 1 vertices, whose vertices outside A
-are B's, or A is a facet), and ``_ShellState`` for the shelling search,
-which removes a facet, re-reads only the splits next to it and undoes a
-removal from its log.  ``enumerate_moves(S, kind)`` accepts either for
-its own family and returns its kept move list; ``apply_move(S, move)``
-also accepts a ``_FlipState``, checks the move by lookups and flips S
-in place.
+are B's, or A is a facet) and keeps those faces in sorted order, and
+``_ShellState`` for the shelling search, which removes a facet,
+re-reads only the splits next to it and undoes a removal from its log.
+``enumerate_moves(S, kind)`` accepts either for its own family and
+returns its kept move list; ``apply_move(S, move)`` also accepts a
+``_FlipState``, checks the move by lookups and flips S in place.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -160,6 +161,8 @@ def _check_exchange(S, A, B):
         return LegalityReport(False, f"A = {fmt_simplex(A)} is not in the complex")
     if set(A) & set(B):
         return LegalityReport(False, "A and B share vertices")
+    if simplex(B) != tuple(B):
+        return LegalityReport(False, f"B = {fmt_simplex(B)} is not sorted")
     if S._star(B):
         # covers B = () too: the empty simplex is in every complex
         return LegalityReport(False, f"B = {fmt_simplex(B)} is already in the complex")
@@ -438,17 +441,20 @@ class _FlipState(_WorkingComplex):
     Besides the facets and their incidence it keeps the number of facets
     containing each nonempty face, per-size face counts, and for every
     face A whose link is a simplex boundary the link's vertices (() when
-    A is a facet).  The link is decided by counting, with no link built:
-    lk(A) is the boundary of a simplex on n vertices exactly when A lies
-    in n facets, each with len(A) + n - 1 vertices, whose vertices
-    outside A number n; or when A is a facet, with link {-}.  As a
-    facet has at most dim + 1 vertices, a face with n + len(A) above
-    dim + 2 is skipped at once.  Flip A -> B is then legal exactly when
-    B is absent, as in ``enumerate_moves(M, "bistellar")``, whose list
-    ``moves()`` reproduces.  ``apply`` does the exchange surgery and
-    re-tests only the faces of the facets it removes and inserts: no
-    other link changes.  Walks drive it through ``enumerate_moves`` and
-    ``apply_move``.
+    A is a facet), and all those faces in sorted order.  The link is
+    decided by counting, with no link built: a face in one facet has
+    link {-} exactly when it is that facet; otherwise lk(A) is the
+    boundary of a simplex on n vertices exactly when A lies in n facets,
+    each with len(A) + n - 1 vertices, whose vertices outside A number
+    n.  As a facet has at most dim + 1 vertices, a face with n + len(A)
+    above dim + 2 is skipped at once.  Flip A -> B is then legal exactly
+    when B is absent, as in ``enumerate_moves(M, "bistellar")``, whose
+    list ``moves()`` reproduces in one pass over the sorted faces.
+    ``apply`` does the exchange surgery and re-tests only the faces of
+    the facets it removes and inserts: no other link changes.  It
+    inserts or deletes by bisection the faces that join or leave, so no
+    flip re-sorts anything.  Walks drive it through ``enumerate_moves``
+    and ``apply_move``.
     """
 
     kind = "bistellar"
@@ -460,6 +466,7 @@ class _FlipState(_WorkingComplex):
         #                          link is a simplex boundary
         super().__init__(M)
         self._retest(self._count)
+        self._order = sorted(self._links)
 
     def _tally(self, f, step):
         super()._tally(f, step)
@@ -474,18 +481,29 @@ class _FlipState(_WorkingComplex):
                 sizes[len(s)] += step
 
     def _retest(self, faces):
+        """Re-decide the links of `faces`; returns those that joined or
+        left ``_links``."""
         links, count, top = self._links, self._count, len(self._sizes)
+        moved = []
         for A in faces:
             n = count.get(A, top)  # an absent face is skipped
-            if n + len(A) <= top:
+            B = None
+            if n == 1:  # link {-} exactly when A is its one facet
+                if A in self.facets:
+                    B = ()
+            elif n + len(A) <= top:
                 star = set.intersection(*[self._by_vertex[v] for v in A])
                 rest = set().union(*star).difference(A)
-                # no vertex left: A is a facet, with link {-}
-                if len(rest) in (0, n) and all(
+                if len(rest) == n and all(
                         len(F) == len(A) + n - 1 for F in star):
-                    links[A] = tuple(sorted(rest))
-                    continue
-            links.pop(A, None)
+                    B = tuple(sorted(rest))
+            if (A in links) != (B is not None):
+                moved.append(A)
+            if B is None:
+                links.pop(A, None)
+            else:
+                links[A] = B
+        return moved
 
     def objective(self):
         """The f-vector read from the top dimension down, so fewer
@@ -493,13 +511,14 @@ class _FlipState(_WorkingComplex):
         return tuple(self._sizes[:0:-1])
 
     def moves(self):
-        """The legal flips, sorted by A; a facet A flips to a fresh vertex."""
+        """The legal flips, sorted by A; a facet A flips to a fresh
+        vertex.  One pass over the faces kept in order: nothing is
+        sorted, and a list once returned is never changed."""
         if self._moves is None:
             fresh = (max(self._by_vertex) + 1,)
-            count = self._count
-            self._moves = [Bistellar(A, B or fresh)
-                           for A, B in sorted(self._links.items())
-                           if B not in count]
+            links, count = self._links, self._count
+            self._moves = [Bistellar(A, links[A] or fresh)
+                           for A in self._order if links[A] not in count]
         return self._moves
 
     def _lists(self, mv):
@@ -517,7 +536,14 @@ class _FlipState(_WorkingComplex):
                 False, "not a flip of the working state"))
         gone, new = _exchange_surgery(self, mv.A, mv.B, _TRIVIAL)
         self._replace(gone, new)
-        self._retest({s for f in gone | new for s in _nonempty_faces(f)})
+        order = self._order
+        for A in self._retest({s for f in gone | new
+                               for s in _nonempty_faces(f)}):
+            i = bisect_left(order, A)
+            if i < len(order) and order[i] == A:
+                del order[i]
+            else:
+                order.insert(i, A)
 
 
 class _ShellState(_WorkingComplex):

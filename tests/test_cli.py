@@ -478,3 +478,26 @@ def test_module_entry_point(tmp_path, sphere2):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "f = (4, 6, 4); chi = 2\n"
+
+
+# -- one parser per process -----------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert pachner.cli._build_parser() is pachner.cli._build_parser()
+
+
+@pytest.mark.parametrize("command, other", [
+    (["reduce"], ["--seed", "5", "--max-moves", "1"]),
+    (["shell-find"], ["--budget", "1"]),
+])
+def test_flags_of_one_call_do_not_leak_into_the_next(tmp_path, sphere2,
+                                                     capsys, command, other):
+    """The reused parser fills a fresh namespace: a call with the default
+    flags prints the same before and after a call with other flags."""
+    argv = command + [_cx(tmp_path, derived_subdivision(sphere2))]
+    first = main(argv), capsys.readouterr()
+    main(argv + other)
+    changed = capsys.readouterr()
+    assert (main(argv), capsys.readouterr()) == first
+    assert changed != first[1]

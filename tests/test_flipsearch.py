@@ -160,31 +160,43 @@ WALKS = {
         full_simplex(range(4))),
     "impure": lambda: Complex.from_facets(
         [(0, 1, 2), (1, 2, 3), (2, 3, 4, 5), (5, 6), (6, 7), (5, 7), (8,)]),
+    "sd S4": lambda: derived_subdivision(standard_sphere(4)),
 }
+# the oracle reads every link of a complex with thousands of faces
+WALK_STEPS = {"sd S4": 30}
 
 
 @pytest.mark.parametrize("name", sorted(WALKS))
 def test_flip_state_matches_enumeration_along_seeded_walks(name):
-    """After every step of a 300-step seeded walk the working state lists
-    exactly enumerate_moves(cur, "bistellar") and holds the complex the
-    apply_move chain reaches.  Moves that add facets are only taken
-    while the complex has below 1.25 times its starting facet count."""
+    """After every step of a seeded walk (300 steps, 30 on sd S4) the
+    working state lists exactly enumerate_moves(cur, "bistellar"),
+    keeps its faces in sorted order and holds the complex the apply_move
+    chain reaches; a list it returned is unchanged by the next flip and
+    listing.  Moves that add facets are only taken while the complex has
+    below 1.25 times its starting facet count."""
     cur = WALKS[name]()
     state = _FlipState(cur)
     cap = len(cur.facets) * 5 // 4
     rng = SplitMix64(len(name))
-    for _ in range(300):
-        moves = enumerate_moves(state, "bistellar")
-        assert moves == enumerate_moves(cur, "bistellar")
+    held = None  # the list before the last flip, and a copy of it
+    for _ in range(WALK_STEPS.get(name, 300)):
+        listed = enumerate_moves(state, "bistellar")
+        if held:
+            assert held[0] == held[1]
+        held = listed, list(listed)
+        assert listed == enumerate_moves(cur, "bistellar")
+        assert state._order == sorted(state._links)
         assert state.complex() == cur
         assert state.objective() == tuple(reversed(cur.f_vector().counts))
         assert is_simplex_boundary(state) == is_simplex_boundary(cur)
+        moves = listed
         if len(cur.facets) >= cap:
             moves = [mv for mv in moves if len(mv.A) <= len(mv.B)]
         mv = moves[rng.randrange(len(moves))]
         assert apply_move(state, mv) is state
         cur = apply_move(cur, mv)
     assert state.complex() == cur
+    assert state._order == sorted(state._links)
 
 
 def _simplex_boundary_links(K):

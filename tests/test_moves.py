@@ -40,7 +40,7 @@ from pachner.moves import (
     loads_transcript,
     parse_move,
 )
-from conftest import flag_subdivision
+from conftest import csaszar_torus, flag_subdivision
 from walk import _candidates, seeded_walk
 
 
@@ -329,6 +329,26 @@ def test_working_copy_checks_as_its_complex():
         assert apply_transcript(M, Transcript(tuple(moves))) == nxt
         seen.update(type(mv) for mv in moves)
     assert seen == {Star, Weld, Bistellar, Exchange, Shell, Unshell}
+
+
+def test_an_unsorted_B_is_illegal_in_every_exchange_family():
+    """An unsorted B names no simplex and is refused before the link is
+    read: the flip [0 1] -> [5 3] on the Csaszar torus, whose edge [3 5]
+    is present, would otherwise pass as a flip to an absent edge."""
+    torus = csaszar_torus()
+    for kind in (Bistellar, Exchange):
+        assert check_move(torus, kind((0, 1), (3, 5))).reason == (
+            "B = [3 5] is already in the complex")
+        unsorted = kind((0, 1), (5, 3))
+        assert check_move(torus, unsorted).reason == "B = [5 3] is not sorted"
+        with pytest.raises(IllegalMoveError):
+            apply_move(torus, unsorted)
+    assert check_move(torus, Bistellar((0, 1), (5, 5))).reason == (
+        "check failed: duplicate vertex 5 in (5, 5)")
+    starred = apply_move(standard_sphere(2), Star((0, 1), 4))
+    assert check_move(starred, Weld(4, (0, 1))).legal
+    assert check_move(starred, Weld(4, (1, 0))).reason == (
+        "B = [1 0] is not sorted")
 
 
 def test_exchange_surgery_matches_face_set_oracle(sphere2):
