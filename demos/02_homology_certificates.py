@@ -1,7 +1,8 @@
 """Exact integral homology as a move invariant.
 
 Computes homology profiles (Betti numbers plus torsion, over the
-integers via Smith normal form) for a sphere, a torus, and the
+integers: unit pivots of sparse boundary maps, then Smith normal form
+of the rest) for a sphere, a torus, and the
 six-vertex projective plane, then certifies a random legal-move walk:
 the profile is recomputed after every move and never changes.
 """

@@ -27,6 +27,7 @@ import argparse
 import functools
 import os
 import sys
+import traceback
 
 from .core import (
     DEFAULT_ISO_BUDGET,
@@ -45,8 +46,7 @@ from .expander import (
 )
 from .flipsearch import (
     Schedule,
-    _anneal_pair,
-    _obstruction,
+    _equivalence,
     reduce as reduce_complex,
 )
 from .moves import (
@@ -264,19 +264,20 @@ def _cmd_reduce(args):
 def _cmd_prove_equiv(args):
     K1 = load_complex(args.left)
     K2 = load_complex(args.right)
-    reason = _obstruction(K1, K2)
+    schedule = _schedule(args)
+    reason, cert = _equivalence(K1, K2, schedule)
     if reason is not None:
         print("equivalent: no")
         print(f"reason: {reason}")
         return EXIT_NEGATIVE
-    schedule = _schedule(args)
-    cert = _anneal_pair(K1, K2, schedule)
     if cert is None:
         print("equivalent: unknown")
+        print("path: annealing")
         print(f"reason: no certificate within {schedule.max_moves} moves "
               f"(seed {schedule.seed})")
         return EXIT_UNKNOWN
     print("equivalent: yes")
+    print(f"path: {cert.path}")
     print(f"left moves = {len(cert.transcript1)}")
     print(f"right moves = {len(cert.transcript2)}")
     print(_map_line(cert.bijection))
@@ -345,7 +346,7 @@ def _build_parser():
                        help="search seed (default %(default)s)")
         q.add_argument("--max-moves", type=int,
                        default=_DEFAULT_SCHEDULE.max_moves,
-                       help="move budget (default %(default)s)")
+                       help="annealing move budget (default %(default)s)")
         q.add_argument("--temp", type=float, default=_DEFAULT_SCHEDULE.temp,
                        help="starting temperature (default %(default)s)")
         q.add_argument("--decay", type=float, default=_DEFAULT_SCHEDULE.decay,
@@ -437,7 +438,7 @@ def _build_parser():
     out_flag(q)
 
     q = command("prove-equiv", _cmd_prove_equiv,
-                "search for a bistellar equivalence certificate")
+                "equivalence certificate: shellings, else annealing")
     q.add_argument("left", help="facet file")
     q.add_argument("right", help="facet file")
     schedule_flags(q)
@@ -477,6 +478,11 @@ def main(argv=None):
         return _fail(exc, EXIT_NEGATIVE)
     except ValueError as exc:
         return _fail(exc, EXIT_NEGATIVE)
+    except Exception:
+        # a fault, not a verdict: uncaught, Python would exit 1, "no"
+        print("internal error", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

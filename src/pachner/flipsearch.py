@@ -1,6 +1,13 @@
-"""Seeded simulated annealing over bistellar moves.
+"""Equivalence certificates: shellings first, seeded annealing after.
 
-The reducer walks the flip graph of a closed complex, preferring moves
+``prove_equivalent`` (and ``pachner prove-equiv``) takes one route.  It
+screens dimension and homology, then certifies a pair of shellable
+spheres or balls by their shellings, as Lickorish proves Pachner's
+theorem: each side's ``recognize._evidence`` carries it to a simplex
+boundary or a simplex, and the sorted labels of the two end simplices
+identify the ends.  Every other pair is annealed.
+
+The annealer walks the flip graph of a closed complex, preferring moves
 that shrink the total face count, and keeps the best complex seen.  All
 randomness comes from a SplitMix64 generator owned by this module, so a
 (seed, schedule) pair fully determines the outcome on every platform.
@@ -15,7 +22,8 @@ built only for a new best and at the end.
 
 A successful reduction to a simplex boundary certifies the input as a
 combinatorial sphere; two reductions meeting in isomorphic endpoints
-certify two complexes as flip-equivalent.
+certify two complexes as flip-equivalent.  ``Schedule.max_moves``
+bounds annealing only.
 """
 
 from __future__ import annotations
@@ -23,9 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import is_simplex_boundary, isomorphic
+from .core import BudgetExhaustedError, is_simplex_boundary, isomorphic
 from .moves import Transcript, _FlipState, apply_move, enumerate_moves
-from .recognize import homology
+from .recognize import (
+    DEFAULT_BUDGET,
+    _ball_profile,
+    _evidence,
+    _sphere_profile,
+    homology,
+)
 
 _MASK = (1 << 64) - 1
 
@@ -116,27 +130,40 @@ def reduce(M, schedule=None):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Proof that two complexes are connected by bistellar moves: a
-    transcript from each input to a common form, plus the vertex
-    bijection identifying the two endpoints."""
+    """Proof that two complexes are related by moves: a transcript from
+    each input to a common form, plus the vertex bijection identifying
+    the two endpoints.  `path` names the search that found it.  From
+    "annealing" both transcripts hold Bistellar moves.  From "shelling"
+    a sphere's transcripts hold Bistellar moves to a simplex boundary,
+    and a ball's hold Shell moves down to one simplex."""
 
     transcript1: Transcript
     transcript2: Transcript
     bijection: tuple
+    path: str = "annealing"
 
     def mapping(self):
         return dict(self.bijection)
 
 
-def _obstruction(M1, M2):
-    """Why M1 and M2 cannot be flip-equivalent, when their dimension or
-    homology already shows it; None otherwise."""
-    if M1.dim != M2.dim:
-        return f"dimensions differ ({M1.dim} vs {M2.dim})"
-    h1, h2 = homology(M1), homology(M2)
-    if h1 != h2:
-        return f"homology differs ({h1} vs {h2})"
-    return None
+def _shelling_pair(M1, M2, profile):
+    """A Certificate from the shelling evidence of both sides, when their
+    common homology `profile` is the sphere's or the ball's.  Each side
+    ends at a simplex (a ball) or its boundary (a sphere), of one kind on
+    both sides, so the sorted labels of the two end simplices identify
+    the ends.  None when a side has no shelling within
+    recognize.DEFAULT_BUDGET nodes."""
+    n = M1.dim
+    if profile not in (_sphere_profile(n), _ball_profile(n)):
+        return None
+    try:
+        ends = [_evidence(M, DEFAULT_BUDGET) for M in (M1, M2)]
+    except BudgetExhaustedError:
+        return None
+    if None in ends:
+        return None
+    (t1, V1), (t2, V2) = ends
+    return Certificate(t1, t2, tuple(zip(V1, V2)), "shelling")
 
 
 def _anneal_pair(M1, M2, schedule):
@@ -150,14 +177,32 @@ def _anneal_pair(M1, M2, schedule):
     return Certificate(t1, t2, tuple(sorted(iso.items())))
 
 
-def prove_equivalent(M1, M2, schedule=None):
-    """Search for a flip-equivalence certificate between M1 and M2.
+def _equivalence(M1, M2, schedule):
+    """The one route to a verdict on M1 ~ M2: (reason, certificate).
 
-    Both complexes are annealed under the same schedule; isomorphic
-    endpoints yield a Certificate.  Returns None when the dimensions or
-    homology differ, which disproves equivalence, and when the search
-    fails, which only says that this budget did not find a proof.
+    The screen compares dimensions, then the homology of each input,
+    computed once; `reason` says what differs, and then the certificate
+    is None.  Otherwise both sides are shelled when they have the
+    homology of a sphere or of a ball, and annealed under `schedule`
+    when that fails; the certificate is None when annealing finds none.
     """
-    if _obstruction(M1, M2) is not None:
-        return None
-    return _anneal_pair(M1, M2, schedule)
+    if M1.dim != M2.dim:
+        return f"dimensions differ ({M1.dim} vs {M2.dim})", None
+    h1, h2 = homology(M1), homology(M2)
+    if h1 != h2:
+        return f"homology differs ({h1} vs {h2})", None
+    return None, (_shelling_pair(M1, M2, h1)
+                  or _anneal_pair(M1, M2, schedule))
+
+
+def prove_equivalent(M1, M2, schedule=None):
+    """Search for an equivalence certificate between M1 and M2.
+
+    Shellable spheres and balls are certified by their shellings
+    (Lickorish's route); other pairs are annealed under `schedule`, and
+    isomorphic endpoints yield a Certificate.  Returns None when the
+    dimensions or homology differ, which disproves equivalence, and
+    when the search fails, which only says that this budget did not
+    find a proof.
+    """
+    return _equivalence(M1, M2, schedule)[1]

@@ -2,8 +2,11 @@
 
 Three layers:
 
-* integral simplicial homology, computed over the integers by Smith
-  normal form (smallest-pivot elimination, arbitrary precision);
+* integral simplicial homology over sparse boundary maps: each +-1
+  pivot is eliminated by a rank-1 update, and the Smith normal form
+  (smallest-pivot elimination, arbitrary precision) of what is left
+  gives the rest of the invariant factors; the dense `boundary_matrix`
+  is kept as the oracle of the tests;
 * ball/sphere verdicts: exact classification in dimension <= 2, read
   from one pass over the facets (vertex graph, edge degrees, each
   vertex link as a graph, and chi from the counts), and a homology
@@ -13,7 +16,9 @@ Three layers:
 
 Sphere evidence is a shelling turned into flips (Lickorish's
 shelling/flip correspondence); unshellable spheres exist, so a failed
-search says Unknown, never no.  Everything here is deterministic.
+search says Unknown, never no.  The same evidence, with the simplex it
+ends at, certifies equivalences in ``flipsearch``.  Everything here is
+deterministic.
 """
 
 from __future__ import annotations
@@ -127,7 +132,10 @@ def smith_normal_form(rows):
 
 
 def boundary_matrix(K, k):
-    """Matrix of the k-th boundary map over the sorted face bases."""
+    """Dense matrix of the k-th boundary map over the sorted face bases.
+
+    Only the test oracle for `homology`, which builds its maps sparse.
+    """
     rows = sorted(K.faces_of_dim(k - 1))
     cols = sorted(K.faces_of_dim(k))
     index = {f: i for i, f in enumerate(rows)}
@@ -136,6 +144,64 @@ def boundary_matrix(K, k):
         for i in range(len(f)):
             mat[index[f[:i] + f[i + 1:]]][j] = -1 if i % 2 else 1
     return mat
+
+
+def _boundary_rows(K, k):
+    """The k-th boundary map as sparse rows: (k-1)-face -> {k-face: +-1}."""
+    rows = {f: {} for f in K.faces_of_dim(k - 1)}
+    for f in K.faces_of_dim(k):
+        for i in range(len(f)):
+            rows[f[:i] + f[i + 1:]][f] = -1 if i % 2 else 1
+    return rows
+
+
+def _invariant_factors(rows):
+    """The invariant factors of a sparse integer matrix {row: {column:
+    entry}}, in divisibility order; `rows` is consumed.
+
+    One pass over the rows, shortest first, eliminates +-1 pivots: a
+    row with a unit entry takes the one in the column with the fewest
+    entries, which keeps the fill small.  Every other row of that column
+    subtracts the multiple of the pivot row that clears the column (a
+    rank-1 update), and the pivot's row and column then go, one factor
+    1 with them.  `smith_normal_form` finishes what is left (Dumas,
+    Heckenbach, Saunders and Welker, 2003).
+    """
+    cols = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    units = 0
+    for r in sorted(rows, key=lambda r: len(rows[r])):
+        row = rows.get(r)
+        if not row:
+            continue
+        c = min((c for c, v in row.items() if v in (1, -1)),
+                key=lambda c: len(cols[c]), default=None)
+        if c is None:
+            continue
+        del rows[r]
+        for c2 in row:
+            cols[c2].discard(r)
+        p = row.pop(c)
+        for r2 in cols.pop(c):
+            other = rows[r2]
+            q = other.pop(c) * p           # p = +-1 is its own inverse
+            for c2, v in row.items():
+                w = other.get(c2, 0) - q * v
+                if w:
+                    other[c2] = w
+                    cols[c2].add(r2)
+                else:
+                    del other[c2]
+                    cols[c2].discard(r2)
+            if not other:
+                del rows[r2]
+        units += 1
+    rest = [c for c in cols if cols[c]]
+    factors = smith_normal_form([[row.get(c, 0) for c in rest]
+                                 for row in rows.values() if row])
+    return [1] * units + factors
 
 
 # -- homology ------------------------------------------------------------
@@ -179,7 +245,7 @@ def homology(K, max_cells=DEFAULT_MAX_CELLS):
     ranks = [0] * (n + 2)
     torsion = [()] * (n + 1)
     for k in range(1, n + 1):
-        factors = smith_normal_form(boundary_matrix(K, k))
+        factors = _invariant_factors(_boundary_rows(K, k))
         ranks[k] = len(factors)
         torsion[k - 1] = tuple(f for f in factors if f > 1)
     betti = tuple(
@@ -364,32 +430,35 @@ def _link_verdict(L, budget):
 
 
 def _evidence(K, budget):
-    """A ball's shelling, or a sphere's shelling (initial facet F) turned
-    into the f_d - 1 flips that carry K to the boundary of F + (apex,),
-    certified by one replay in K.  None when the shelling search proves
-    that K has no shelling; BudgetExhaustedError when it runs out of
-    budget first."""
-    if len(K.facets) == 1 or is_simplex_boundary(K):
-        return Transcript()
+    """(t, V): a ball's shelling t down to its terminal facet V, or a
+    sphere's shelling (initial facet F) turned into the f_d - 1 flips t
+    that carry K to the boundary of V = F + (apex,), certified by one
+    replay in K.  None when the shelling search proves that K has no
+    shelling; BudgetExhaustedError when it runs out of budget first."""
+    if len(K.facets) == 1:
+        return Transcript(), next(iter(K.facets))
+    if is_simplex_boundary(K):
+        return Transcript(), K.vertices()
     sh = find_shelling(K, budget)
     if sh is None:
         return None
     if sh.initial is None:
-        return Transcript(sh.steps)
-    apex = K.fresh_vertex()
+        return Transcript(sh.steps), sh.terminal
+    V = sh.initial + (K.fresh_vertex(),)
     t = invert_transcript(
-        _cone_flips(ShellingSequence(sh.steps, sh.terminal), apex))
-    _certify(K, t, simplex_boundary(sh.initial + (apex,)), "sphere evidence")
-    return t
+        _cone_flips(ShellingSequence(sh.steps, sh.terminal), V[-1]))
+    _certify(K, t, simplex_boundary(V), "sphere evidence")
+    return t, V
 
 
 def _exact_evidence(K, budget):
     """The evidence of a verdict decided exactly, None when the shelling
     search finds none within budget."""
     try:
-        return _evidence(K, budget)
+        found = _evidence(K, budget)
     except BudgetExhaustedError:
         return None
+    return None if found is None else found[0]
 
 
 def _cone_flips(sh, v):
@@ -441,13 +510,13 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
         return Verdict(OTHER, reason=f"homology differs from the "
                        f"{n}-{shape.lower()}")
     try:
-        t = _evidence(K, budget)
+        found = _evidence(K, budget)
         missing = "it has no shelling"
     except BudgetExhaustedError:
-        t = None
+        found = None
         missing = f"the shelling search ran out of its {budget}-node budget"
-    if t is not None:
-        return Verdict(shape, t, "shellable")
+    if found is not None:
+        return Verdict(shape, found[0], "shellable")
     apex = None if closed else _cone_apex(K)
     if apex is not None:
         sub = _link_verdict(K.link((apex,)), budget)

@@ -418,7 +418,8 @@ def test_prove_equiv_certificate(tmp_path, sphere2, capsys):
     rc = main(["prove-equiv", _cx(tmp_path, sphere2, "a.cx"),
                _cx(tmp_path, sd, "b.cx"), "--out", str(out)])
     assert rc == 0
-    assert "equivalent: yes" in capsys.readouterr().out
+    got = capsys.readouterr().out
+    assert got.startswith("equivalent: yes\npath: shelling\n")
     left = apply_transcript(
         sphere2,
         loads_transcript((out / "left.tr").read_text(encoding="utf-8")))
@@ -460,13 +461,56 @@ def test_prove_equiv_homology_disproof(tmp_path, sphere2, capsys):
     assert "equivalent: no" in got and "homology differs" in got
 
 
-def test_prove_equiv_starved_exits_2(tmp_path, sphere2, capsys):
-    sd = derived_subdivision(sphere2)
-    rc = main(["prove-equiv", _cx(tmp_path, sd, "a.cx"),
-               _cx(tmp_path, derived_subdivision(sd), "b.cx"),
+def test_prove_equiv_starved_exits_2(tmp_path, capsys):
+    """A torus has no shelling, so only annealing can try the pair."""
+    torus = csaszar_torus()
+    rc = main(["prove-equiv", _cx(tmp_path, torus, "a.cx"),
+               _cx(tmp_path, derived_subdivision(torus), "b.cx"),
                "--max-moves", "1"])
     assert rc == 2
-    assert "equivalent: unknown" in capsys.readouterr().out
+    got = capsys.readouterr().out
+    assert got.startswith("equivalent: unknown\npath: annealing\n")
+
+
+def test_prove_equiv_shells_without_annealing_moves(tmp_path, sphere2,
+                                                    capsys):
+    """sd S2 ~ sd2 S2 is certified by shellings, which --max-moves does
+    not bound, and both transcripts replay to the identified ends."""
+    sd = derived_subdivision(sphere2)
+    sd2 = derived_subdivision(sd)
+    out = tmp_path / "art"
+    rc = main(["prove-equiv", _cx(tmp_path, sd, "a.cx"),
+               _cx(tmp_path, sd2, "b.cx"), "--max-moves", "1",
+               "--out", str(out)])
+    assert rc == 0
+    got = capsys.readouterr().out
+    assert "path: shelling" in got
+    assert "left moves = 23" in got and "right moves = 143" in got
+    left = apply_transcript(
+        sd, loads_transcript((out / "left.tr").read_text(encoding="utf-8")))
+    right = apply_transcript(
+        sd2, loads_transcript((out / "right.tr").read_text(encoding="utf-8")))
+    pairs = got.split("map: ")[1].splitlines()[0].split()
+    mapping = {int(a): int(b) for a, b in (p.split("->") for p in pairs)}
+    assert is_simplex_boundary(left)
+    assert left.relabel(mapping) == right
+
+
+# -- internal faults ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("fault", [TypeError, KeyError, IndexError])
+def test_internal_fault_exits_2_with_traceback(tmp_path, sphere2, capsys,
+                                               monkeypatch, fault):
+    """A fault is no verdict: it must not reach exit 1, "proven no"."""
+    def broken(*args, **kwargs):
+        raise fault("injected")
+
+    monkeypatch.setattr(pachner.cli, "recognize_ball_or_sphere", broken)
+    assert main(["validate", _cx(tmp_path, sphere2)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error\nTraceback")
+    assert f"{fault.__name__}: " in err
 
 
 # -- packaging -------------------------------------------------------------

@@ -27,6 +27,7 @@ from pachner.flipsearch import (
 from pachner.moves import (
     _FlipState,
     Bistellar,
+    Shell,
     IllegalMoveError,
     apply_transcript,
     derived_subdivision,
@@ -122,6 +123,46 @@ def test_prove_equivalent_sphere_and_subdivision(sphere2):
     end2 = apply_transcript(sd, cert.transcript2)
     assert end1.relabel(cert.mapping()) == end2
     assert isomorphic(end1, end2) is not None
+
+
+def _replays(cert, M1, M2, kind):
+    """Both transcripts hold moves of one kind and replay to ends that
+    the bijection identifies."""
+    moves = cert.transcript1.moves + cert.transcript2.moves
+    assert moves and all(type(mv) is kind for mv in moves)
+    end1 = apply_transcript(M1, cert.transcript1)
+    end2 = apply_transcript(M2, cert.transcript2)
+    assert end1.relabel(cert.mapping()) == end2
+    return end1
+
+
+@pytest.mark.parametrize("n, flips", [(3, 119), (4, 719)])
+def test_prove_equivalent_shells_spheres_into_flips(n, flips):
+    S = standard_sphere(n)
+    sd = derived_subdivision(S)
+    cert = prove_equivalent(S, sd, Schedule(max_moves=0))
+    assert cert.path == "shelling"
+    assert (len(cert.transcript1), len(cert.transcript2)) == (0, flips)
+    assert is_simplex_boundary(_replays(cert, S, sd, Bistellar))
+
+
+def test_prove_equivalent_shells_balls():
+    strip = Complex.from_facets([(i, i + 1, i + 2) for i in range(12)])
+    triangle = full_simplex((0, 1, 2))
+    cert = prove_equivalent(strip, triangle, Schedule(max_moves=0))
+    assert cert.path == "shelling"
+    assert (len(cert.transcript1), len(cert.transcript2)) == (11, 0)
+    end = _replays(cert, strip, triangle, Shell)
+    assert len(end.facets) == 1
+
+
+def test_prove_equivalent_anneals_what_does_not_shell(torus7):
+    moved = torus7.relabel({v: v + 10 for v in torus7.vertices()})
+    cert = prove_equivalent(torus7, moved)
+    assert cert.path == "annealing"
+    end1 = apply_transcript(torus7, cert.transcript1)
+    assert end1.relabel(cert.mapping()) == apply_transcript(
+        moved, cert.transcript2)
 
 
 def test_prove_equivalent_screens_homology(sphere2, torus7):

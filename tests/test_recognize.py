@@ -25,6 +25,7 @@ from pachner.moves import (
     Transcript,
     apply_move,
     apply_transcript,
+    derived_subdivision,
     dumps_transcript,
 )
 from pachner.recognize import (
@@ -36,6 +37,7 @@ from pachner.recognize import (
     SPHERE,
     ShellingSequence,
     UNKNOWN,
+    _invariant_factors,
     boundary_matrix,
     find_shelling,
     homology,
@@ -168,6 +170,52 @@ def test_homology_edge_cases():
     two_circles = Complex.from_facets(
         [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert homology(two_circles) == HomologyProfile((2, 2), ((), ()))
+
+
+def dense_homology(K):
+    """The oracle: dense boundary matrices, each reduced by Smith form."""
+    n = K.dim
+    ranks = [0] * (n + 2)
+    torsion = [()] * (n + 1)
+    for k in range(1, n + 1):
+        factors = smith_normal_form(boundary_matrix(K, k))
+        ranks[k] = len(factors)
+        torsion[k - 1] = tuple(f for f in factors if f > 1)
+    return HomologyProfile(
+        tuple(len(K.faces_of_dim(k)) - ranks[k] - ranks[k + 1]
+              for k in range(n + 1)),
+        tuple(torsion))
+
+
+def test_sparse_homology_equals_dense_on_named_complexes(sphere2, torus7):
+    sd2 = derived_subdivision(derived_subdivision(sphere2))
+    square = simplex_boundary([0, 1]).join(simplex_boundary([2, 3]))
+    for K in (rp2_six_vertices(), sd2, torus7, square, pinched_complex(),
+              full_simplex([0, 1, 2, 3])):
+        assert homology(K) == dense_homology(K), K
+
+
+def test_sparse_homology_equals_dense_on_criterion_01_walks():
+    """Every complex of acceptance criterion 01's walks (seed 1001, 500
+    steps, vertex cap 11)."""
+    for M in (simplex_boundary(range(4)), simplex_boundary(range(5)),
+              csaszar_torus()):
+        for _, K in seeded_walk(M, 500, seed=1001, cap=11):
+            assert homology(K) == dense_homology(K), K
+
+
+def test_unit_elimination_leaves_the_rest_to_smith_form():
+    # the pivot at (0, 0) leaves [[-2, 0], [0, 3]], whose factors are 1, 6
+    rows = {0: {0: 1, 1: 1}, 1: {0: 1, 1: -1}, 2: {2: 3}}
+    assert _invariant_factors(rows) == [1, 1, 6]
+    rng = random.Random(1213)
+    for _ in range(200):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        dense = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 4)) for _ in range(n)]
+                 for _ in range(m)]
+        sparse = {i: {j: v for j, v in enumerate(r) if v}
+                  for i, r in enumerate(dense)}
+        assert _invariant_factors(sparse) == smith_normal_form(dense), dense
 
 
 def test_homology_cell_budget(sphere3):
