@@ -3,9 +3,10 @@
 ``prove_equivalent`` (and ``pachner prove-equiv``) takes one route.  It
 screens dimension and homology, then certifies a pair of shellable
 spheres or balls by their shellings, as Lickorish proves Pachner's
-theorem: each side's ``recognize._evidence`` carries it to a simplex
-boundary or a simplex, and the sorted labels of the two end simplices
-identify the ends.  Every other pair is annealed.
+theorem: each side's ``recognize._evidence``, searched within the
+``shell-find`` default budget, carries it to a simplex boundary or a
+simplex, and the sorted labels of the two end simplices identify the
+ends.  Every other pair is annealed.
 
 The annealer walks the flip graph of a closed complex, preferring moves
 that shrink the total face count, and keeps the best complex seen.  All
@@ -14,11 +15,12 @@ randomness comes from a SplitMix64 generator owned by this module, so a
 
 The walk runs on one mutable working state (``moves._FlipState``), not
 on a new Complex per step.  On it ``enumerate_moves`` returns the legal
-flips, the same sorted list as on its complex, read in one pass from
-faces the state keeps in order, and ``apply_move`` checks a flip by
-lookups and flips the state in place, re-testing only the links in the
-star it changed; a flip re-sorts nothing.  An immutable Complex is
-built only for a new best and at the end.
+flips, read in one pass from faces the state keeps in order; the state
+is the one flip lister, so its list is its complex's by construction.
+``apply_move`` checks a flip by lookups and flips the state in place,
+re-testing only the links in the star it changed; a flip re-sorts
+nothing.  An immutable Complex is built only for a new best and at the
+end.
 
 A successful reduction to a simplex boundary certifies the input as a
 combinatorial sphere; two reductions meeting in isomorphic endpoints
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from .core import BudgetExhaustedError, is_simplex_boundary, isomorphic
 from .moves import Transcript, _FlipState, apply_move, enumerate_moves
 from .recognize import (
-    DEFAULT_BUDGET,
+    DEFAULT_SHELLING_BUDGET,
     _ball_profile,
     _evidence,
     _sphere_profile,
@@ -152,12 +154,13 @@ def _shelling_pair(M1, M2, profile):
     ends at a simplex (a ball) or its boundary (a sphere), of one kind on
     both sides, so the sorted labels of the two end simplices identify
     the ends.  None when a side has no shelling within
-    recognize.DEFAULT_BUDGET nodes."""
+    recognize.DEFAULT_SHELLING_BUDGET nodes, the ``shell-find``
+    default."""
     n = M1.dim
     if profile not in (_sphere_profile(n), _ball_profile(n)):
         return None
     try:
-        ends = [_evidence(M, DEFAULT_BUDGET) for M in (M1, M2)]
+        ends = [_evidence(M, DEFAULT_SHELLING_BUDGET) for M in (M1, M2)]
     except BudgetExhaustedError:
         return None
     if None in ends:

@@ -25,22 +25,26 @@ Every move is dispatched through one table from move type to (A, B)
 data, legality check, surgery and inverse.  A surgery is written once
 per family: it returns the facets the move removes and inserts, which
 ``core._WorkingComplex._replace`` applies in place.  ``check_move``
-returns a LegalityReport, also for malformed move data, and reads a
-complex through its working copy.  ``apply_move`` checks first and
+returns a LegalityReport and reads a complex through its working copy;
+it checks the move's (A, B) data once for every family, refusing
+malformed simplexes and an A that meets B, and lets a fault in a
+family's check propagate.  ``apply_move`` checks first and
 raises IllegalMoveError (carrying the report) on failure, then applies
 the surgery to a fresh working copy, which becomes the result's
 incidence; ``apply_transcript`` replays on one working copy, one check
 per step.  Complexes stay immutable to callers; the working copies are
-private.  Two of them also serve searches, which re-test only where a
-move changed them: ``_FlipState`` for walks over bistellar moves, which
-decides each link by counting facets (lk(A) = dB exactly when A lies in
-len(B) facets of len(A) + len(B) - 1 vertices, whose vertices outside A
-are B's, or A is a facet) and keeps those faces in sorted order, and
-``_ShellState`` for the shelling search, which removes a facet,
-re-reads only the splits next to it and undoes a removal from its log.
-``enumerate_moves(S, kind)`` accepts either for its own family and
-returns its kept move list; ``apply_move(S, move)`` also accepts a
-``_FlipState``, checks the move by lookups and flips S in place.
+private.  Two of them are the one lister of their family's moves:
+``_FlipState`` for bistellar moves, which decides each link by counting
+facets (lk(A) = dB exactly when A lies in len(B) facets of len(A) +
+len(B) - 1 vertices, whose vertices outside A are B's, or A is a facet)
+and keeps those faces in sorted order, and ``_ShellState`` for shell
+moves, which removes a facet, re-reads only the splits next to it and
+undoes a removal from its log.  A search keeps one and re-tests only
+where a move changed it; ``enumerate_moves`` on a complex builds a
+fresh one.  ``enumerate_moves(S, kind)`` accepts either for its own
+family and returns its kept move list; ``apply_move(S, move)`` also
+accepts a ``_FlipState``, checks the move by lookups and flips S in
+place.
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ from .core import (
     _WorkingComplex,
     _link,
     fmt_simplex,
-    is_simplex_boundary,
     simplex,
     simplex_boundary,
+    MalformedSimplexError,
     NotPseudomanifoldError,
 )
 
@@ -159,9 +163,7 @@ def _check_exchange(S, A, B):
     star = S._star(A)
     if not star:
         return LegalityReport(False, f"A = {fmt_simplex(A)} is not in the complex")
-    if set(A) & set(B):
-        return LegalityReport(False, "A and B share vertices")
-    if simplex(B) != tuple(B):
+    if list(B) != sorted(B):
         return LegalityReport(False, f"B = {fmt_simplex(B)} is not sorted")
     if S._star(B):
         # covers B = () too: the empty simplex is in every complex
@@ -206,8 +208,6 @@ def _split(F, ridges, through, incidence):
 def _check_shell(S, A, B):
     if not A or not B:
         return LegalityReport(False, "A and B must both be nonempty")
-    if set(A) & set(B):
-        return LegalityReport(False, "A and B share vertices")
     F = tuple(sorted(A + B))
     if F not in S.facets:
         return LegalityReport(False, f"A*B = {fmt_simplex(F)} is not a facet")
@@ -229,7 +229,7 @@ def _check_shell(S, A, B):
 
 def _check_unshell(S, A, B):
     """Gluing F = A * B must add F alone, and Shell must undo it."""
-    F = simplex(A + B)
+    F = tuple(sorted(A + B))
     if S._star(F):
         return LegalityReport(False, f"glued facet {fmt_simplex(F)} already present")
     gone, new = _unshell_surgery(S, A, B, None)
@@ -272,7 +272,7 @@ def _shell_surgery(S, A, B, L):
 
 def _unshell_surgery(S, A, B, L):
     """Gluing F = A * B drops the facets inside F (none when legal)."""
-    F = simplex(A + B)
+    F = tuple(sorted(A + B))
     inside = set(F).issuperset
     return [f for f in S.facets if inside(f)], (F,)
 
@@ -298,17 +298,23 @@ _FAMILIES = {
 
 def check_move(M, move):
     """Legality report for `move` on M, a complex or a working copy.
-    Malformed move data yields an illegal report; only faults such as
-    RecursionError propagate."""
-    try:
-        pair, check, _, _ = _FAMILIES[type(move)]
-    except KeyError:
+
+    The move's (A, B) data is checked here, once for every family: a
+    malformed simplex, or an A and B that share vertices, yields an
+    illegal report.  The family's check then runs unguarded, so a fault
+    in it propagates."""
+    family = _FAMILIES.get(type(move))
+    if family is None:
         return LegalityReport(False, f"unknown move type {type(move).__name__}")
-    S = M if isinstance(M, _WorkingComplex) else M._incidence()
+    A, B = family[0](move)
     try:
-        return check(S, *pair(move))
-    except (ValueError, TypeError, KeyError) as exc:
+        simplex(A), simplex(B)
+    except (MalformedSimplexError, TypeError) as exc:
         return LegalityReport(False, f"check failed: {exc}")
+    if not set(A).isdisjoint(B):
+        return LegalityReport(False, "A and B share vertices")
+    S = M if isinstance(M, _WorkingComplex) else M._incidence()
+    return family[1](S, A, B)
 
 
 def _apply(S, move, report):
@@ -376,31 +382,28 @@ def enumerate_moves(M, kind):
     """All legal moves of one family, sorted by (A, B)-data.
 
     Moves that introduce a new vertex use fresh_vertex(M); the legality
-    checker accepts any unused label, but enumeration is canonical.  A
-    working state enumerates its own family only ("bistellar" on a
-    ``_FlipState``, "shell" on a ``_ShellState``), from what it keeps,
-    with the same list as on its complex.
+    checker accepts any unused label, but enumeration is canonical.
+    Bistellar and shell moves are listed by a fresh ``_FlipState`` or
+    ``_ShellState`` of M, with no check; the other families filter
+    candidates through ``check_move``.  A working state enumerates its
+    own family only, from what it keeps, so it lists what enumerating
+    its complex lists by construction.
     """
     if isinstance(M, _WorkingComplex):
         if kind != M.kind:
             raise ValueError(f"a {M.kind} working state enumerates "
                              f"{M.kind} moves only, not {kind!r}")
         return M.moves()
-    if kind == "shell":
-        # each facet's one split is legal as it stands: no check here
-        return _ShellState(M).moves() if M.dim >= 0 else []
+    state = {"bistellar": _FlipState, "shell": _ShellState}.get(kind)
+    if state:
+        # the state lists its family's legal moves as they stand: no check
+        return state(M).moves() if M.dim >= 0 else []
     fresh = M.fresh_vertex()
     if kind == "star":
         return [Star(A, fresh) for A in sorted(f for f in M.faces() if f)]
     if kind == "weld":
         cands = (Weld(a, A) for a in M.vertices()
                  for A in [(fresh,)] + _minimal_nonfaces(M.link((a,))))
-    elif kind == "bistellar":
-        cands = []
-        for A in sorted(f for f in M.faces() if f):
-            lk = M.link(A)
-            if is_simplex_boundary(lk):
-                cands.append(Bistellar(A, lk.vertices() or (fresh,)))
     elif kind == "exchange":
         cands = (Exchange(A, B) for A in sorted(f for f in M.faces() if f)
                  for B in [(fresh,)] + _minimal_nonfaces(M.link(A)))
@@ -448,8 +451,9 @@ class _FlipState(_WorkingComplex):
     each with len(A) + n - 1 vertices, whose vertices outside A number
     n.  As a facet has at most dim + 1 vertices, a face with n + len(A)
     above dim + 2 is skipped at once.  Flip A -> B is then legal exactly
-    when B is absent, as in ``enumerate_moves(M, "bistellar")``, whose
-    list ``moves()`` reproduces in one pass over the sorted faces.
+    when B is absent, and ``moves()`` lists the legal flips in one pass
+    over the sorted faces; it is the one flip lister, which
+    ``enumerate_moves(M, "bistellar")`` calls on a fresh state.
     ``apply`` does the exchange surgery and re-tests only the faces of
     the facets it removes and inserts: no other link changes.  It
     inserts or deletes by bisection the faces that join or leave, so no

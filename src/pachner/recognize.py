@@ -238,9 +238,9 @@ def homology(K, max_cells=DEFAULT_MAX_CELLS):
     n = K.dim
     if n < 0:
         return HomologyProfile((), ())
-    if K.n_faces() - 1 > max_cells:
+    if K.n_faces() > max_cells:
         raise BudgetExhaustedError(
-            f"{K.n_faces() - 1} faces exceed the homology cell budget "
+            f"{K.n_faces()} faces exceed the homology cell budget "
             f"of {max_cells}")
     ranks = [0] * (n + 2)
     torsion = [()] * (n + 1)

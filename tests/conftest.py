@@ -1,10 +1,12 @@
 """Shared fixtures: canonical spheres, balls, the 7-vertex torus, and
-an independent flag-chain construction of the first derived subdivision
-used as an oracle against the move-based construction."""
+two oracles: an independent flag-chain construction of the first
+derived subdivision, against the move-based construction, and a
+brute-force flip filter, against the flip lister."""
 
 import pytest
 
 from pachner.core import Complex, full_simplex, simplex_boundary, standard_sphere
+from pachner.moves import Bistellar, check_move
 
 
 @pytest.fixture
@@ -90,3 +92,14 @@ def flag_subdivision(K):
         if len(f) == 1:
             grow([f], f)
     return Complex.from_facets(chains)
+
+
+def brute_force_flips(M):
+    """Every legal flip of M, sorted by A, found by brute force: for each
+    nonempty face A, B is the vertex set of lk(A, M), or the fresh vertex
+    when A is a facet, and the flip is kept when check_move finds it
+    legal."""
+    fresh = (M.fresh_vertex(),)
+    flips = (Bistellar(A, M.link(A).vertices() or fresh)
+             for A in sorted(M.faces()) if A)
+    return [mv for mv in flips if check_move(M, mv).legal]

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import pachner.flipsearch
 import pachner.moves
 from pachner.core import (
     Complex,
@@ -36,7 +37,7 @@ from pachner.moves import (
     apply_move,
 )
 
-from conftest import csaszar_torus, pinched_complex
+from conftest import brute_force_flips, csaszar_torus, pinched_complex
 
 
 def test_splitmix64_reference_sequence():
@@ -156,6 +157,56 @@ def test_prove_equivalent_shells_balls():
     assert len(end.facets) == 1
 
 
+def test_prove_equivalent_shells_past_the_recognition_budget():
+    """A strip of 4,100 triangles needs more shelling nodes than
+    recognition's default budget of 4,000; prove-equiv shells within
+    the shell-find default and certifies it by 4,099 Shell moves, with
+    no annealing.  Replaying that many Shell moves is quadratic, so the
+    certificate is not replayed here."""
+    strip = Complex.from_facets([(i, i + 1, i + 2) for i in range(4100)])
+    cert = prove_equivalent(strip, full_simplex((0, 1, 2)),
+                            Schedule(max_moves=1))
+    assert cert.path == "shelling"
+    assert (len(cert.transcript1), len(cert.transcript2)) == (4099, 0)
+    assert all(type(mv) is Shell for mv in cert.transcript1)
+
+
+def _annealed(monkeypatch):
+    """The pairs prove_equivalent anneals, recorded as it goes."""
+    pairs = []
+    real = pachner.flipsearch._anneal_pair
+
+    def recording(M1, M2, schedule):
+        pairs.append((M1, M2))
+        return real(M1, M2, schedule)
+
+    monkeypatch.setattr(pachner.flipsearch, "_anneal_pair", recording)
+    return pairs
+
+
+def test_prove_equivalent_anneals_a_ball_without_shelling(monkeypatch):
+    """Three triangles on one edge have a disk's homology, but the edge
+    lies in three facets, so they have no shelling: the pair falls back
+    to annealing, which finds no certificate."""
+    fan = Complex.from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    triangle = full_simplex((0, 1, 2))
+    annealed = _annealed(monkeypatch)
+    assert prove_equivalent(fan, triangle) is None
+    assert annealed == [(fan, triangle)]
+
+
+def test_prove_equivalent_anneals_when_shelling_runs_out(monkeypatch):
+    """With a one-node shelling budget, sd S3 cannot be shelled, so
+    S3 ~ sd S3 falls back to annealing; the default schedule finds no
+    certificate for it."""
+    S = standard_sphere(3)
+    sd = derived_subdivision(S)
+    monkeypatch.setattr(pachner.flipsearch, "DEFAULT_SHELLING_BUDGET", 1)
+    annealed = _annealed(monkeypatch)
+    assert prove_equivalent(S, sd) is None
+    assert annealed == [(S, sd)]
+
+
 def test_prove_equivalent_anneals_what_does_not_shell(torus7):
     moved = torus7.relabel({v: v + 10 for v in torus7.vertices()})
     cert = prove_equivalent(torus7, moved)
@@ -203,19 +254,23 @@ WALKS = {
         [(0, 1, 2), (1, 2, 3), (2, 3, 4, 5), (5, 6), (6, 7), (5, 7), (8,)]),
     "sd S4": lambda: derived_subdivision(standard_sphere(4)),
 }
-# the oracle reads every link of a complex with thousands of faces
+# every step builds a fresh state and a new complex with thousands of
+# faces
 WALK_STEPS = {"sd S4": 30}
 
 
 @pytest.mark.parametrize("name", sorted(WALKS))
 def test_flip_state_matches_enumeration_along_seeded_walks(name):
     """After every step of a seeded walk (300 steps, 30 on sd S4) the
-    working state lists exactly enumerate_moves(cur, "bistellar"),
-    keeps its faces in sorted order and holds the complex the apply_move
-    chain reaches; a list it returned is unchanged by the next flip and
-    listing.  Moves that add facets are only taken while the complex has
-    below 1.25 times its starting facet count."""
+    working state lists exactly what a fresh state of the complex the
+    apply_move chain reaches lists, enumerate_moves(cur, "bistellar"),
+    keeps its faces in sorted order and holds that complex; a list it
+    returned is unchanged by the next flip and listing.  On the first
+    and the last complex both lists are the brute-force filter's.  Moves
+    that add facets are only taken while the complex has below 1.25
+    times its starting facet count."""
     cur = WALKS[name]()
+    assert enumerate_moves(cur, "bistellar") == brute_force_flips(cur)
     state = _FlipState(cur)
     cap = len(cur.facets) * 5 // 4
     rng = SplitMix64(len(name))
@@ -238,6 +293,7 @@ def test_flip_state_matches_enumeration_along_seeded_walks(name):
         cur = apply_move(cur, mv)
     assert state.complex() == cur
     assert state._order == sorted(state._links)
+    assert enumerate_moves(state, "bistellar") == brute_force_flips(cur)
 
 
 def _simplex_boundary_links(K):

@@ -303,6 +303,43 @@ def test_check_move_never_raises_on_garbage(sphere2):
         assert not check_move(sphere2, mv).legal, mv
 
 
+def test_move_data_is_checked_once_before_any_family_check(sphere2):
+    """check_move refuses a malformed simplex and an A that meets B
+    itself, for every family and before the family's own check, which
+    would first refuse the absent A = [7 8]."""
+    for mv in (Star((0,), 0), Weld(0, (0, 1)), Bistellar((7, 8), (8, 9)),
+               Exchange((7, 8), (8,)), Shell((0, 1), (1, 2)),
+               Unshell((0, 1), (1, 2))):
+        assert check_move(sphere2, mv).reason == "A and B share vertices", mv
+    assert check_move(sphere2, Bistellar((7, 8), (5, 5))).reason == (
+        "check failed: duplicate vertex 5 in (5, 5)")
+    assert check_move(sphere2, Bistellar((7, 8), (5, 6))).reason == (
+        "A = [7 8] is not in the complex")
+
+
+@pytest.mark.parametrize("body, M, move, kind", [
+    ("_link", standard_sphere(2), Bistellar((0, 1, 2), (4,)), "exchange"),
+    ("_split", Complex.from_facets([(0, 1, 2), (1, 2, 3)]),
+     Shell((1, 2), (0,)), "unshell"),
+], ids=["exchange check", "shell check"])
+def test_a_fault_in_a_check_body_propagates(monkeypatch, body, M, move,
+                                            kind):
+    """A TypeError raised inside a family's check is a fault, not an
+    illegal move: it escapes check_move, the enumeration that filters
+    through check_move, and a transcript replay.  The move is legal."""
+    assert check_move(M, move).legal
+
+    def broken(*args):
+        raise TypeError("injected fault")
+
+    monkeypatch.setattr(pachner.moves, body, broken)
+    for call in (lambda: check_move(M, move),
+                 lambda: enumerate_moves(M, kind),
+                 lambda: apply_transcript(M, Transcript((move,)))):
+        with pytest.raises(TypeError, match="injected fault"):
+            call()
+
+
 def test_working_copy_checks_as_its_complex():
     """A working copy changed in place by each step's surgery answers
     every check as a complex built afresh from its facets, reason and

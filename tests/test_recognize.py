@@ -223,6 +223,16 @@ def test_homology_cell_budget(sphere3):
         homology(sphere3, max_cells=5)
 
 
+def test_homology_cell_budget_counts_every_nonempty_face(sphere3):
+    """The boundary of the 4-simplex has 5 + 10 + 10 + 5 = 30 nonempty
+    faces: a cap of 30 admits it, and a cap of 29 refuses it, naming
+    all 30."""
+    assert homology(sphere3, max_cells=30) == homology(sphere3)
+    with pytest.raises(BudgetExhaustedError, match="^30 faces exceed the "
+                       "homology cell budget of 29$"):
+        homology(sphere3, max_cells=29)
+
+
 def test_homology_invariant_under_seeded_walks(sphere2, sphere3, torus7):
     for M in (sphere2, sphere3, torus7):
         start = homology(M)
@@ -583,6 +593,23 @@ def test_unknown_reason_tells_no_shelling_from_no_budget():
         "5-node budget")
 
 
+@pytest.mark.parametrize("facets, budget, verdict", [
+    ([(0, 1, 2, 3), (4, 5)], 4000, "Other: not pure"),
+    ([(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)], 4000,
+     "Other: a ridge lies in more than two facets"),
+    ([*standard_sphere(3).facets, *standard_sphere(3, offset=5).facets],
+     4000, "Other: not connected"),
+    # the shelling search runs out of budget, so the cone decides: its
+    # apex link, the boundary of the 4-simplex, is recognised in full
+    (standard_sphere(3).join(full_simplex([9])).facets, 1,
+     "Ball: cone with apex 9 over a sphere"),
+], ids=["impure", "branched", "disconnected", "cone"])
+def test_recognize_dim_ge_3_pins_value_and_reason(facets, budget, verdict):
+    K = Complex.from_facets(facets)
+    assert K.dim >= 3
+    assert str(recognize_ball_or_sphere(K, budget)) == verdict
+
+
 # -- combinatorial manifold verification --------------------------------
 
 
@@ -591,6 +618,18 @@ def test_verify_manifold_spheres(sphere3, torus7):
     assert verify_combinatorial_manifold(torus7).value == MANIFOLD
     two_tets = Complex.from_facets([(0, 1, 2, 3), (1, 2, 3, 4)])
     assert verify_combinatorial_manifold(two_tets).value == MANIFOLD
+
+
+def test_verify_manifold_unknown_and_empty():
+    """A vertex link of sd S4 is a 3-sphere, which one shelling node
+    cannot certify, so the verdict is Unknown; the empty complex {-},
+    which has no vertex, is Other."""
+    v = verify_combinatorial_manifold(
+        derived_subdivision(standard_sphere(4)), budget=1)
+    assert str(v) == (
+        "Unknown: the verdict for lk([0]) is unresolved within budget")
+    v = verify_combinatorial_manifold(Complex.from_facets([]))
+    assert str(v) == "Other: the empty complex has no vertices"
 
 
 def test_verify_manifold_counterexample():

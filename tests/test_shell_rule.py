@@ -1,5 +1,6 @@
 """The shelling rule for Shell and Unshell against the face-set tests
-it replaced, and shell/unshell enumeration against a brute-force filter.
+it replaced, and shell, unshell and flip enumeration against
+brute-force filters over the same corpus.
 
 The reference functions below are the definitions written out on face
 sets: Shell(A, B) removes the facet F = A * B when closure(A) meets the
@@ -14,7 +15,7 @@ import random
 from collections import Counter
 
 import pachner.moves
-from conftest import pinched_complex, shellable_ball_fixtures
+from conftest import brute_force_flips, pinched_complex, shellable_ball_fixtures
 from pachner.core import (
     Complex,
     NotPseudomanifoldError,
@@ -160,6 +161,15 @@ def test_unshell_enumeration_is_the_brute_force_filter():
                         if check_move(M, Unshell(A, B)).legal),
                        key=lambda mv: (mv.A, mv.B))
         assert enumerate_moves(M, "unshell") == brute, M
+
+
+def test_flip_enumeration_is_the_brute_force_filter():
+    """The one flip lister, a fresh flip state of M, lists exactly the
+    flips check_move finds legal among every face and its link's
+    vertices: on impure and branched complexes of the corpus too, and
+    on {-}, which has none."""
+    for M in CORPUS + [Complex.from_facets([])]:
+        assert enumerate_moves(M, "bistellar") == brute_force_flips(M), M
 
 
 def test_unshell_enumeration_builds_no_complex_from_facets(monkeypatch):
