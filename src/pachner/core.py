@@ -67,15 +67,30 @@ def fmt_simplex(s):
     return "[" + " ".join(str(v) for v in s) + "]"
 
 
-def _ridge_degrees(K):
-    """Number of facets of K containing each ridge (codimension-one
-    face), keyed in facet then ``itertools.combinations`` order.  K must
-    not be {-}, which has no ridges."""
-    degree = {}
-    for f in K.facets:
+def _ridges(facets):
+    """Each ridge (codimension-one face) of the facets -> the list of
+    facets on it, keyed and listed in facet then
+    ``itertools.combinations`` order.  The one grouping of facets by
+    ridge: the facets must not include (), the facet of {-}, which has
+    no ridges."""
+    on = {}
+    for f in facets:
         for r in itertools.combinations(f, len(f) - 1):
-            degree[r] = degree.get(r, 0) + 1
-    return degree
+            on.setdefault(r, []).append(f)
+    return on
+
+
+def _rim(facets):
+    """The set of boundary ridges, those in exactly one facet.  Raises
+    NotPseudomanifoldError unless the facets have one size and every
+    ridge lies in at most two of them."""
+    if len({len(f) for f in facets}) != 1:
+        raise NotPseudomanifoldError("boundary of a non-pure complex")
+    on = _ridges(facets) if EMPTY not in facets else {}
+    for r, fs in on.items():
+        if len(fs) > 2:
+            raise NotPseudomanifoldError(f"ridge {r} lies in {len(fs)} facets")
+    return {r for r, fs in on.items() if len(fs) == 1}
 
 
 @dataclass(frozen=True)
@@ -238,19 +253,12 @@ class Complex:
         """Subcomplex of ridges lying in exactly one facet, closed up.
 
         Defined for pure complexes whose ridges lie in at most two
-        facets; {-} is returned when every ridge is interior.
+        facets (``_rim`` raises NotPseudomanifoldError otherwise); {-}
+        is returned when every ridge is interior.
         """
-        if self._boundary is not None:
-            return self._boundary
-        if not self.is_pure():
-            raise NotPseudomanifoldError("boundary of a non-pure complex")
-        degree = _ridge_degrees(self) if self.dim >= 0 else {}
-        bad = [r for r, d in degree.items() if d > 2]
-        if bad:
-            raise NotPseudomanifoldError(
-                f"ridge {bad[0]} lies in {degree[bad[0]]} facets")
-        rim = [r for r, d in degree.items() if d == 1]
-        self._boundary = Complex(frozenset(rim or {EMPTY}), _trusted=True)
+        if self._boundary is None:
+            self._boundary = Complex(frozenset(_rim(self._facets) or {EMPTY}),
+                                     _trusted=True)
         return self._boundary
 
     def relabel(self, mapping):

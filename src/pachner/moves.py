@@ -27,10 +27,10 @@ per family: it returns the facets the move removes and inserts, which
 ``core._WorkingComplex._replace`` applies in place.  ``check_move``
 returns a LegalityReport and reads a complex through its working copy;
 it checks the move's (A, B) data once for every family, refusing
-malformed simplexes and an A that meets B, and lets a fault in a
-family's check propagate.  ``apply_move`` checks first and
-raises IllegalMoveError (carrying the report) on failure, then applies
-the surgery to a fresh working copy, which becomes the result's
+malformed simplexes, data that is not a tuple and an A that meets B,
+and lets a fault in a family's check propagate.  ``apply_move`` checks
+first and raises IllegalMoveError (carrying the report) on failure, then
+applies the surgery to a fresh working copy, which becomes the result's
 incidence; ``apply_transcript`` replays on one working copy, one check
 per step.  Complexes stay immutable to callers; the working copies are
 private.  Two of them are the one lister of their family's moves:
@@ -61,6 +61,8 @@ from .core import (
     _TRIVIAL,
     _WorkingComplex,
     _link,
+    _ridges,
+    _rim,
     fmt_simplex,
     simplex,
     simplex_boundary,
@@ -212,14 +214,16 @@ def _check_shell(S, A, B):
     if F not in S.facets:
         return LegalityReport(False, f"A*B = {fmt_simplex(F)} is not a facet")
     try:
-        dM = S.complex().boundary()
+        # the facets in S.complex()'s order, so the ridge named as lying
+        # in three or more facets is the one its boundary() names
+        rim = _rim(frozenset(S.facets))
     except NotPseudomanifoldError as exc:
         return LegalityReport(False, f"boundary undefined: {exc}")
     # _split looks up only the boundary ridges through the least vertex
     # of its A, which must be min(A) for the split to match
     a = min(A)
-    through = {a: [R for R in dM.facets if a in R]}
-    split = _split(F, dM.facets, through, S._by_vertex)
+    through = {a: [R for R in rim if a in R]}
+    split = _split(F, rim, through, S._by_vertex)
     if split != (tuple(sorted(A)), tuple(sorted(B))):
         return LegalityReport(
             False, "A*B must meet the rest exactly in A * dB and the "
@@ -300,9 +304,9 @@ def check_move(M, move):
     """Legality report for `move` on M, a complex or a working copy.
 
     The move's (A, B) data is checked here, once for every family: a
-    malformed simplex, or an A and B that share vertices, yields an
-    illegal report.  The family's check then runs unguarded, so a fault
-    in it propagates."""
+    malformed simplex, an A or B that is not a tuple, or an A and B that
+    share vertices, yields an illegal report.  The family's check then
+    runs unguarded, so a fault in it propagates."""
     family = _FAMILIES.get(type(move))
     if family is None:
         return LegalityReport(False, f"unknown move type {type(move).__name__}")
@@ -311,6 +315,8 @@ def check_move(M, move):
         simplex(A), simplex(B)
     except (MalformedSimplexError, TypeError) as exc:
         return LegalityReport(False, f"check failed: {exc}")
+    if not isinstance(A, tuple) or not isinstance(B, tuple):
+        return LegalityReport(False, "check failed: A and B must be tuples")
     if not set(A).isdisjoint(B):
         return LegalityReport(False, "A and B share vertices")
     S = M if isinstance(M, _WorkingComplex) else M._incidence()
@@ -409,22 +415,16 @@ def enumerate_moves(M, kind):
                  for B in [(fresh,)] + _minimal_nonfaces(M.link(A)))
     elif kind == "unshell":
         try:
-            dM = M.boundary()
+            rim = _rim(M.facets) - {EMPTY}
         except NotPseudomanifoldError:
             return []
         # a glued facet holds one boundary ridge and a fresh vertex, or two
         # boundary ridges that alone share a codimension-2 face
-        rim = [R for R in dM.facets if R]
         glued = {R + (fresh,) for R in rim}
-        sharing = {}
-        for R in rim:
-            for i in range(len(R)):
-                sharing.setdefault(R[:i] + R[i + 1:], []).append(R)
-        for pair in sharing.values():
-            if len(pair) == 2:
-                glued.add(tuple(sorted(set().union(*pair))))
+        glued.update(tuple(sorted(set().union(*pair)))
+                     for pair in _ridges(rim).values() if len(pair) == 2)
         cands = (Unshell(tuple(v for v in F if v not in B), B)
-                 for F in glued for B in [_opposite(F, dM.facets)])
+                 for F in glued for B in [_opposite(F, rim)])
     else:
         raise ValueError(
             f"unknown move kind {kind!r}; expected one of {MOVE_KINDS}")
@@ -555,12 +555,13 @@ class _ShellState(_WorkingComplex):
 
     Besides the facets and their incidence it keeps the number of facets
     on each ridge, the boundary ridges with a vertex -> boundary ridges
-    map (with the incidence, the three maps ``_split`` reads), and each
-    facet's read: the vertices A opposite its boundary ridges and
-    ``_split``'s answer, so ``moves()`` lists ``enumerate_moves(M,
-    "shell")``.  ``remove(G)`` drops the facet G and re-reads only the
-    facets meeting G that share a ridge with it or whose A or B lies in
-    G: no other split can change.
+    map (with the incidence, the three maps ``_split`` reads): the
+    search's incremental copy of what ``core._ridges`` counts once, kept
+    as facets come and go.  It also keeps each facet's read: the vertices
+    A opposite its boundary ridges and ``_split``'s answer, so
+    ``moves()`` lists ``enumerate_moves(M, "shell")``.  ``remove(G)``
+    drops the facet G and re-reads only the facets meeting G that share
+    a ridge with it or whose A or B lies in G: no other split can change.
     It logs the reads it overwrites, and ``undo()`` pops the log to
     restore the complex before the last removal without re-reading.
     """

@@ -23,7 +23,6 @@ deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -31,7 +30,7 @@ from .core import (
     Complex,
     NotPseudomanifoldError,
     _TRIVIAL,
-    _ridge_degrees,
+    _ridges,
     fmt_simplex,
     is_simplex_boundary,
     simplex_boundary,
@@ -308,32 +307,28 @@ def _vertex_connected(K):
     return _components(adj) <= 1
 
 
-def _facet_graph_connected(K):
-    by_ridge = {}
-    for F in K.facets:
-        for r in itertools.combinations(F, len(F) - 1):
-            by_ridge.setdefault(r, []).append(F)
-    adj = {F: set() for F in K.facets}
-    for group in by_ridge.values():
-        for a, b in itertools.combinations(group, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    return _components(adj) == 1
-
-
 def _ridges_paired(K):
     """Pure, with every ridge in exactly two facets; vacuously true for
     {-}, which has no ridges.  ``K.boundary()`` cannot tell this: a
     single point and a closed complex both have the boundary {-}."""
     if K.dim < 0:
         return True
-    return K.is_pure() and all(d == 2 for d in _ridge_degrees(K).values())
+    return K.is_pure() and all(len(fs) == 2
+                               for fs in _ridges(K.facets).values())
 
 
 def is_closed_pseudomanifold(K):
     """Pure, every ridge in exactly two facets, and the facet adjacency
-    graph connected."""
-    return K.dim >= 0 and _ridges_paired(K) and _facet_graph_connected(K)
+    graph connected, read in one pass over the ridges."""
+    if K.dim < 0 or not K.is_pure():
+        return False
+    adj = {F: [] for F in K.facets}
+    for fs in _ridges(K.facets).values():
+        if len(fs) != 2:
+            return False
+        adj[fs[0]].append(fs[1])
+        adj[fs[1]].append(fs[0])
+    return _components(adj) == 1
 
 
 # -- verdicts --------------------------------------------------------------
@@ -380,10 +375,10 @@ def _classify_dim_le_2(K):
         if k == 2:
             return Verdict(SPHERE, reason="two points")
         return Verdict(OTHER, reason=f"{k} isolated points")
-    # edge -> the number of facets on it: the ridges of a surface, and
-    # the facets of a graph
-    degree = _ridge_degrees(K) if n == 2 else dict.fromkeys(K.facets, 1)
-    adj = _adjacency(degree)
+    # the edges of a surface are its ridges, each keyed to the triangles
+    # on it; those of a graph are its facets
+    edges = _ridges(K.facets) if n == 2 else K.facets
+    adj = _adjacency(edges)
     if _components(adj) > 1:
         return Verdict(OTHER, reason="not connected")
     if n == 1:
@@ -394,7 +389,7 @@ def _classify_dim_le_2(K):
             return Verdict(SPHERE, reason="a circle")
         return Verdict(BALL, reason="an arc")
     # n == 2: exact surface classification
-    if any(d > 2 for d in degree.values()):
+    if any(len(fs) > 2 for fs in edges.values()):
         return Verdict(OTHER, reason="an edge lies in more than two triangles")
     links = {v: [] for v in adj}
     for F in K.facets:
@@ -407,8 +402,8 @@ def _classify_dim_le_2(K):
             return Verdict(
                 OTHER, reason=f"the link of vertex {v} is neither a "
                 "circle nor an arc")
-    chi = len(adj) - len(degree) + len(K.facets)
-    rim = _adjacency(e for e, d in degree.items() if d == 1)
+    chi = len(adj) - len(edges) + len(K.facets)
+    rim = _adjacency(e for e, fs in edges.items() if len(fs) == 1)
     if not rim:
         if chi == 2:
             return Verdict(SPHERE, reason="closed surface with chi = 2")

@@ -201,9 +201,11 @@ def test_boundary_of_closed_sphere_is_empty_complex(sphere2):
 def test_boundary_rejects_branching_and_impurity():
     # three triangles around one edge
     K = Complex.from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
-    with pytest.raises(NotPseudomanifoldError):
+    with pytest.raises(NotPseudomanifoldError,
+                       match=r"ridge \(0, 1\) lies in 3 facets"):
         K.boundary()
-    with pytest.raises(NotPseudomanifoldError):
+    with pytest.raises(NotPseudomanifoldError,
+                       match="boundary of a non-pure complex"):
         Complex.from_facets([(0, 1, 2), (3, 4)]).boundary()
 
 

@@ -232,6 +232,17 @@ def test_shell_judges_A_and_B_as_vertex_sets():
     assert check_move(out, Unshell((2, 1), (0,))).legal
 
 
+def test_shell_names_why_the_boundary_is_undefined():
+    """The Shell check reads the boundary ridges as Complex.boundary()
+    does, and reports its refusal in the same words."""
+    book = Complex.from_facets([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    assert check_move(book, Shell((2,), (0, 1))).reason == (
+        "boundary undefined: ridge (0, 1) lies in 3 facets")
+    impure = Complex.from_facets([(0, 1, 2), (2, 3)])
+    assert check_move(impure, Shell((0,), (1, 2))).reason == (
+        "boundary undefined: boundary of a non-pure complex")
+
+
 def test_shell_enumeration_on_two_ball():
     M = two_ball()
     assert enumerate_moves(M, "shell") == [
@@ -294,13 +305,21 @@ def test_nonface_enumeration_cap_is_a_budget_error():
 
 # malformed move data: a repeated label, empty simplexes, no move at all,
 # a label that is no integer, an unsorted simplex
+# the last five would be legal with tuples for lists, so list-typed data
+# must be refused before any family reads it
 GARBAGE = (Star((9, 9), 1), Bistellar((), ()), "simplex",
-           Exchange((0, "a"), (9,)), Weld(0, (2, 1)))
+           Exchange((0, "a"), (9,)), Weld(0, (2, 1)),
+           Star([0, 1], 4), Bistellar([0, 1, 2], (4,)), Exchange((0,), [4]),
+           Shell([0, 1], (2,)), Unshell([0, 1], (4,)))
 
 
 def test_check_move_never_raises_on_garbage(sphere2):
     for mv in GARBAGE:
         assert not check_move(sphere2, mv).legal, mv
+        with pytest.raises(IllegalMoveError):
+            apply_move(sphere2, mv)
+    assert check_move(sphere2, Star([0, 1], 4)).reason == (
+        "check failed: A and B must be tuples")
 
 
 def test_move_data_is_checked_once_before_any_family_check(sphere2):
