@@ -83,13 +83,15 @@ def _ridges(facets):
 def _rim(facets):
     """The set of boundary ridges, those in exactly one facet.  Raises
     NotPseudomanifoldError unless the facets have one size and every
-    ridge lies in at most two of them."""
+    ridge lies in at most two of them; it names the least ridge in
+    three or more, so the text does not hang on the facets' order."""
     if len({len(f) for f in facets}) != 1:
         raise NotPseudomanifoldError("boundary of a non-pure complex")
     on = _ridges(facets) if EMPTY not in facets else {}
-    for r, fs in on.items():
-        if len(fs) > 2:
-            raise NotPseudomanifoldError(f"ridge {r} lies in {len(fs)} facets")
+    over = [r for r, fs in on.items() if len(fs) > 2]
+    if over:
+        r = min(over)
+        raise NotPseudomanifoldError(f"ridge {r} lies in {len(on[r])} facets")
     return {r for r, fs in on.items() if len(fs) == 1}
 
 

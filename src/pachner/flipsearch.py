@@ -14,7 +14,8 @@ randomness comes from a SplitMix64 generator owned by this module, so a
 (seed, schedule) pair fully determines the outcome on every platform.
 
 The walk runs on one mutable working state (``moves._FlipState``), not
-on a new Complex per step.  On it ``enumerate_moves`` returns the legal
+on a new Complex per step.  The state keeps the facets on each face and
+reads each link from them.  On it ``enumerate_moves`` returns the legal
 flips, read in one pass from faces the state keeps in order; the state
 is the one flip lister, so its list is its complex's by construction.
 ``apply_move`` checks a flip by lookups and flips the state in place,

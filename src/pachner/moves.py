@@ -34,17 +34,17 @@ applies the surgery to a fresh working copy, which becomes the result's
 incidence; ``apply_transcript`` replays on one working copy, one check
 per step.  Complexes stay immutable to callers; the working copies are
 private.  Two of them are the one lister of their family's moves:
-``_FlipState`` for bistellar moves, which decides each link by counting
-facets (lk(A) = dB exactly when A lies in len(B) facets of len(A) +
-len(B) - 1 vertices, whose vertices outside A are B's, or A is a facet)
-and keeps those faces in sorted order, and ``_ShellState`` for shell
-moves, which removes a facet, re-reads only the splits next to it and
-undoes a removal from its log.  A search keeps one and re-tests only
-where a move changed it; ``enumerate_moves`` on a complex builds a
-fresh one.  ``enumerate_moves(S, kind)`` accepts either for its own
-family and returns its kept move list; ``apply_move(S, move)`` also
-accepts a ``_FlipState``, checks the move by lookups and flips S in
-place.
+``_FlipState`` for bistellar moves, which keeps the facets on each face
+and reads each link from them (lk(A) = dB exactly when A lies in len(B)
+facets of len(A) + len(B) - 1 vertices, whose vertices outside A are
+B's, or A is a facet) and keeps those faces in sorted order, and
+``_ShellState`` for shell moves, which removes a facet, re-reads only
+the splits next to it and undoes a removal from its log.  A search
+keeps one and re-tests only where a move changed it; ``enumerate_moves``
+on a complex builds a fresh one.  ``enumerate_moves(S, kind)`` accepts
+either for its own family and returns its kept move list;
+``apply_move(S, move)`` also accepts a ``_FlipState``, checks the move
+by lookups and flips S in place.
 """
 
 from __future__ import annotations
@@ -185,17 +185,16 @@ def _opposite(F, ridges):
     return tuple(v for i, v in enumerate(F) if F[:i] + F[i + 1:] in ridges)
 
 
-def _split(F, ridges, through, incidence):
+def _split(F, A, through, incidence):
     """The one split (A, B) of the facet F that Shell may remove, or None.
 
-    Three maps describe the complex: ``ridges`` holds its boundary
-    ridges, ``through`` maps a vertex to the boundary ridges containing
-    it, and ``incidence`` a vertex to the facets containing it.  A is the
-    vertices opposite F's boundary ridges.  The split is refused when A
-    or B is empty, when A is a boundary face (some boundary ridge through
-    A[0] contains it), or when another facet contains B: F then meets the
-    rest in more than A * dB."""
-    A = _opposite(F, ridges)
+    A is ``_opposite(F, ridges)``, the vertices opposite F's boundary
+    ridges.  Two maps describe the complex: ``through`` maps a vertex to
+    the boundary ridges containing it, and ``incidence`` a vertex to the
+    facets containing it.  The split is refused when A or B is empty,
+    when A is a boundary face (some boundary ridge through A[0] contains
+    it), or when another facet contains B: F then meets the rest in more
+    than A * dB."""
     B = tuple(v for v in F if v not in A)
     if not A or not B:
         return None
@@ -214,16 +213,14 @@ def _check_shell(S, A, B):
     if F not in S.facets:
         return LegalityReport(False, f"A*B = {fmt_simplex(F)} is not a facet")
     try:
-        # the facets in S.complex()'s order, so the ridge named as lying
-        # in three or more facets is the one its boundary() names
-        rim = _rim(frozenset(S.facets))
+        rim = _rim(S.facets)
     except NotPseudomanifoldError as exc:
         return LegalityReport(False, f"boundary undefined: {exc}")
     # _split looks up only the boundary ridges through the least vertex
     # of its A, which must be min(A) for the split to match
     a = min(A)
     through = {a: [R for R in rim if a in R]}
-    split = _split(F, rim, through, S._by_vertex)
+    split = _split(F, _opposite(F, rim), through, S._by_vertex)
     if split != (tuple(sorted(A)), tuple(sorted(B))):
         return LegalityReport(
             False, "A*B must meet the rest exactly in A * dB and the "
@@ -441,18 +438,18 @@ def _nonempty_faces(f):
 class _FlipState(_WorkingComplex):
     """A working copy of a complex for walks over bistellar moves.
 
-    Besides the facets and their incidence it keeps the number of facets
-    containing each nonempty face, per-size face counts, and for every
-    face A whose link is a simplex boundary the link's vertices (() when
-    A is a facet), and all those faces in sorted order.  The link is
-    decided by counting, with no link built: a face in one facet has
-    link {-} exactly when it is that facet; otherwise lk(A) is the
-    boundary of a simplex on n vertices exactly when A lies in n facets,
-    each with len(A) + n - 1 vertices, whose vertices outside A number
-    n.  As a facet has at most dim + 1 vertices, a face with n + len(A)
-    above dim + 2 is skipped at once.  Flip A -> B is then legal exactly
-    when B is absent, and ``moves()`` lists the legal flips in one pass
-    over the sorted faces; it is the one flip lister, which
+    Besides the facets and their incidence it keeps the facets on each
+    nonempty face, per-size face counts, and for every face A whose link
+    is a simplex boundary the link's vertices (() when A is a facet),
+    and all those faces in sorted order.  The link is read from the
+    facets on A, with no link built: a face in one facet has link {-}
+    exactly when it is that facet; otherwise lk(A) is the boundary of a
+    simplex on n vertices exactly when A lies in n facets, each with
+    len(A) + n - 1 vertices, whose vertices outside A number n.  As a
+    facet has at most dim + 1 vertices, a face with n + len(A) above
+    dim + 2 is skipped at once.  Flip A -> B is then legal exactly when
+    B is absent, and ``moves()`` lists the legal flips in one pass over
+    the sorted faces; it is the one flip lister, which
     ``enumerate_moves(M, "bistellar")`` calls on a fresh state.
     ``apply`` does the exchange surgery and re-tests only the faces of
     the facets it removes and inserts: no other link changes.  It
@@ -464,39 +461,47 @@ class _FlipState(_WorkingComplex):
     kind = "bistellar"
 
     def __init__(self, M):
-        self._count = {}         # nonempty face -> number of facets
+        self._on = {}            # nonempty face -> the facets on it
         self._sizes = [0] * (M.dim + 2)  # face size -> number of faces
         self._links = {}         # face -> its link's vertices, when the
         #                          link is a simplex boundary
         super().__init__(M)
-        self._retest(self._count)
+        self._retest(self._on)
         self._order = sorted(self._links)
 
     def _tally(self, f, step):
         super()._tally(f, step)
-        count, sizes = self._count, self._sizes
+        on, sizes = self._on, self._sizes
+        if step > 0:
+            for s in _nonempty_faces(f):
+                star = on.get(s)
+                if star is None:  # the face appears
+                    on[s] = [f]
+                    sizes[len(s)] += 1
+                else:
+                    star.append(f)
+            return
         for s in _nonempty_faces(f):
-            c = count.get(s, 0) + step
-            if c:
-                count[s] = c
-            else:
-                del count[s]
-            if c == (step > 0):  # the face appeared or disappeared
-                sizes[len(s)] += step
+            star = on[s]
+            if len(star) > 1:
+                star.remove(f)
+            else:  # the face disappears
+                del on[s]
+                sizes[len(s)] -= 1
 
     def _retest(self, faces):
         """Re-decide the links of `faces`; returns those that joined or
         left ``_links``."""
-        links, count, top = self._links, self._count, len(self._sizes)
+        links, on, top = self._links, self._on, len(self._sizes)
         moved = []
         for A in faces:
-            n = count.get(A, top)  # an absent face is skipped
+            star = on.get(A, ())  # an absent face is skipped
+            n = len(star)
             B = None
             if n == 1:  # link {-} exactly when A is its one facet
-                if A in self.facets:
+                if star[0] == A:
                     B = ()
-            elif n + len(A) <= top:
-                star = set.intersection(*[self._by_vertex[v] for v in A])
+            elif 1 < n <= top - len(A):
                 rest = set().union(*star).difference(A)
                 if len(rest) == n and all(
                         len(F) == len(A) + n - 1 for F in star):
@@ -520,9 +525,9 @@ class _FlipState(_WorkingComplex):
         sorted, and a list once returned is never changed."""
         if self._moves is None:
             fresh = (max(self._by_vertex) + 1,)
-            links, count = self._links, self._count
+            links, on = self._links, self._on
             self._moves = [Bistellar(A, links[A] or fresh)
-                           for A in self._order if links[A] not in count]
+                           for A in self._order if links[A] not in on]
         return self._moves
 
     def _lists(self, mv):
@@ -530,7 +535,7 @@ class _FlipState(_WorkingComplex):
         if type(mv) is not Bistellar or mv.A not in self._links:
             return False
         B = self._links[mv.A] or (max(self._by_vertex) + 1,)
-        return mv.B == B and B not in self._count
+        return mv.B == B and B not in self._on
 
     def apply(self, mv):
         """Apply a flip that moves() lists; raises IllegalMoveError
@@ -555,7 +560,7 @@ class _ShellState(_WorkingComplex):
 
     Besides the facets and their incidence it keeps the number of facets
     on each ridge, the boundary ridges with a vertex -> boundary ridges
-    map (with the incidence, the three maps ``_split`` reads): the
+    map (with the incidence, the three maps a split is read from): the
     search's incremental copy of what ``core._ridges`` counts once, kept
     as facets come and go.  It also keeps each facet's read: the vertices
     A opposite its boundary ridges and ``_split``'s answer, so
@@ -603,8 +608,8 @@ class _ShellState(_WorkingComplex):
                     change(through.setdefault(v, set()), r)
 
     def _read(self, F):
-        return _opposite(F, self._rim), _split(F, self._rim, self._through,
-                                                self._by_vertex)
+        A = _opposite(F, self._rim)
+        return A, _split(F, A, self._through, self._by_vertex)
 
     def _store(self, F, read):
         self._reads[F] = read

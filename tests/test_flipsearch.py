@@ -259,12 +259,25 @@ WALKS = {
 WALK_STEPS = {"sd S4": 30}
 
 
+def _assert_faces_kept(state, K):
+    """The working state keeps, on each nonempty face of K and on no
+    other key, the facets of st(A, K), each once, and K's f-vector."""
+    faces = {A for A in K.faces() if A}
+    assert state._on.keys() == faces
+    for A in faces:
+        star = state._on[A]
+        assert len(star) == len(set(star))
+        assert set(star) == set(K.star(A).facets)
+    assert tuple(state._sizes[1:]) == K.f_vector().counts
+
+
 @pytest.mark.parametrize("name", sorted(WALKS))
 def test_flip_state_matches_enumeration_along_seeded_walks(name):
     """After every step of a seeded walk (300 steps, 30 on sd S4) the
     working state lists exactly what a fresh state of the complex the
     apply_move chain reaches lists, enumerate_moves(cur, "bistellar"),
-    keeps its faces in sorted order and holds that complex; a list it
+    keeps its faces in sorted order and holds that complex, with the
+    facets on each of its faces and its f-vector; a list it
     returned is unchanged by the next flip and listing.  On the first
     and the last complex both lists are the brute-force filter's.  Moves
     that add facets are only taken while the complex has below 1.25
@@ -283,6 +296,7 @@ def test_flip_state_matches_enumeration_along_seeded_walks(name):
         assert listed == enumerate_moves(cur, "bistellar")
         assert state._order == sorted(state._links)
         assert state.complex() == cur
+        _assert_faces_kept(state, cur)
         assert state.objective() == tuple(reversed(cur.f_vector().counts))
         assert is_simplex_boundary(state) == is_simplex_boundary(cur)
         moves = listed
@@ -292,6 +306,7 @@ def test_flip_state_matches_enumeration_along_seeded_walks(name):
         assert apply_move(state, mv) is state
         cur = apply_move(cur, mv)
     assert state.complex() == cur
+    _assert_faces_kept(state, cur)
     assert state._order == sorted(state._links)
     assert enumerate_moves(state, "bistellar") == brute_force_flips(cur)
 
@@ -325,16 +340,19 @@ COUNT_RULE_FIXTURES = {
 
 @pytest.mark.parametrize("name", sorted(COUNT_RULE_FIXTURES))
 def test_flip_state_counts_agree_with_closure_links(name):
-    """The links the working state decides by counting facets are those
-    whose closure is a simplex boundary: at construction and after each
-    of 20 seeded flips."""
+    """The links the working state reads from the facets on each face
+    are those whose closure is a simplex boundary, and the facets it
+    keeps on each face are the face's star: at construction and after
+    each of 20 seeded flips."""
     state = _FlipState(COUNT_RULE_FIXTURES[name]())
     rng = SplitMix64(len(name))
     assert state._links == _simplex_boundary_links(state.complex())
+    _assert_faces_kept(state, state.complex())
     for _ in range(20):
         moves = state.moves()
         apply_move(state, moves[rng.randrange(len(moves))])
         assert state._links == _simplex_boundary_links(state.complex())
+        _assert_faces_kept(state, state.complex())
 
 
 def test_flip_state_rejects_a_flip_it_does_not_list():

@@ -8,7 +8,9 @@ import pachner.moves
 from pachner.core import (
     BudgetExhaustedError,
     Complex,
+    NotPseudomanifoldError,
     _WorkingComplex,
+    _rim,
     full_simplex,
     isomorphic,
     simplex_boundary,
@@ -241,6 +243,26 @@ def test_shell_names_why_the_boundary_is_undefined():
     impure = Complex.from_facets([(0, 1, 2), (2, 3)])
     assert check_move(impure, Shell((0,), (1, 2))).reason == (
         "boundary undefined: boundary of a non-pure complex")
+
+
+def test_boundary_and_shell_name_the_least_over_full_ridge():
+    """With two ridges in three facets, (0, 6) and (2, 4), the boundary
+    and the Shell check both name the least, whatever order the facets
+    come in."""
+    facets = [(0, 1, 6), (0, 2, 4), (0, 2, 6), (0, 3, 6), (1, 2, 3),
+              (2, 3, 4), (2, 4, 6)]
+    K = Complex.from_facets(facets)
+    with pytest.raises(NotPseudomanifoldError,
+                       match=r"^ridge \(0, 6\) lies in 3 facets$"):
+        K.boundary()
+    for M in (K, _WorkingComplex(K)):
+        assert check_move(M, Shell((0,), (1, 6))).reason == (
+            "boundary undefined: ridge (0, 6) lies in 3 facets")
+    rng = random.Random(5)
+    for _ in range(20):
+        rng.shuffle(facets)
+        with pytest.raises(NotPseudomanifoldError, match=r"ridge \(0, 6\)"):
+            _rim(facets)
 
 
 def test_shell_enumeration_on_two_ball():
