@@ -92,6 +92,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _budget(text):
+    """A budget or ceiling: an int >= 0, anything else is bad usage."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _yes(flag):
     return "yes" if flag else "no"
 
@@ -344,7 +356,7 @@ def _build_parser():
     def schedule_flags(q):
         q.add_argument("--seed", type=int, default=_DEFAULT_SCHEDULE.seed,
                        help="search seed (default %(default)s)")
-        q.add_argument("--max-moves", type=int,
+        q.add_argument("--max-moves", type=_budget,
                        default=_DEFAULT_SCHEDULE.max_moves,
                        help="annealing move budget (default %(default)s)")
         q.add_argument("--temp", type=float, default=_DEFAULT_SCHEDULE.temp,
@@ -356,7 +368,7 @@ def _build_parser():
     q = command("validate", _cmd_validate,
                 "structure report, manifold check, ball/sphere recognition")
     q.add_argument("complex", help="facet file")
-    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    q.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help="shelling-search node budget of each recognition "
                    "(default %(default)s)")
     q.add_argument("--all-links", action="store_true",
@@ -368,7 +380,7 @@ def _build_parser():
 
     q = command("homology", _cmd_homology, "exact integral homology")
     q.add_argument("complex", help="facet file")
-    q.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS,
+    q.add_argument("--max-cells", type=_budget, default=DEFAULT_MAX_CELLS,
                    help="face-count ceiling (default %(default)s)")
 
     q = command("link", _cmd_link, "link of a simplex")
@@ -416,7 +428,7 @@ def _build_parser():
                    help="simplex to star")
     q.add_argument("--vertex", type=int, default=None,
                    help="label for the new vertex (default: fresh)")
-    q.add_argument("--budget", type=int, default=DEFAULT_EXPANSION_BUDGET,
+    q.add_argument("--budget", type=_budget, default=DEFAULT_EXPANSION_BUDGET,
                    help="shelling budget (default %(default)s)")
     out_flag(q)
 
@@ -427,7 +439,7 @@ def _build_parser():
                    help="simplex removed by the exchange")
     q.add_argument("--simplex-b", required=True, metavar="'V0 V1 ...'",
                    help="simplex introduced by the exchange")
-    q.add_argument("--budget", type=int, default=DEFAULT_EXPANSION_BUDGET,
+    q.add_argument("--budget", type=_budget, default=DEFAULT_EXPANSION_BUDGET,
                    help="search budget (default %(default)s)")
     out_flag(q)
 
@@ -446,14 +458,14 @@ def _build_parser():
 
     q = command("shell-find", _cmd_shell_find, "search for a shelling")
     q.add_argument("complex", help="facet file")
-    q.add_argument("--budget", type=int, default=DEFAULT_SHELLING_BUDGET,
+    q.add_argument("--budget", type=_budget, default=DEFAULT_SHELLING_BUDGET,
                    help="backtracking budget (default %(default)s)")
     out_flag(q)
 
     q = command("iso", _cmd_iso, "decide isomorphism of two complexes")
     q.add_argument("left", help="facet file")
     q.add_argument("right", help="facet file")
-    q.add_argument("--budget", type=int, default=DEFAULT_ISO_BUDGET,
+    q.add_argument("--budget", type=_budget, default=DEFAULT_ISO_BUDGET,
                    help="assignment budget (default %(default)s)")
 
     return parser

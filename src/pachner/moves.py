@@ -39,9 +39,12 @@ and reads each link from them (lk(A) = dB exactly when A lies in len(B)
 facets of len(A) + len(B) - 1 vertices, whose vertices outside A are
 B's, or A is a facet) and keeps those faces in sorted order, and
 ``_ShellState`` for shell moves, which removes a facet, re-reads only
-the splits next to it and undoes a removal from its log.  A search
-keeps one and re-tests only where a move changed it; ``enumerate_moves``
-on a complex builds a fresh one.  ``enumerate_moves(S, kind)`` accepts
+the splits next to it and undoes a removal from its log.  Each keeps
+its legal moves (for flips, the faces they start from) in sorted
+order, updated by bisection where a move changed a read, so a node
+lists its moves with one copy of that order.  A search keeps one and
+re-tests only where a move changed it; ``enumerate_moves`` on a complex
+builds a fresh one.  ``enumerate_moves(S, kind)`` accepts
 either for its own family and returns its kept move list;
 ``apply_move(S, move)`` also accepts a ``_FlipState``, checks the move
 by lookups and flips S in place.
@@ -50,7 +53,7 @@ by lookups and flips S in place.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -563,12 +566,15 @@ class _ShellState(_WorkingComplex):
     map (with the incidence, the three maps a split is read from): the
     search's incremental copy of what ``core._ridges`` counts once, kept
     as facets come and go.  It also keeps each facet's read: the vertices
-    A opposite its boundary ridges and ``_split``'s answer, so
-    ``moves()`` lists ``enumerate_moves(M, "shell")``.  ``remove(G)``
-    drops the facet G and re-reads only the facets meeting G that share
-    a ridge with it or whose A or B lies in G: no other split can change.
-    It logs the reads it overwrites, and ``undo()`` pops the log to
-    restore the complex before the last removal without re-reading.
+    A opposite its boundary ridges and ``_split``'s answer, and the legal
+    shell moves in one list sorted by (A, B), so ``moves()`` lists
+    ``enumerate_moves(M, "shell")`` with one copy of that list.
+    ``remove(G)`` drops the facet G and re-reads only the facets meeting
+    G that share a ridge with it or whose A or B lies in G: no other
+    split can change.  Only a split that changed is moved in the list,
+    by bisection, so no node sorts or builds its moves anew.  It logs
+    the reads it overwrites, and ``undo()`` pops the log to restore the
+    complex before the last removal without re-reading.
     """
 
     kind = "shell"
@@ -580,7 +586,7 @@ class _ShellState(_WorkingComplex):
         self._rim = set()        # the ridges in one facet
         self._through = {}       # vertex -> the boundary ridges on it
         self._reads = {}         # facet -> (A, its split or None)
-        self._free = {}          # facet -> its split, when it has one
+        self._order = []         # the Shell of every split, by (A, B)
         self._log = []           # per removal: (facet, read) pairs it
         #                          replaced, the removed facet first
         super().__init__(M)
@@ -593,6 +599,7 @@ class _ShellState(_WorkingComplex):
         if not self._widths[len(f)]:
             del self._widths[len(f)]
         degree, rim, through = self._degree, self._rim, self._through
+        over = 0
         for r in itertools.combinations(f, len(f) - 1):
             old = degree.get(r, 0)
             new = old + step
@@ -600,40 +607,59 @@ class _ShellState(_WorkingComplex):
                 degree[r] = new
             else:
                 del degree[r]
-            self._over += (new > 2) - (old > 2)
-            if old == 1 or new == 1:  # r leaves or joins the boundary
-                change = set.add if new == 1 else set.discard
-                change(rim, r)
+            over += (new > 2) - (old > 2)
+            if new == 1:  # r joins the boundary
+                rim.add(r)
                 for v in r:
-                    change(through.setdefault(v, set()), r)
+                    if v in through:
+                        through[v].add(r)
+                    else:
+                        through[v] = {r}
+            elif old == 1:  # r leaves it
+                rim.discard(r)
+                for v in r:
+                    through[v].discard(r)
+        self._over += over
 
     def _read(self, F):
         A = _opposite(F, self._rim)
         return A, _split(F, A, self._through, self._by_vertex)
 
     def _store(self, F, read):
+        """Keep F's read, and move its Shell in the order if its split
+        changed."""
+        old = self._reads.get(F, (None, None))[1]
         self._reads[F] = read
-        if read[1]:
-            self._free[F] = read[1]
-        else:
-            self._free.pop(F, None)
+        self._reorder(old, read[1])
+
+    def _reorder(self, old, new):
+        """Replace the Shell of the split `old` in the order by that of
+        `new`; either may be None."""
+        if old == new:
+            return
+        order = self._order
+        if old:
+            del order[bisect_left(order, old, key=_ab)]
+        if new:
+            insort(order, Shell(*new), key=_ab)
 
     def moves(self):
         """The legal shell moves, sorted by (A, B); none unless the
         complex is pure with every ridge in at most two facets, when
-        its boundary is defined."""
+        its boundary is defined.  A copy of the kept order: nothing is
+        sorted or built, and a list once returned is never changed."""
         if self._moves is None:
             defined = not self._over and len(self._widths) == 1
-            self._moves = [Shell(A, B) for A, B in sorted(
-                self._free.values())] if defined else []
+            self._moves = self._order[:] if defined else []
         return self._moves
 
     def remove(self, G):
         """Remove the facet G (the shell surgery) and re-read the splits
         it can change, logging the reads it replaces."""
         self._replace((G,), ())
-        replaced = [(G, self._reads.pop(G))]
-        self._free.pop(G, None)
+        read = self._reads.pop(G)
+        self._reorder(read[1], None)
+        replaced = [(G, read)]
         gs = set(G)
         if len(G) > 1:
             near = set().union(*(self._by_vertex.get(v, ()) for v in G))
@@ -643,9 +669,13 @@ class _ShellState(_WorkingComplex):
             read = self._reads[F]
             A = read[0]
             shared = gs.intersection(F)
-            B = set(F).difference(A)
+            # A lies in G when all of A is shared; B = F - A when all
+            # that is shared outside A makes up F - A
+            inA = len(shared.intersection(A))
             if (len(shared) == len(F) - 1 == len(G) - 1
-                    or A and shared.issuperset(A) or B and B <= shared):
+                    or A and inA == len(A)
+                    or len(F) > len(A)
+                    and len(shared) - inA == len(F) - len(A)):
                 replaced.append((F, read))
                 self._store(F, self._read(F))
         self._log.append(replaced)

@@ -584,7 +584,9 @@ def _shell_ball(S, counter):
     moves of each node in enumeration order, on the working state S
     (a ``moves._ShellState``).  Enumeration found each move legal, so
     taking it removes its facet from S, and backtracking undoes the
-    removal; each node re-reads only the splits its removal changed.
+    removal; each node re-reads only the splits its removal changed,
+    and its moves are a copy of the order S keeps, so a list held for
+    an ancestor node is never changed by a later removal.
     The stack is explicit, so the depth of the Python stack does not
     grow with the facet count; each node visited costs one unit of
     counter[0].  S is back as it came when the search returns None."""

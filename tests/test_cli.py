@@ -75,6 +75,42 @@ def test_bad_flag_value_exits_3(tmp_path, sphere2, capsys):
     assert exc.value.code == 3
 
 
+_DISK = Complex.from_facets([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["shell-find", "DISK", "--budget", "-1"],
+    ["iso", "DISK", "DISK", "--budget", "-1"],
+    ["homology", "DISK", "--max-cells", "-1"],
+    ["validate", "DISK", "--budget", "-1", "--out", "OUT"],
+    ["reduce", "DISK", "--max-moves", "-1"],
+    ["prove-equiv", "DISK", "DISK", "--max-moves", "-2"],
+    ["expand-star", "DISK", "--simplex", "2", "--budget", "-1"],
+    ["expand-exchange", "DISK", "--simplex-a", "2", "--simplex-b", "5",
+     "--budget", "-1"],
+    ["shell-find", "DISK", "--budget", "many"],
+])
+def test_negative_budget_is_bad_usage(tmp_path, capsys, argv):
+    """A budget, move count or cell ceiling below 0 is a usage error: it
+    neither runs unbounded nor reads as an exhausted search."""
+    disk, out = _cx(tmp_path, _DISK), tmp_path / "art"
+    argv = [{"DISK": disk, "OUT": str(out)}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "expected an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_budget_is_a_budget(tmp_path, capsys):
+    disk = _cx(tmp_path, _DISK)
+    assert main(["shell-find", disk, "--budget", "0"]) == 2
+    assert "budget exhausted" in capsys.readouterr().err
+    out = tmp_path / "art"
+    assert main(["validate", disk, "--out", str(out)]) == 0
+    assert (out / "evidence.tr").exists()
+
+
 def test_homology_report(tmp_path, capsys):
     assert main(["homology", _cx(tmp_path, csaszar_torus())]) == 0
     assert capsys.readouterr().out == "H0 = Z; H1 = Z^2; H2 = Z\n"

@@ -1,13 +1,14 @@
 """The shelling search's working state against enumeration on immutable
 complexes, and the search's pinned behaviour.
 
-``moves._ShellState`` keeps each facet's split and re-reads only the
-splits a removed facet can change; ``enumerate_moves`` on the complex
-the state holds is its oracle after every removal and every undo, both
-along the search itself (backtracking included) and along seeded walks
-that remove any facet, legal shelling or not.  The pinned digests and
-node counts below come from the search that re-enumerated every node
-on an immutable complex; the state must not change them."""
+``moves._ShellState`` keeps each facet's split and its legal moves in
+(A, B) order, and re-reads only the splits a removed facet can change;
+``enumerate_moves`` on the complex the state holds is its oracle after
+every removal and every undo, both along the search itself
+(backtracking included) and along seeded walks that remove any facet,
+legal shelling or not.  The pinned digests and node counts below come
+from the search that re-enumerated every node on an immutable complex;
+the state must not change them."""
 
 import hashlib
 import random
@@ -64,6 +65,15 @@ def _agrees(S):
     assert enumerate_moves(S, "shell") == enumerate_moves(S.complex(), "shell")
 
 
+def _kept_in_order(S):
+    """The kept order is the Shell of every split the state has read,
+    sorted by (A, B), and what a fresh state of its complex keeps, even
+    where the boundary is undefined and no move is listed."""
+    splits = sorted(read[1] for read in S._reads.values() if read[1])
+    assert S._order == [Shell(A, B) for A, B in splits]
+    assert S._order == _ShellState(S.complex())._order
+
+
 class _Checked(_ShellState):
     """A working state that checks itself against its oracle after every
     removal and undo the search makes."""
@@ -105,6 +115,8 @@ def test_state_matches_enumeration_along_seeded_walks(name):
     rng = random.Random(len(name))
     removed = []
     for _ in range(120):
+        listed = enumerate_moves(S, "shell")
+        kept = list(listed)
         if removed and (len(S.facets) == 1 or rng.random() < 0.4):
             S.undo()
             removed.pop()
@@ -112,13 +124,16 @@ def test_state_matches_enumeration_along_seeded_walks(name):
             G = rng.choice(sorted(S.facets))
             S.remove(G)
             removed.append(G)
+        assert listed == kept  # a returned list is never changed
         assert S.complex() == Complex.from_facets(set(K.facets) - set(removed))
         _agrees(S)
+        _kept_in_order(S)
     while removed:
         S.undo()
         removed.pop()
     assert S.complex() == K
     _agrees(S)
+    _kept_in_order(S)
 
 
 def test_shell_state_enumerates_shell_moves_only():
@@ -179,6 +194,25 @@ def test_search_reads_a_bounded_number_of_splits(monkeypatch):
     sh = find_shelling(_strip(300))
     assert len(sh.steps) == 299
     assert len(calls) <= 10 * 300
+
+
+def test_search_builds_a_bounded_number_of_moves(monkeypatch):
+    """A node lists a copy of the kept order, and a Shell is built only
+    where a split changed: on sd S3 (120 facets) the search builds at
+    most 3 per facet (it built 2,203 when every node listed its moves
+    anew)."""
+    built = []
+    real = Shell.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    K = derived_subdivision(standard_sphere(3))
+    monkeypatch.setattr(Shell, "__init__", counting)
+    sh = find_shelling(K)
+    assert len(K.facets) == 120 and len(sh.steps) == 118
+    assert len(built) <= 3 * 120
 
 
 def test_shell_rule_on_a_complex_builds_no_face_set(monkeypatch):
