@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import traceback
@@ -101,6 +102,19 @@ def _budget(text):
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 0, got {text!r}")
+    return value
+
+
+def _finite(text):
+    """A schedule float: a finite number; nan and infinities are bad
+    usage, since either switches the walk off."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
     return value
 
 
@@ -359,9 +373,9 @@ def _build_parser():
         q.add_argument("--max-moves", type=_budget,
                        default=_DEFAULT_SCHEDULE.max_moves,
                        help="annealing move budget (default %(default)s)")
-        q.add_argument("--temp", type=float, default=_DEFAULT_SCHEDULE.temp,
+        q.add_argument("--temp", type=_finite, default=_DEFAULT_SCHEDULE.temp,
                        help="starting temperature (default %(default)s)")
-        q.add_argument("--decay", type=float, default=_DEFAULT_SCHEDULE.decay,
+        q.add_argument("--decay", type=_finite, default=_DEFAULT_SCHEDULE.decay,
                        help="cooling factor per accepted move "
                             "(default %(default)s)")
 

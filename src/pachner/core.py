@@ -414,78 +414,80 @@ def is_simplex_boundary(K):
 # -- isomorphism ------------------------------------------------------
 
 
-def _vertex_profiles(K):
-    prof = {v: [0] * (K.dim + 1) for v in K.vertices()}
-    for f in K.faces():
-        for v in f:
-            prof[v][len(f) - 1] += 1
-    base = {v: tuple(p) for v, p in prof.items()}
-    # one refinement round: fold in the multiset of neighbour profiles
-    adj = {v: [] for v in K.vertices()}
-    for e in K.faces_of_dim(1):
-        adj[e[0]].append(e[1])
-        adj[e[1]].append(e[0])
-    return {v: (base[v], tuple(sorted(base[u] for u in adj[v])))
-            for v in K.vertices()}
-
-
 DEFAULT_ISO_BUDGET = 500_000
 
 
 def isomorphic(K, L, budget=DEFAULT_ISO_BUDGET):
     """Search for a vertex bijection identifying K with L.
 
-    Returns the mapping {v_K: v_L} or None.  Backtracking with
-    profile-class pruning; raises BudgetExhaustedError (carrying the
-    partial assignment) if the node budget runs out first.
+    Returns the mapping {v_K: v_L} or None.  The vertex classes of K and
+    L are refined together until no class splits, so a class means the
+    same on both sides: a vertex starts from its facet count, and each
+    round adds the sorted classes of its neighbours.  K's vertices are
+    then taken breadth first through each component, by (class size,
+    label), so each component starts at a vertex of a smallest class.
+    Each is offered,
+    in label order, the unused vertices of its class whose mapped
+    neighbours are exactly the images of its own mapped neighbours, and
+    a choice stands when every fully mapped facet through it lands on a
+    facet of L.  Depth-first with an explicit stack; raises
+    BudgetExhaustedError (carrying the partial assignment) when the
+    node budget runs out first.
     """
     if K.f_vector() != L.f_vector():
         return None
-    pk, pl = _vertex_profiles(K), _vertex_profiles(L)
-    classes = {}
-    for v, p in pl.items():
-        classes.setdefault(p, []).append(v)
-    if sorted(pk.values()) != sorted(pl.values()):
+    (on_k, nk), (on_l, nl) = [
+        (on, {v: set().union(*fs).difference((v,)) for v, fs in on.items()})
+        for on in (K._incidence()._by_vertex, L._incidence()._by_vertex)]
+    ck = {v: len(fs) for v, fs in on_k.items()}
+    cl = {v: len(fs) for v, fs in on_l.items()}
+    while True:
+        sk, sl = [{v: (c[v], tuple(sorted(c[u] for u in nb[v]))) for v in nb}
+                  for c, nb in ((ck, nk), (cl, nl))]
+        ids = {s: i for i, s in enumerate(sorted({*sk.values(), *sl.values()}))}
+        if len(ids) == len({*ck.values(), *cl.values()}):
+            break
+        ck = {v: ids[s] for v, s in sk.items()}
+        cl = {v: ids[s] for v, s in sl.items()}
+    if sorted(ck.values()) != sorted(cl.values()):
         return None
+    members = {}                 # class -> its vertices of L, by label
+    for w in sorted(cl):
+        members.setdefault(cl[w], []).append(w)
 
-    faces_l = L.faces()
-    by_vertex = {v: [] for v in K.vertices()}
-    for f in K.faces():
-        for v in f:
-            by_vertex[v].append(f)
+    def key(v):
+        return len(members[ck[v]]), v
 
-    # most-constrained vertices first
-    order = sorted(K.vertices(), key=lambda v: (len(classes[pk[v]]), v))
-    mapping = {}
-    used = set()
-    nodes = 0
+    order, seen = [], set()
+    for root in sorted(nk, key=key):
+        queue = [] if root in seen else [root]
+        seen.update(queue)
+        for v in queue:
+            new = sorted(nk[v] - seen, key=key)
+            seen.update(new)
+            queue.extend(new)
+        order += queue
+    mapping, used, nodes = {}, set(), 0
+
+    def offers(v):
+        images = {mapping[u] for u in nk[v] if u in mapping}
+        pool = sorted(nl[next(iter(images))]) if images else members[ck[v]]
+        return (w for w in pool if w not in used and cl[w] == ck[v]
+                and used.intersection(nl[w]) == images)
 
     def consistent(v):
-        for f in by_vertex[v]:
-            img = []
-            for u in f:
-                w = mapping.get(u)
-                if w is None:
-                    break
-                img.append(w)
-            else:
-                if tuple(sorted(img)) not in faces_l:
-                    return False
-        return True
+        images = ([mapping.get(u) for u in f] for f in on_k[v])
+        return all(None in img or tuple(sorted(img)) in L.facets
+                   for img in images)
 
-    # depth-first over `order` with an explicit stack, so the depth of
-    # the Python stack does not grow with the vertex count: tried[i] is
-    # how many candidates order[i] has been offered so far
-    tried = [0] * len(order)
-    i = 0
-    while 0 <= i < len(order):
-        v = order[i]
-        candidates = classes[pk[v]]
-        while tried[i] < len(candidates):
-            w = candidates[tried[i]]
-            tried[i] += 1
-            if w in used:
-                continue
+    # stack[i] offers candidates to order[i], so the depth of the Python
+    # stack does not grow with the vertex count
+    stack = []
+    while len(mapping) < len(order):
+        v = order[len(mapping)]
+        if len(stack) == len(mapping):
+            stack.append(offers(v))
+        for w in stack[-1]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExhaustedError(
@@ -494,17 +496,15 @@ def isomorphic(K, L, budget=DEFAULT_ISO_BUDGET):
             mapping[v] = w
             used.add(w)
             if consistent(v):
-                i += 1
                 break
             del mapping[v]
             used.discard(w)
         else:
-            # order[i] is out of candidates: undo order[i - 1] and resume it
-            tried[i] = 0
-            i -= 1
-            if i >= 0:
-                used.discard(mapping.pop(order[i]))
-    return dict(mapping) if i == len(order) else None
+            stack.pop()
+            if not stack:
+                return None
+            used.discard(mapping.pop(order[len(stack) - 1]))
+    return dict(mapping)
 
 
 # -- facet files ------------------------------------------------------

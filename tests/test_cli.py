@@ -102,6 +102,22 @@ def test_negative_budget_is_bad_usage(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--temp", "--decay"])
+@pytest.mark.parametrize("subcommand", ["reduce", "prove-equiv"])
+def test_non_finite_schedule_is_bad_usage(tmp_path, capsys, subcommand, flag,
+                                          value):
+    """nan or an infinity as temperature or decay switches the walk off,
+    so it is a usage error rather than an exhausted search."""
+    disk, out = _cx(tmp_path, _DISK), tmp_path / "art"
+    inputs = [disk] if subcommand == "reduce" else [disk, disk]
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, *inputs, f"{flag}={value}", "--out", str(out)])
+    assert exc.value.code == 3
+    assert f"expected a finite number, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_budget_is_a_budget(tmp_path, capsys):
     disk = _cx(tmp_path, _DISK)
     assert main(["shell-find", disk, "--budget", "0"]) == 2

@@ -579,3 +579,73 @@ def test_expansion_budget_guard():
         exchange_to_bistellar(
             M, (0,), (8,), LinkFactorization((8,), core),
             search_witness(core), budget=2)
+
+
+# -- input refusals ------------------------------------------------------------
+
+
+def _disk():
+    return Complex.from_facets([(0, 1, 2), (1, 2, 3), (1, 3, 4)])
+
+
+def _hexagon_disk():
+    return Complex.from_facets([(i, (i + 1) % 6, 6) for i in range(6)])
+
+
+def _octahedron_exchange(B, witness_moves):
+    M = twisted_octahedron()
+    return exchange_to_bistellar(
+        M, (0,), (9,), LinkFactorization(B, M.link((0,))),
+        Witness(witness_moves))
+
+
+_REFUSALS = {
+    "shelling from a non-facet": (
+        lambda: join_boundary_shelling(0, standard_sphere(2),
+                                       ShellingSequence((), (0, 1, 2),
+                                                        (0, 1, 9))),
+        r"shelling: initial \[0 1 9\] is not a facet"),
+    "shelling to the wrong facet": (
+        lambda: join_boundary_shelling(
+            0, _disk(), ShellingSequence(find_shelling(_disk()).steps,
+                                         (9, 10, 11))),
+        r"shelling does not end at its terminal facet"),
+    "join with r < 0": (
+        lambda: join_boundary_shelling(-1, _disk(), find_shelling(_disk())),
+        r"r must be nonnegative"),
+    "join with too few labels": (
+        lambda: join_boundary_shelling(2, _disk(), find_shelling(_disk()),
+                                       labels=(7, 8)),
+        r"need 3 distinct labels, got 2"),
+    "join labels on the base": (
+        lambda: join_boundary_shelling(1, _disk(), find_shelling(_disk()),
+                                       labels=(4, 9)),
+        r"simplex labels collide with the base complex"),
+    "interior vertex as apex": (
+        lambda: ball_to_cone_transcript(
+            _hexagon_disk(), find_shelling(_hexagon_disk()), 6),
+        r"apex 6 already labels a vertex of the ball"),
+    "starring the empty simplex": (
+        lambda: star_move_transcript(standard_sphere(2), ()),
+        r"cannot star the empty simplex"),
+    "a flip among the starrings": (
+        lambda: subdivision_to_bistellar(
+            standard_sphere(2),
+            Transcript((Star((0, 1), 4), Bistellar((0, 2, 3), (5,))))),
+        r"move 1 is not a starring: FLIP \[0 2 3\] ; \[5\]"),
+    "a stray witness move": (
+        lambda: _octahedron_exchange((9,), (Star((2, 4), 8),)),
+        r"witness move 0 is not an exchange: STAR \[2 4\] 8"),
+    "a factorization of another B": (
+        lambda: _octahedron_exchange((8,), (Exchange((2,), (4, 5)),)),
+        r"factorization B-part differs from the move"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_expander_refuses_bad_input(case):
+    """Each refusal raises ValueError with its message, before any
+    expansion work."""
+    call, message = _REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

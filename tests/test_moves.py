@@ -1,5 +1,6 @@
 """Move legality, surgery exactness, inversion, enumeration, transcripts."""
 
+import itertools
 import random
 
 import pytest
@@ -102,6 +103,50 @@ def test_weld_legality_requires_absent_simplex(sphere2):
     # A must be absent: welding 4 back onto an existing simplex fails
     rep = check_move(starred, Weld(4, (0, 2)))
     assert not rep.legal
+
+
+def _weld_oracle(M):
+    """Every legal Weld(a, W), W a fresh vertex or any vertex set of
+    lk(a): a brute-force superset of the minimal-nonface candidates."""
+    fresh = M.fresh_vertex()
+    out = set()
+    for a in M.vertices():
+        lk = M.link((a,)).vertices()
+        subsets = (W for r in range(1, len(lk) + 1)
+                   for W in itertools.combinations(lk, r))
+        out.update(Weld(a, W) for W in itertools.chain([(fresh,)], subsets)
+                   if check_move(M, Weld(a, W)).legal)
+    return out
+
+
+@pytest.mark.parametrize("name, M", [
+    ("S1", standard_sphere(1)),
+    ("S2", standard_sphere(2)),
+    ("S3", standard_sphere(3)),
+    ("octahedron", octahedron()),
+    ("S2 with a starred edge", apply_move(standard_sphere(2), Star((0, 1), 4))),
+    ("S3 with a starred triangle",
+     apply_move(standard_sphere(3), Star((0, 1, 2), 5))),
+    ("disk", Complex.from_facets([(0, 1, 2), (1, 2, 3), (1, 3, 4)])),
+    ("triangle and edge", Complex.from_facets([(0, 1, 2), (2, 3)])),
+    ("torus", csaszar_torus()),
+])
+def test_weld_enumeration_matches_brute_force(name, M):
+    moves = enumerate_moves(M, "weld")
+    assert set(moves) == _weld_oracle(M), name
+    assert len(set(moves)) == len(moves)
+    assert moves == sorted(moves, key=lambda mv: (mv.a, mv.A))
+
+
+@pytest.mark.parametrize("M", [standard_sphere(2), standard_sphere(3),
+                               octahedron(), csaszar_torus()])
+def test_weld_enumeration_lists_the_inverse_of_every_starring(M):
+    # starring a vertex only renames it, and the list names a renaming
+    # by the fresh label, so the inverse is listed for |A| >= 2
+    a = M.fresh_vertex()
+    for A in sorted(f for f in M.faces() if len(f) > 1):
+        assert Weld(a, A) in enumerate_moves(apply_move(M, Star(A, a)),
+                                             "weld"), A
 
 
 # -- bistellar moves ---------------------------------------------------
