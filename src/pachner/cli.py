@@ -94,7 +94,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(text):
-    """A budget or ceiling: an int >= 0, anything else is bad usage."""
+    """A budget, ceiling or vertex label: an int >= 0, anything else is
+    bad usage."""
     try:
         value = int(text)
     except ValueError:
@@ -440,7 +441,7 @@ def _build_parser():
     q.add_argument("complex", help="facet file")
     q.add_argument("--simplex", required=True, metavar="'V0 V1 ...'",
                    help="simplex to star")
-    q.add_argument("--vertex", type=int, default=None,
+    q.add_argument("--vertex", type=_budget, default=None,
                    help="label for the new vertex (default: fresh)")
     q.add_argument("--budget", type=_budget, default=DEFAULT_EXPANSION_BUDGET,
                    help="shelling budget (default %(default)s)")

@@ -315,10 +315,9 @@ class _WorkingComplex:
     one, which nothing changes; a move replay changes its own copy in
     place by ``_replace``, then hands it to the complex it returns.
     Subclasses in ``moves`` extend ``_tally`` with their own counts and
-    list the legal moves of their one family, ``kind``, in ``moves()``,
-    cached in ``_moves`` until the next change.  Like a Complex it has
-    ``facets`` and ``vertices()``, which is all ``is_simplex_boundary``
-    reads.
+    list the legal moves of their one family, ``kind``, in ``moves()``.
+    Like a Complex it has ``facets`` and ``vertices()``, which is all
+    ``is_simplex_boundary`` reads.
     """
 
     kind = ""
@@ -326,7 +325,6 @@ class _WorkingComplex:
     def __init__(self, M):
         self.facets = set()
         self._by_vertex = {}     # vertex -> set of facets containing it
-        self._moves = None
         for f in M.facets:
             self._tally(f, 1)
 
@@ -354,7 +352,6 @@ class _WorkingComplex:
             self._tally(f, -1)
         for f in new:
             self._tally(f, 1)
-        self._moves = None
         return self
 
     def _star(self, a):

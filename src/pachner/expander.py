@@ -12,8 +12,13 @@ The private builders (_cone_steps, _join_steps, recognize._cone_flips)
 compute steps by label arithmetic and check nothing.  Every returned
 object is certified once, in its own complex: a public combinator
 replays the caller's shelling and its own output, and a transcript is
-replayed once in the caller's complex against the exact one-move
-result.  A failure of our own output is a fault, raised as RuntimeError.
+replayed once in the caller's complex against the exact result.  For an
+exchange that is the one-move result; for starrings, one expansion path
+(subdivision_to_bistellar, of which star_move_transcript is the case of
+one starring) takes them in turn on one working copy, checks each once
+there and reads its link from that check, and the whole transcript is
+replayed against that copy.  A failure of our own output is a fault,
+raised as RuntimeError.
 """
 
 from __future__ import annotations
@@ -166,45 +171,11 @@ def ball_to_cone_transcript(X, sh, v):
 
 
 def star_move_transcript(M, A, budget=DEFAULT_EXPANSION_BUDGET, at=None):
-    """Bistellar transcript realizing the starring of A on M.
-
-    Needs lk(A) closed and shellable: the shelling of the star A * lk(A)
-    is built by iterated coning, converted to a transcript from the
-    star to (new vertex * its boundary), and inverted.  The new vertex
-    is `at` when given (must be unused), the least fresh label
-    otherwise."""
-    return _expand_star(M, A, budget, at)[0]
-
-
-def _expand_star(M, A, budget, at):
-    """star_move_transcript, also returning the starred complex."""
-    A = simplex(A)
-    if not A:
-        raise ValueError("cannot star the empty simplex")
-    lk = M.link(A)
-    # the boundary of A * lk is then exactly dA * lk, which the
-    # starring expansion relies on
-    if not _ridges_paired(lk):
-        raise ValueError(
-            f"lk({fmt_simplex(A)}) is not closed; this starring has no "
-            "bistellar expansion")
-    try:
-        sh = find_shelling(lk, budget)
-    except BudgetExhaustedError:
-        raise BudgetExhaustedError(
-            f"shelling search for lk({fmt_simplex(A)}) exhausted its "
-            f"budget of {budget}") from None
-    if sh is None:
-        raise ValueError(
-            f"lk({fmt_simplex(A)}) is unshellable; cannot expand this "
-            "starring")
+    """Bistellar transcript realizing the starring of A on M: the
+    expansion of the one starring Star(A, a), a being `at` when given
+    (it must be unused), the least fresh label otherwise."""
     a = M.fresh_vertex() if at is None else at
-    if a in set(M.vertices()):
-        raise ValueError(f"starring label {a} is already in use")
-    t = _star_from_link_shelling(A, sh, a)
-    end = apply_move(M, Star(A, a))
-    _certify(M, t, end, "starring expansion")
-    return t, end
+    return subdivision_to_bistellar(M, Transcript((Star(A, a),)), budget)
 
 
 def _star_from_link_shelling(A, sh, a):
@@ -214,17 +185,48 @@ def _star_from_link_shelling(A, sh, a):
 
 
 def subdivision_to_bistellar(M, transcript, budget=DEFAULT_EXPANSION_BUDGET):
-    """Expand a transcript of starrings into one bistellar transcript."""
-    out, cur = Transcript(), M
+    """Expand a transcript of starrings into one bistellar transcript.
+
+    One working copy of M takes the starrings in turn.  Each is checked
+    once there, and its link read from that check; lk(A) must be closed
+    and shellable: the shelling of the star A * lk(A) is built by
+    iterated coning, converted to a transcript from the star to (new
+    vertex * its boundary), and inverted.  The flips of every starring
+    are then replayed once in M against the starred copy."""
+    S, flips = _WorkingComplex(M), []
     for i, mv in enumerate(transcript.moves):
         if not isinstance(mv, Star):
             raise ValueError(f"move {i} is not a starring: {mv}")
+        A = simplex(mv.A)
+        if not A:
+            raise ValueError("cannot star the empty simplex")
+        mv = Star(A, mv.a)
+        rep = check_move(S, mv)
+        if not rep.legal:
+            raise IllegalMoveError(mv, rep)
+        # lk(A) = d(a) * L with d(a) = {-}, so L is lk(A).  A closed lk
+        # makes the boundary of A * lk exactly dA * lk, which the
+        # expansion relies on
+        lk = rep.link_factor
+        if not _ridges_paired(lk):
+            raise ValueError(
+                f"lk({fmt_simplex(A)}) is not closed; this starring has no "
+                "bistellar expansion")
         try:
-            t, cur = _expand_star(cur, mv.A, budget, mv.a)
-        except BudgetExhaustedError as exc:
-            raise BudgetExhaustedError(f"starring {i}: {exc}") from None
-        out = out + t
-    return out
+            sh = find_shelling(lk, budget)
+        except BudgetExhaustedError:
+            raise BudgetExhaustedError(
+                f"shelling search for lk({fmt_simplex(A)}) exhausted its "
+                f"budget of {budget}") from None
+        if sh is None:
+            raise ValueError(
+                f"lk({fmt_simplex(A)}) is unshellable; cannot expand this "
+                "starring")
+        _apply(S, mv, rep)
+        flips.extend(_star_from_link_shelling(A, sh, mv.a).moves)
+    t = Transcript(tuple(flips))
+    _certify(M, t, S.complex(), "starring expansion")
+    return t
 
 
 # -- exchange expansion ---------------------------------------------------

@@ -468,6 +468,7 @@ class _FlipState(_WorkingComplex):
         self._sizes = [0] * (M.dim + 2)  # face size -> number of faces
         self._links = {}         # face -> its link's vertices, when the
         #                          link is a simplex boundary
+        self._moves = None       # moves(), until the next flip
         super().__init__(M)
         self._retest(self._on)
         self._order = sorted(self._links)
@@ -525,7 +526,9 @@ class _FlipState(_WorkingComplex):
     def moves(self):
         """The legal flips, sorted by A; a facet A flips to a fresh
         vertex.  One pass over the faces kept in order: nothing is
-        sorted, and a list once returned is never changed."""
+        sorted, and a list once returned is never changed.  It is kept
+        until the next flip, as a walk re-reads it after every rejected
+        proposal."""
         if self._moves is None:
             fresh = (max(self._by_vertex) + 1,)
             links, on = self._links, self._on
@@ -548,6 +551,7 @@ class _FlipState(_WorkingComplex):
                 False, "not a flip of the working state"))
         gone, new = _exchange_surgery(self, mv.A, mv.B, _TRIVIAL)
         self._replace(gone, new)
+        self._moves = None
         order = self._order
         for A in self._retest({s for f in gone | new
                                for s in _nonempty_faces(f)}):
@@ -647,11 +651,10 @@ class _ShellState(_WorkingComplex):
         """The legal shell moves, sorted by (A, B); none unless the
         complex is pure with every ridge in at most two facets, when
         its boundary is defined.  A copy of the kept order: nothing is
-        sorted or built, and a list once returned is never changed."""
-        if self._moves is None:
-            defined = not self._over and len(self._widths) == 1
-            self._moves = self._order[:] if defined else []
-        return self._moves
+        sorted or built, and a list once returned is never changed.
+        Nothing is cached, since a search asks once per node."""
+        defined = not self._over and len(self._widths) == 1
+        return self._order[:] if defined else []
 
     def remove(self, G):
         """Remove the facet G (the shell surgery) and re-read the splits
@@ -792,13 +795,14 @@ def parse_move(text):
         head, _, tail = rest.rpartition("]")
         A = _parse_bracket(head + "]", where)
         try:
-            return Star(A, int(tail.strip()))
+            (a,) = simplex((int(tail.strip()),))
         except ValueError as exc:
             raise TranscriptParseError(f"{where}: bad vertex") from exc
+        return Star(A, a)
     if kind == "WELD":
         head, _, tail = rest.partition("[")
         try:
-            a = int(head.strip())
+            (a,) = simplex((int(head.strip()),))
         except ValueError as exc:
             raise TranscriptParseError(f"{where}: bad vertex") from exc
         return Weld(a, _parse_bracket("[" + tail, where))

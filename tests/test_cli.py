@@ -89,10 +89,12 @@ _DISK = Complex.from_facets([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
     ["expand-exchange", "DISK", "--simplex-a", "2", "--simplex-b", "5",
      "--budget", "-1"],
     ["shell-find", "DISK", "--budget", "many"],
+    ["expand-star", "DISK", "--simplex", "2", "--vertex", "-1"],
 ])
 def test_negative_budget_is_bad_usage(tmp_path, capsys, argv):
     """A budget, move count or cell ceiling below 0 is a usage error: it
-    neither runs unbounded nor reads as an exhausted search."""
+    neither runs unbounded nor reads as an exhausted search.  So is a
+    negative label for the new vertex of a starring."""
     disk, out = _cx(tmp_path, _DISK), tmp_path / "art"
     argv = [{"DISK": disk, "OUT": str(out)}.get(a, a) for a in argv]
     with pytest.raises(SystemExit) as exc:
@@ -116,6 +118,13 @@ def test_non_finite_schedule_is_bad_usage(tmp_path, capsys, subcommand, flag,
     assert exc.value.code == 3
     assert f"expected a finite number, got {value!r}" in capsys.readouterr().err
     assert not out.exists()
+    if value.startswith("-"):
+        # as its own argument argparse reads -inf as an option string,
+        # and refuses the flag with its own message before any parsing
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, *inputs, flag, value, "--out", str(out)])
+        assert exc.value.code == 3
+        assert not out.exists()
 
 
 def test_zero_budget_is_a_budget(tmp_path, capsys):
@@ -196,6 +205,17 @@ def test_replay_illegal_step_exits_1(tmp_path, sphere2, capsys):
     tr = _tr(tmp_path, "STAR [0 1 2] 4\nSTAR [0 1 2] 5\n")
     assert main(["replay", tr, cx]) == 1
     assert "step 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["STAR [0 1] -1", "WELD -1 [0 1]"])
+def test_bad_vertex_label_exits_3(tmp_path, sphere2, capsys, line):
+    """A negative label in a move line is malformed input, as in a
+    simplex, and not an illegal move: replay and move exit 3."""
+    cx = _cx(tmp_path, sphere2)
+    assert main(["replay", _tr(tmp_path, line + "\n"), cx]) == 3
+    assert "bad vertex" in capsys.readouterr().err
+    assert main(["move", cx, "--apply", line]) == 3
+    assert "bad vertex" in capsys.readouterr().err
 
 
 def test_invert_twice_is_identity(tmp_path, capsys):

@@ -196,7 +196,8 @@ def test_star_move_transcript_needs_closed_link():
 
 
 def test_star_move_transcript_budget_error(sphere3):
-    with pytest.raises(BudgetExhaustedError):
+    with pytest.raises(BudgetExhaustedError,
+                       match=r"^shelling search for lk\(\[0\]\) exhausted"):
         star_move_transcript(sphere3, (0,), budget=1)
 
 
@@ -219,7 +220,8 @@ def _count_calls(monkeypatch, name):
 def test_star_expansion_replays_once_in_the_complex(sphere2, sphere3,
                                                     monkeypatch):
     """The star shelling and its flips are built by arithmetic; the only
-    replay is the flip transcript's one replay in M."""
+    replay is the flip transcript's one replay in M, one for all the
+    starrings of a transcript."""
     shellings = _count_calls(monkeypatch, "replay_shelling")
     replays = _count_calls(monkeypatch, "apply_transcript")
     for A in sphere2.faces():
@@ -230,7 +232,8 @@ def test_star_expansion_replays_once_in_the_complex(sphere2, sphere3,
     t = derived_subdivision_transcript(sphere3)
     del replays[:]
     subdivision_to_bistellar(sphere3, t)
-    assert len(replays) == len(t) == 25
+    assert len(t) == 25
+    assert len(replays) == 1
     assert shellings == []
 
 
@@ -299,9 +302,10 @@ def test_subdivision_to_bistellar_matches_derived(sphere2):
 
 
 def test_subdivision_to_bistellar_checks_each_star_once(monkeypatch):
-    """S4 -> sd S4: each starring and each flip is checked once, by the
-    one replay that certifies the starring's expansion, and the 516-flip
-    transcript is pinned by its digest."""
+    """S4 -> sd S4: each starring is checked once, on the working copy
+    that takes the starrings, each flip once, by the one replay that
+    certifies the whole expansion, and the 516-flip transcript is pinned
+    by its digest."""
     stars, flips = [], []
     real = pachner.moves.check_move
 
@@ -312,15 +316,49 @@ def test_subdivision_to_bistellar_checks_each_star_once(monkeypatch):
             flips.append(move)
         return real(M, move)
 
-    monkeypatch.setattr(pachner.moves, "check_move", counting)
+    for module in (pachner.moves, pachner.expander):
+        monkeypatch.setattr(module, "check_move", counting)
     replays = _count_calls(monkeypatch, "apply_transcript")
     S4 = standard_sphere(4)
     t = derived_subdivision_transcript(S4)
     text = dumps_transcript(subdivision_to_bistellar(S4, t))
-    assert len(stars) == len(t) == len(replays) == 56
+    assert len(stars) == len(t) == 56
+    assert len(replays) == 1
     assert text.count("\n") == len(flips) == 516
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "db06ded26737ded8fe0535209ac597f50e590870736777aa91795f90270dfbf0")
+
+
+def test_subdivision_to_bistellar_of_sd_s3_builds_two_working_copies(
+        sphere3, monkeypatch):
+    """sd S3 -> sd^2 S3, 510 starrings: one plain working copy takes
+    them all and one replays the 2,040 flips; no starring builds a copy
+    of the complex of its own."""
+    sd = derived_subdivision(sphere3)
+    stars = derived_subdivision_transcript(sd)
+    built = []
+    real_init = _WorkingComplex.__init__
+
+    def counting_init(self, M):
+        built.append(type(self))
+        real_init(self, M)
+
+    monkeypatch.setattr(_WorkingComplex, "__init__", counting_init)
+    t = subdivision_to_bistellar(sd, stars)
+    assert built.count(_WorkingComplex) == 2
+    monkeypatch.undo()
+    assert len(stars) == 510
+    assert len(t) == 2040
+    assert apply_transcript(sd, t) == derived_subdivision(sd)
+
+
+def test_subdivision_to_bistellar_of_sd_s2(sphere2):
+    """sd S2 -> sd^2 S2 in 96 flips: the expansion of the stellar route
+    from a derived subdivision to the next."""
+    sd = derived_subdivision(sphere2)
+    t = subdivision_to_bistellar(sd, derived_subdivision_transcript(sd))
+    assert len(t) == 96
+    assert apply_transcript(sd, t) == derived_subdivision(sd)
 
 
 def test_subdivision_to_bistellar_normalises_the_starred_simplex(sphere2):
@@ -628,6 +666,12 @@ _REFUSALS = {
     "starring the empty simplex": (
         lambda: star_move_transcript(standard_sphere(2), ()),
         r"cannot star the empty simplex"),
+    "starring an absent simplex": (
+        lambda: star_move_transcript(standard_sphere(2), (0, 9)),
+        r"illegal move STAR \[0 9\] 4: A = \[0 9\] is not in the complex"),
+    "starring at a label in use": (
+        lambda: star_move_transcript(standard_sphere(2), (0, 1), at=3),
+        r"illegal move STAR \[0 1\] 3: B = \[3\] is already in the complex"),
     "a flip among the starrings": (
         lambda: subdivision_to_bistellar(
             standard_sphere(2),

@@ -519,7 +519,8 @@ def test_transcript_grammar():
     assert parse_move("SHELL [1 2] ; [0]") == Shell((1, 2), (0,))
     assert parse_move("UNSHELL [1 2] ; [0]") == Unshell((1, 2), (0,))
     for bad in ("STAR [0 1 2]", "FLIP [0 1] [2 3]", "NOPE [0] ; [1]",
-                "FLIP [0 x] ; [1]", "WELD x [0]"):
+                "FLIP [0 x] ; [1]", "WELD x [0]", "STAR [0 1] -1",
+                "WELD -1 [0 1]"):
         with pytest.raises(TranscriptParseError):
             parse_move(bad)
 
