@@ -116,8 +116,7 @@ class Complex:
     own copy over; only `faces()` builds the face closure.
     """
 
-    __slots__ = ("_facets", "_working", "_faces", "_by_dim", "_vertices",
-                 "_boundary")
+    __slots__ = ("_facets", "_working", "_faces", "_by_dim", "_vertices")
 
     def __init__(self, facets, _trusted=False):
         if not _trusted:
@@ -127,7 +126,6 @@ class Complex:
         self._faces = None               # frozenset of all faces incl. ()
         self._by_dim = None              # dict dim -> sorted tuple of faces
         self._vertices = None
-        self._boundary = None            # cached boundary complex
 
     @staticmethod
     def from_facets(facets):
@@ -258,10 +256,7 @@ class Complex:
         facets (``_rim`` raises NotPseudomanifoldError otherwise); {-}
         is returned when every ridge is interior.
         """
-        if self._boundary is None:
-            self._boundary = Complex(frozenset(_rim(self._facets) or {EMPTY}),
-                                     _trusted=True)
-        return self._boundary
+        return Complex(frozenset(_rim(self._facets) or {EMPTY}), _trusted=True)
 
     def relabel(self, mapping):
         """Apply a vertex relabelling {old: new}; must stay injective."""

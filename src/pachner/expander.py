@@ -4,21 +4,28 @@ Shelling combinators lift a shelling of X to shellings of the cone over
 X and of (boundary of a simplex) * X.  On top of them, a shelling of a
 ball X converts the cone over its boundary into X by one bistellar move
 per facet; starrings expand by running that conversion backwards inside
-the star; and a general exchange expands by recursion on a witness -- a
-sequence of exchanges reducing the residual link factor to a simplex
-boundary.
+the star; and a general exchange expands square by square along a
+witness -- a sequence of exchanges reducing the residual link factor to
+a simplex boundary.  One loop walks the squares of a witness; only the
+sides of a square recurse, on a link of lower dimension, so the depth of
+an expansion is bounded by the dimension of the link, not by the length
+of its witness.
 
 The private builders (_cone_steps, _join_steps, recognize._cone_flips)
 compute steps by label arithmetic and check nothing.  Every returned
 object is certified once, in its own complex: a public combinator
 replays the caller's shelling and its own output, and a transcript is
 replayed once in the caller's complex against the exact result.  For an
-exchange that is the one-move result; for starrings, one expansion path
-(subdivision_to_bistellar, of which star_move_transcript is the case of
-one starring) takes them in turn on one working copy, checks each once
-there and reads its link from that check, and the whole transcript is
-replayed against that copy.  A failure of our own output is a fault,
-raised as RuntimeError.
+exchange that is the one-move result.  One entry (_expansion) serves
+exchange_to_bistellar, which first checks the caller's factorization
+and witness, and expand_exchange, whose own are correct by
+construction; every witness, the top one and each one searched for a
+sub-link, enters the session's labels through ExpansionSession.take.
+For starrings, one expansion path (subdivision_to_bistellar, of which
+star_move_transcript is the case of one starring) takes them in turn on
+one working copy, checks each once there and reads its link from that
+check, and the whole transcript is replayed against that copy.  A
+failure of our own output is a fault, raised as RuntimeError.
 """
 
 from __future__ import annotations
@@ -198,8 +205,6 @@ def subdivision_to_bistellar(M, transcript, budget=DEFAULT_EXPANSION_BUDGET):
         if not isinstance(mv, Star):
             raise ValueError(f"move {i} is not a starring: {mv}")
         A = simplex(mv.A)
-        if not A:
-            raise ValueError("cannot star the empty simplex")
         mv = Star(A, mv.a)
         rep = check_move(S, mv)
         if not rep.legal:
@@ -245,21 +250,18 @@ class LinkFactorization:
 @dataclass(frozen=True)
 class Witness:
     """Exchange moves replaying the factorization core down to a
-    simplex boundary; drives the expansion recursion."""
+    simplex boundary; drives the exchange squares of the expansion."""
 
     moves: tuple = ()
-
-    def __len__(self):
-        return len(self.moves)
 
 
 class ExpansionSession:
     """Bookkeeping for one expansion: a monotone fresh-label counter,
-    so labels minted at different recursion depths never collide, plus
-    a shared work budget over recursion nodes."""
+    so labels minted at different depths of the expansion never collide,
+    plus a shared work budget over exchange squares."""
 
-    def __init__(self, budget=DEFAULT_EXPANSION_BUDGET, floor=0):
-        self._next = floor
+    def __init__(self, budget=DEFAULT_EXPANSION_BUDGET):
+        self._next = 0
         self.remaining = budget
 
     def absorb(self, K):
@@ -268,6 +270,13 @@ class ExpansionSession:
     def absorb_labels(self, labels):
         for v in labels:
             self._next = max(self._next, v + 1)
+
+    def take(self, witness):
+        """The moves of `witness`, its labels absorbed first: every
+        witness enters here, so no later fresh label is one it uses."""
+        for mv in witness.moves:
+            self.absorb_labels(mv.A + mv.B)
+        return tuple(witness.moves)
 
     def fresh(self):
         v = self._next
@@ -354,64 +363,97 @@ def _star_via_factors(A, B, spheres, a):
 
 def _expand(M, A, B, target, core, spheres, wmoves, session):
     """Bistellar transcript from M to target, the already checked
-    result of Exchange(A, B) on M; uncertified (the caller replays it)."""
-    session.charge()
-    # the exchange is already bistellar: single move
-    if core == _TRIVIAL and not spheres:
-        return Transcript((Bistellar(A, B),))
-    # a spherical core is one more join factor; the witness is spent
-    if core.vertices() and is_simplex_boundary(core):
-        spheres = spheres + (core.vertices(),)
-        core = _TRIVIAL
-        wmoves = ()
-    if core == _TRIVIAL:
-        # base: lk(A) is a join of simplex boundaries, hence a shellable
-        # sphere; star A and B over the same fresh vertex and splice
-        a = session.fresh()
-        return (_star_via_factors(A, B, spheres, a)
-                + invert_transcript(_star_via_factors(B, A, spheres, a)))
-    if not wmoves:
-        raise ValueError(
-            "witness exhausted before the core became a simplex boundary")
-    first, rest = wmoves[0], wmoves[1:]
-    C, D = simplex(first.A), simplex(first.B)
-    if len(D) == 1:
-        # a singleton traded simplex is a label the witness minted (it
-        # cannot be a vertex of the core, or the move would be illegal
-        # there); it may collide with ambient or planned labels, so
-        # substitute a session-fresh one throughout the witness tail
-        d2 = session.fresh()
-        ren = {D[0]: d2}
-        D = (d2,)
-        rest = tuple(_relabel_witness_move(mv, ren) for mv in rest)
-        first = Exchange(C, D)
-    # one exchange square: X -> Y, then A -> B, back from the far side
-    if D not in M:
-        # traded simplex absent from the ambient complex: exchange it in
-        # around A*C, finish the inner witness, and come back around B*C
-        X, Xp, Y = tuple(sorted(A + C)), tuple(sorted(B + C)), D
-        lkC = core.link(C)
-        sub = lkC.restrict(set(lkC.vertices()) - set(D))
-        mid_core, mid_moves = apply_move(core, first), rest
-    else:
-        # traded simplex already present: detach one of its vertices first
-        # by starring around it, which frees the witness move to proceed
-        u = min(D)
-        X, Xp, Y = (tuple(sorted(A + (u,))), tuple(sorted(B + (u,))),
-                    (session.fresh(),))
-        sub = core.link((u,))
-        ren = {u: Y[0]}
-        mid_core = core.relabel(ren)
-        mid_moves = tuple(_relabel_witness_move(mv, ren) for mv in wmoves)
-    sub_moves = search_witness(sub, session.remaining + 1).moves
-    with_B = spheres + ((B,) if len(B) >= 2 else ())
-    with_A = spheres + ((A,) if len(A) >= 2 else ())
-    M1 = apply_move(M, Exchange(X, Y))
-    M2 = apply_move(M1, Exchange(A, B))
-    t_x = _expand(M, X, Y, M1, sub, with_B, sub_moves, session)
-    t_mid = _expand(M1, A, B, M2, mid_core, spheres, mid_moves, session)
-    t_xp = _expand(target, Xp, Y, M2, sub, with_A, sub_moves, session)
-    return t_x + t_mid + invert_transcript(t_xp)
+    result of Exchange(A, B) on M; uncertified (the caller replays it).
+
+    One loop walks the exchange squares of the witness `wmoves`: each
+    square's near side X -> Y is expanded on the way out, and its far
+    side Xp -> Y after the base, innermost first.  Only the sides
+    recurse, each on a link of the core, so the nesting grows with the
+    dimension of the core, not with the length of the witness."""
+    out, far = [], []
+    while True:
+        session.charge()
+        # the exchange is already bistellar: single move
+        if core == _TRIVIAL and not spheres:
+            out.append(Bistellar(A, B))
+            break
+        # a spherical core is one more join factor; the witness is spent
+        if core.vertices() and is_simplex_boundary(core):
+            spheres = spheres + (core.vertices(),)
+            core = _TRIVIAL
+            wmoves = ()
+        if core == _TRIVIAL:
+            # base: lk(A) is a join of simplex boundaries, hence a
+            # shellable sphere; star A and B over the same fresh vertex
+            # and splice
+            a = session.fresh()
+            out += _star_via_factors(A, B, spheres, a).moves
+            out += invert_transcript(_star_via_factors(B, A, spheres, a)).moves
+            break
+        if not wmoves:
+            raise ValueError(
+                "witness exhausted before the core became a simplex boundary")
+        first, rest = wmoves[0], wmoves[1:]
+        C, D = simplex(first.A), simplex(first.B)
+        if len(D) == 1:
+            # a singleton traded simplex is a label the witness minted (it
+            # cannot be a vertex of the core, or the move would be illegal
+            # there); it may collide with ambient or planned labels, so
+            # substitute a session-fresh one throughout the witness tail
+            d2 = session.fresh()
+            ren = {D[0]: d2}
+            D = (d2,)
+            rest = tuple(_relabel_witness_move(mv, ren) for mv in rest)
+            first = Exchange(C, D)
+        # one exchange square: X -> Y, then A -> B, back from the far side
+        if D not in M:
+            # traded simplex absent from the ambient complex: exchange it
+            # in around A*C, walk on with the witness, and come back
+            # around B*C
+            X, Xp, Y = tuple(sorted(A + C)), tuple(sorted(B + C)), D
+            lkC = core.link(C)
+            sub = lkC.restrict(set(lkC.vertices()) - set(D))
+            mid_core, mid_moves = apply_move(core, first), rest
+        else:
+            # traded simplex already present: detach one of its vertices
+            # first by starring around it, which frees the witness move to
+            # proceed
+            u = min(D)
+            X, Xp, Y = (tuple(sorted(A + (u,))), tuple(sorted(B + (u,))),
+                        (session.fresh(),))
+            sub = core.link((u,))
+            ren = {u: Y[0]}
+            mid_core = core.relabel(ren)
+            mid_moves = tuple(_relabel_witness_move(mv, ren) for mv in wmoves)
+        sub_moves = session.take(search_witness(sub, session.remaining + 1))
+        M1 = apply_move(M, Exchange(X, Y))
+        M2 = apply_move(M1, Exchange(A, B))
+        with_B = spheres + ((B,) if len(B) >= 2 else ())
+        with_A = spheres + ((A,) if len(A) >= 2 else ())
+        out += _expand(M, X, Y, M1, sub, with_B, sub_moves, session).moves
+        far.append((target, Xp, Y, M2, sub, with_A, sub_moves))
+        M, target, core, wmoves = M1, M2, mid_core, mid_moves
+    for side in reversed(far):
+        out += invert_transcript(_expand(*side, session)).moves
+    return Transcript(tuple(out))
+
+
+def _expansion(M, A, B, target, core, spheres, witness, budget):
+    """The expansion of Exchange(A, B) on M, whose result is `target`,
+    from a factorization and a witness already known to hold; one
+    replay in M certifies it.  A ValueError or KeyError in our own
+    planning is a fault, raised as RuntimeError."""
+    session = ExpansionSession(budget)
+    session.absorb(M)
+    session.absorb_labels(B)
+    try:
+        out = _expand(M, A, B, target, core, tuple(spheres),
+                      session.take(witness), session)
+    except (ValueError, KeyError) as exc:
+        raise RuntimeError(
+            f"exchange expansion failed: {exc.args[0]}") from exc
+    _certify(M, out, target, "exchange expansion")
+    return out
 
 
 def exchange_to_bistellar(M, A, B, factorization, witness,
@@ -424,13 +466,7 @@ def exchange_to_bistellar(M, A, B, factorization, witness,
     [Bistellar(A, B)] whenever the move is already bistellar."""
     A = simplex(A)
     B = simplex(B)
-    return _exchange_to_bistellar(M, A, B, apply_move(M, Exchange(A, B)),
-                                  factorization, witness, budget)
-
-
-def _exchange_to_bistellar(M, A, B, target, factorization, witness, budget):
-    """exchange_to_bistellar for sorted A and B, given `target`, the
-    already checked result of Exchange(A, B) on M."""
+    target = apply_move(M, Exchange(A, B))
     if simplex(factorization.B) != B:
         raise ValueError("factorization B-part differs from the move")
     built = simplex_boundary(B).join(factorization.core)
@@ -439,22 +475,14 @@ def _exchange_to_bistellar(M, A, B, target, factorization, witness, budget):
     if built != M.link(A):
         raise ValueError("factorization does not rebuild lk(A)")
     _validate_witness(factorization.core, witness)
-    session = ExpansionSession(budget)
-    session.absorb(M)
-    session.absorb_labels(B)
-    for w in witness.moves:
-        session.absorb_labels(w.A)
-        session.absorb_labels(w.B)
-    out = _expand(M, A, B, target, factorization.core,
-                  tuple(factorization.spheres), tuple(witness.moves),
-                  session)
-    _certify(M, out, target, "exchange expansion")
-    return out
+    return _expansion(M, A, B, target, factorization.core,
+                      factorization.spheres, witness, budget)
 
 
 def expand_exchange(M, A, B, budget=DEFAULT_EXPANSION_BUDGET):
     """One-call exchange expansion: factor the link residue, search a
-    witness for the core, and expand."""
+    witness for the core, and expand; the factorization and the witness
+    are correct by construction, so neither is checked again."""
     A = simplex(A)
     B = simplex(B)
     mv = Exchange(A, B)
@@ -463,6 +491,5 @@ def expand_exchange(M, A, B, budget=DEFAULT_EXPANSION_BUDGET):
         raise IllegalMoveError(mv, rep)
     target = _apply(_WorkingComplex(M), mv, rep).complex()
     core, spheres = factor_link(rep.link_factor)
-    witness = search_witness(core, budget)
-    return _exchange_to_bistellar(
-        M, A, B, target, LinkFactorization(B, core, spheres), witness, budget)
+    return _expansion(M, A, B, target, core, spheres,
+                      search_witness(core, budget), budget)

@@ -296,17 +296,6 @@ def _adjacency(edges):
     return adj
 
 
-def _vertex_connected(K):
-    """Connectivity of the vertex graph; each facet's consecutive
-    vertices stand in for all its edges."""
-    adj = {v: set() for v in K.vertices()}
-    for F in K.facets:
-        for u, v in zip(F, F[1:]):
-            adj[u].add(v)
-            adj[v].add(u)
-    return _components(adj) <= 1
-
-
 def _ridges_paired(K):
     """Pure, with every ridge in exactly two facets; vacuously true for
     {-}, which has no ridges.  ``K.boundary()`` cannot tell this: a
@@ -497,7 +486,10 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
         closed = K.boundary().dim < 0
     except NotPseudomanifoldError:
         return Verdict(OTHER, reason="a ridge lies in more than two facets")
-    if not _vertex_connected(K):
+    # consecutive vertices of each facet stand in for all its edges;
+    # a pure complex of dimension >= 3 has no isolated vertex
+    if _components(_adjacency(
+            e for F in K.facets for e in zip(F, F[1:]))) > 1:
         return Verdict(OTHER, reason="not connected")
     shape, profile = ((SPHERE, _sphere_profile(n)) if closed
                       else (BALL, _ball_profile(n)))

@@ -12,12 +12,14 @@ import sys
 import pytest
 
 import pachner.cli
+import pachner.expander
 import pachner.recognize
 from conftest import csaszar_torus, pinched_complex
 from pachner import (
     Complex,
     Exchange,
     Star,
+    Witness,
     apply_move,
     apply_transcript,
     derived_subdivision,
@@ -33,6 +35,7 @@ from pachner import (
     loads_complex,
     loads_transcript,
     parse_simplex,
+    simplex_boundary,
     standard_sphere,
 )
 from pachner.cli import main
@@ -454,6 +457,19 @@ def test_expand_exchange_payload_replays(tmp_path, sphere2, capsys):
 def test_expand_exchange_illegal_exits_1(tmp_path, sphere2, capsys):
     assert main(["expand-exchange", _cx(tmp_path, sphere2),
                  "--simplex-a", "0", "--simplex-b", "1"]) == 1
+
+
+def test_expand_exchange_fault_exits_2(tmp_path, monkeypatch, capsys):
+    """The user's exchange is legal; a witness of our own that does not
+    fit its core is a fault (exit 2), not a proof that it is not (1)."""
+    bad = Witness((Exchange((10**6,), (10**6 + 1,)),))
+    monkeypatch.setattr(pachner.expander, "search_witness",
+                        lambda L, budget=None: bad)
+    rim = [(i, 2 + (i - 1) % 6) for i in range(2, 8)]
+    M = simplex_boundary((0, 1)).join(Complex.from_facets(rim))
+    assert main(["expand-exchange", _cx(tmp_path, M),
+                 "--simplex-a", "0", "--simplex-b", "8"]) == 2
+    assert "exchange expansion failed" in capsys.readouterr().err
 
 
 def test_reduce_reaches_simplex_boundary(tmp_path, sphere2, capsys):

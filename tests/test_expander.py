@@ -4,7 +4,7 @@ Fixture notes, verified by hand:
 
 * suspension of a hexagon: poles 0/1 over the 6-cycle 2-3-4-5-6-7.
   lk(pole) is the hexagon itself -- no simplex-boundary join factor --
-  so starring a pole forces the witness recursion, and every searched
+  so starring a pole forces a walk along a witness, and every searched
   witness move trades an absent chord (case: traded simplex absent).
 * twisted octahedron: poles 0/1 over the 4-cycle 2-4-3-5.  The edge
   (4,5) IS present (facets 145, 345), so the hand witness move
@@ -533,14 +533,15 @@ def test_hexagon_expansion_builds_join_shellings_privately(monkeypatch):
 
 
 def test_hexagon_expansion_replays_once_in_the_complex(monkeypatch):
-    """The base-case starrings are not certified on their own: one
-    replay validates the witness on the core, and one replay of the
-    whole 28-flip transcript in M certifies the expansion."""
+    """The base-case starrings are not certified on their own, and the
+    witness expand_exchange found is not replayed again on the core: one
+    replay of the whole 28-flip transcript in M certifies the
+    expansion."""
     replays = _count_calls(monkeypatch, "apply_transcript")
     t = expand_exchange(suspended_hexagon(), (0,), (8,))
     assert dumps_transcript(t) == HEXAGON_EXPANSION
-    assert len(replays) == 2
-    assert sum(len(tr) for _, tr in replays) == 5 + len(t) == 33
+    assert len(replays) == 1
+    assert sum(len(tr) for _, tr in replays) == len(t) == 28
 
 
 def test_expand_exchange_checks_its_exchange_once(monkeypatch):
@@ -602,7 +603,7 @@ def test_expansion_is_deterministic():
 
 
 def test_expansion_session_labels_are_monotone():
-    s = ExpansionSession(floor=5)
+    s = ExpansionSession()
     s.absorb_labels((11, 3))
     assert s.fresh() == 12
     assert s.fresh() == 13
@@ -617,6 +618,89 @@ def test_expansion_budget_guard():
         exchange_to_bistellar(
             M, (0,), (8,), LinkFactorization((8,), core),
             search_witness(core), budget=2)
+
+
+def _sd_sphere3_exchange():
+    """Exchange vertex 0 of sd S3 for a fresh label: its link core, sd S2,
+    needs a witness of 50 moves, and the squares search sub-witnesses."""
+    sd = derived_subdivision(standard_sphere(3))
+    return expand_exchange(sd, (0,), (sd.fresh_vertex(),))
+
+
+def test_every_witness_reserves_its_labels(monkeypatch):
+    """A sub-witness may use labels the session has not handed out yet.
+    Each searched sub-witness here starts with a detour that mints the
+    session's next label m and removes it again; no label the session
+    hands out afterwards may be one a witness already uses."""
+    events, sessions = [], []
+
+    class Recording(ExpansionSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self)
+
+        def fresh(self):
+            v = super().fresh()
+            events.append(("fresh", v))
+            return v
+
+    real = search_witness
+
+    def detour(L, budget=pachner.expander.DEFAULT_EXPANSION_BUDGET):
+        w = real(L, budget)
+        if sessions and L.dim >= 0:
+            F, m = min(L.facets), sessions[-1]._next
+            w = Witness((Exchange(F, (m,)), Exchange((m,), F)) + w.moves)
+        events.append(("witness", max((v for mv in w.moves
+                                       for v in mv.A + mv.B), default=-1)))
+        return w
+
+    monkeypatch.setattr(pachner.expander, "ExpansionSession", Recording)
+    monkeypatch.setattr(pachner.expander, "search_witness", detour)
+    _sd_sphere3_exchange()
+    floor, clashes = -1, []
+    for kind, v in events:
+        if kind == "witness":
+            floor = max(floor, v)
+        elif v <= floor:
+            clashes.append(v)
+    assert sum(kind == "witness" for kind, _ in events) > 1
+    assert clashes == []
+
+
+def test_expansion_nesting_is_bounded_by_the_core_dimension(monkeypatch):
+    """The squares of one witness are walked in a loop; only the sides
+    of a square nest, on a link of lower dimension.  sd S3's link core
+    is a 2-sphere, so the nesting is at most 3 however long the witness
+    (50 moves here)."""
+    real = pachner.expander._expand
+    depth = [0, 0]
+
+    def nesting(*args):
+        depth[0] += 1
+        depth[1] = max(depth[1], depth[0])
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(pachner.expander, "_expand", nesting)
+    t = _sd_sphere3_exchange()
+    assert all(isinstance(mv, Bistellar) for mv in t.moves)
+    assert depth[1] <= 3
+
+
+def test_a_fault_in_the_expansion_is_a_runtime_error(monkeypatch):
+    """A witness expand_exchange builds is not checked again, so an
+    inconsistent one is our fault: its KeyError (the traded simplex
+    10**6 is not in the core) surfaces as RuntimeError, not as a
+    refusal of the caller's move."""
+    bad = Witness((Exchange((10**6,), (10**6 + 1,)),))
+    monkeypatch.setattr(pachner.expander, "search_witness",
+                        lambda L, budget=None: bad)
+    with pytest.raises(RuntimeError, match=r"^exchange expansion failed: "
+                       r"\(1000000,\) is not a simplex of the complex$"):
+        expand_exchange(suspended_hexagon(), (0,), (8,))
 
 
 # -- input refusals ------------------------------------------------------------
@@ -665,7 +749,7 @@ _REFUSALS = {
         r"apex 6 already labels a vertex of the ball"),
     "starring the empty simplex": (
         lambda: star_move_transcript(standard_sphere(2), ()),
-        r"cannot star the empty simplex"),
+        r"illegal move STAR \[\] 4: A must be nonempty"),
     "starring an absent simplex": (
         lambda: star_move_transcript(standard_sphere(2), (0, 9)),
         r"illegal move STAR \[0 9\] 4: A = \[0 9\] is not in the complex"),
