@@ -9,9 +9,12 @@ failure from a search that gave up:
 
 * 0 -- success / affirmative verdict
 * 1 -- provably negative verdict (illegal move, no shelling exists,
-       not a combinatorial manifold, not isomorphic, invariant mismatch)
+       not a combinatorial manifold, not isomorphic, invariant mismatch,
+       a starring with no expansion); only a verdict or a named
+       disproof exits 1
 * 2 -- undecided within budget (bounded search exhausted, a search
-       deeper than the Python recursion limit, or an internal fault)
+       deeper than the Python recursion limit, or an internal fault:
+       any other exception, a plain ValueError included)
 * 3 -- malformed input (unreadable files, bad simplex or move syntax,
        bad usage)
 
@@ -33,7 +36,9 @@ import traceback
 from .core import (
     DEFAULT_ISO_BUDGET,
     AbsentSimplexError,
+    JoinCollisionError,
     MalformedSimplexError,
+    NotPseudomanifoldError,
     fmt_simplex,
     is_simplex_boundary,
     isomorphic,
@@ -42,6 +47,7 @@ from .core import (
 )
 from .expander import (
     DEFAULT_EXPANSION_BUDGET,
+    NoExpansionError,
     expand_exchange,
     star_move_transcript,
 )
@@ -51,6 +57,8 @@ from .flipsearch import (
     reduce as reduce_complex,
 )
 from .moves import (
+    IllegalAtStepError,
+    IllegalMoveError,
     Transcript,
     TranscriptParseError,
     apply_move,
@@ -501,9 +509,10 @@ def main(argv=None):
     except RuntimeError as exc:
         # budget exhaustion, the recursion limit, or an internal fault
         return _fail(exc, EXIT_UNKNOWN)
-    except AbsentSimplexError as exc:
-        return _fail(exc, EXIT_NEGATIVE)
-    except ValueError as exc:
+    except (AbsentSimplexError, IllegalMoveError, IllegalAtStepError,
+            NotPseudomanifoldError, JoinCollisionError,
+            NoExpansionError) as exc:
+        # a named disproof; any other ValueError is a fault
         return _fail(exc, EXIT_NEGATIVE)
     except Exception:
         # a fault, not a verdict: uncaught, Python would exit 1, "no"

@@ -9,7 +9,10 @@ witness -- a sequence of exchanges reducing the residual link factor to
 a simplex boundary.  One loop walks the squares of a witness; only the
 sides of a square recurse, on a link of lower dimension, so the depth of
 an expansion is bounded by the dimension of the link, not by the length
-of its witness.
+of its witness.  One working copy of M is the only ambient: each near
+side X -> Y moves it, the exchange itself moves it once at the base,
+and each far side is the exchange Y -> Xp, expanded forward from there,
+so no square copies the complex.
 
 The private builders (_cone_steps, _join_steps, recognize._cone_flips)
 compute steps by label arithmetic and check nothing.  Every returned
@@ -54,6 +57,7 @@ from .moves import (
     _apply,
     _certify,
     _minimal_nonfaces,
+    _replay,
     apply_move,
     apply_transcript,
     check_move,
@@ -69,6 +73,12 @@ from .recognize import (
 
 WITNESS_SEED = 271828
 DEFAULT_EXPANSION_BUDGET = 100_000
+
+
+class NoExpansionError(ValueError):
+    """A starring whose link is not closed, or is unshellable: it has no
+    bistellar expansion by this construction."""
+
 
 # -- shelling combinators -----------------------------------------------
 
@@ -214,7 +224,7 @@ def subdivision_to_bistellar(M, transcript, budget=DEFAULT_EXPANSION_BUDGET):
         # expansion relies on
         lk = rep.link_factor
         if not _ridges_paired(lk):
-            raise ValueError(
+            raise NoExpansionError(
                 f"lk({fmt_simplex(A)}) is not closed; this starring has no "
                 "bistellar expansion")
         try:
@@ -224,7 +234,7 @@ def subdivision_to_bistellar(M, transcript, budget=DEFAULT_EXPANSION_BUDGET):
                 f"shelling search for lk({fmt_simplex(A)}) exhausted its "
                 f"budget of {budget}") from None
         if sh is None:
-            raise ValueError(
+            raise NoExpansionError(
                 f"lk({fmt_simplex(A)}) is unshellable; cannot expand this "
                 "starring")
         _apply(S, mv, rep)
@@ -263,9 +273,6 @@ class ExpansionSession:
     def __init__(self, budget=DEFAULT_EXPANSION_BUDGET):
         self._next = 0
         self.remaining = budget
-
-    def absorb(self, K):
-        self.absorb_labels(K.vertices())
 
     def absorb_labels(self, labels):
         for v in labels:
@@ -361,15 +368,20 @@ def _star_via_factors(A, B, spheres, a):
     return _star_from_link_shelling(A, sh, a)
 
 
-def _expand(M, A, B, target, core, spheres, wmoves, session):
-    """Bistellar transcript from M to target, the already checked
-    result of Exchange(A, B) on M; uncertified (the caller replays it).
+def _expand(S, A, B, core, spheres, wmoves, session):
+    """Bistellar transcript of Exchange(A, B) on the working copy S,
+    which it leaves at the exchange's result; uncertified (the caller
+    replays it).
 
     One loop walks the exchange squares of the witness `wmoves`: each
-    square's near side X -> Y is expanded on the way out, and its far
-    side Xp -> Y after the base, innermost first.  Only the sides
-    recurse, each on a link of the core, so the nesting grows with the
-    dimension of the core, not with the length of the witness."""
+    square's near side X -> Y is expanded on the way out, moving S
+    across it.  Once the base flips are out, S takes Exchange(A, B),
+    one checked surgery, and each far side Y -> Xp is expanded forward
+    from there, innermost first: after Exchange(A, B), lk(Y) = dXp *
+    sub * the A-side spheres, so it uses the near side's core and
+    witness.  Only the sides recurse, each on a link of the core, so
+    the nesting grows with the dimension of the core, not with the
+    length of the witness."""
     out, far = [], []
     while True:
         session.charge()
@@ -405,10 +417,10 @@ def _expand(M, A, B, target, core, spheres, wmoves, session):
             D = (d2,)
             rest = tuple(_relabel_witness_move(mv, ren) for mv in rest)
             first = Exchange(C, D)
-        # one exchange square: X -> Y, then A -> B, back from the far side
-        if D not in M:
+        # one exchange square: X -> Y, then A -> B, then Y -> Xp
+        if not S._star(D):
             # traded simplex absent from the ambient complex: exchange it
-            # in around A*C, walk on with the witness, and come back
+            # in around A*C, walk on with the witness, and trade it out
             # around B*C
             X, Xp, Y = tuple(sorted(A + C)), tuple(sorted(B + C)), D
             lkC = core.link(C)
@@ -426,28 +438,28 @@ def _expand(M, A, B, target, core, spheres, wmoves, session):
             mid_core = core.relabel(ren)
             mid_moves = tuple(_relabel_witness_move(mv, ren) for mv in wmoves)
         sub_moves = session.take(search_witness(sub, session.remaining + 1))
-        M1 = apply_move(M, Exchange(X, Y))
-        M2 = apply_move(M1, Exchange(A, B))
         with_B = spheres + ((B,) if len(B) >= 2 else ())
         with_A = spheres + ((A,) if len(A) >= 2 else ())
-        out += _expand(M, X, Y, M1, sub, with_B, sub_moves, session).moves
-        far.append((target, Xp, Y, M2, sub, with_A, sub_moves))
-        M, target, core, wmoves = M1, M2, mid_core, mid_moves
+        out += _expand(S, X, Y, sub, with_B, sub_moves, session).moves
+        far.append((Y, Xp, sub, with_A, sub_moves))
+        core, wmoves = mid_core, mid_moves
+    _replay(S, (Exchange(A, B),))
     for side in reversed(far):
-        out += invert_transcript(_expand(*side, session)).moves
+        out += _expand(S, *side, session).moves
     return Transcript(tuple(out))
 
 
 def _expansion(M, A, B, target, core, spheres, witness, budget):
     """The expansion of Exchange(A, B) on M, whose result is `target`,
-    from a factorization and a witness already known to hold; one
-    replay in M certifies it.  A ValueError or KeyError in our own
-    planning is a fault, raised as RuntimeError."""
+    from a factorization and a witness already known to hold.  One
+    working copy of M is its only ambient, moved by one checked
+    exchange per _expand call; one replay in M certifies it.  A
+    ValueError or KeyError in our own planning is a fault, raised as
+    RuntimeError."""
     session = ExpansionSession(budget)
-    session.absorb(M)
-    session.absorb_labels(B)
+    session.absorb_labels(M.vertices() + B)
     try:
-        out = _expand(M, A, B, target, core, tuple(spheres),
+        out = _expand(_WorkingComplex(M), A, B, core, tuple(spheres),
                       session.take(witness), session)
     except (ValueError, KeyError) as exc:
         raise RuntimeError(

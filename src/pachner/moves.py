@@ -32,8 +32,9 @@ and lets a fault in a family's check propagate.  ``apply_move`` checks
 first and raises IllegalMoveError (carrying the report) on failure, then
 applies the surgery to a fresh working copy, which becomes the result's
 incidence; ``apply_transcript`` replays on one working copy, one check
-per step.  Complexes stay immutable to callers; the working copies are
-private.  Two of them are the one lister of their family's moves:
+per step, through ``_replay``, which also moves a working copy the
+caller keeps.  Complexes stay immutable to callers; the working copies
+are private.  Two of them are the one lister of their family's moves:
 ``_FlipState`` for bistellar moves, which keeps the facets on each face
 and reads each link from them (lk(A) = dB exactly when A lies in len(B)
 facets of len(A) + len(B) - 1 vertices, whose vertices outside A are
@@ -722,9 +723,6 @@ class Transcript:
     def __iter__(self):
         return iter(self.moves)
 
-    def __add__(self, other):
-        return Transcript(self.moves + other.moves, self.notes + other.notes)
-
 
 def invert_transcript(t):
     """Reverse the order and invert every move (undoes a replay)."""
@@ -732,16 +730,21 @@ def invert_transcript(t):
                       tuple(reversed(t.notes)))
 
 
-def apply_transcript(M, t):
-    """Replay every move in order on one working copy of M, one check per
-    step; IllegalAtStepError names the first failing step."""
-    S = _WorkingComplex(M)
-    for i, move in enumerate(t.moves):
+def _replay(S, moves):
+    """Check and apply each move in order on the working copy S, in
+    place; IllegalAtStepError names the first failing step."""
+    for i, move in enumerate(moves):
         report = check_move(S, move)
         if not report.legal:
             raise IllegalAtStepError(i, move, report)
         _apply(S, move, report)
-    return _handed_over(S)
+    return S
+
+
+def apply_transcript(M, t):
+    """Replay every move in order on one working copy of M, one check per
+    step (``_replay``)."""
+    return _handed_over(_replay(_WorkingComplex(M), t.moves))
 
 
 def _certify(M, t, end, what):

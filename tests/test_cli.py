@@ -472,6 +472,25 @@ def test_expand_exchange_fault_exits_2(tmp_path, monkeypatch, capsys):
     assert "exchange expansion failed" in capsys.readouterr().err
 
 
+def test_expand_star_of_an_open_link_exits_1(tmp_path, capsys):
+    """A starring whose link is not closed has no expansion: a named
+    disproof (exit 1), not a fault."""
+    disk = Complex.from_facets([(0, 1, 2), (1, 2, 3), (1, 3, 4)])
+    assert main(["expand-star", _cx(tmp_path, disk), "--simplex", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: lk([0]) is not closed; this starring has no bistellar "
+        "expansion\n")
+
+
+def test_expand_star_of_an_unshellable_link_exits_1(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(pachner.expander, "find_shelling",
+                        lambda L, budget=None: None)
+    assert main(["expand-star", _cx(tmp_path, standard_sphere(3)),
+                 "--simplex", "0 1"]) == 1
+    assert "is unshellable" in capsys.readouterr().err
+
+
 def test_reduce_reaches_simplex_boundary(tmp_path, sphere2, capsys):
     sd = derived_subdivision(sphere2)
     out = tmp_path / "art"
@@ -587,7 +606,8 @@ def test_prove_equiv_shells_without_annealing_moves(tmp_path, sphere2,
 # -- internal faults ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("fault", [TypeError, KeyError, IndexError])
+@pytest.mark.parametrize("fault", [TypeError, KeyError, IndexError,
+                                   ValueError])
 def test_internal_fault_exits_2_with_traceback(tmp_path, sphere2, capsys,
                                                monkeypatch, fault):
     """A fault is no verdict: it must not reach exit 1, "proven no"."""

@@ -607,7 +607,7 @@ def test_expansion_session_labels_are_monotone():
     s.absorb_labels((11, 3))
     assert s.fresh() == 12
     assert s.fresh() == 13
-    s.absorb(full_simplex((20,)))
+    s.absorb_labels((20,))
     assert s.fresh() == 21
 
 
@@ -688,6 +688,35 @@ def test_expansion_nesting_is_bounded_by_the_core_dimension(monkeypatch):
     t = _sd_sphere3_exchange()
     assert all(isinstance(mv, Bistellar) for mv in t.moves)
     assert depth[1] <= 3
+
+
+def test_exchange_expansion_moves_one_working_copy(monkeypatch):
+    """One working copy of sd S3 is the ambient of the whole expansion,
+    moved by one checked exchange per square side; no square copies the
+    complex.  The other copies of 100 or more facets are the exchange's
+    result and the certifying replay."""
+    built = []
+    real_init = _WorkingComplex.__init__
+
+    def counting_init(self, M):
+        built.append((type(self), len(M.facets)))
+        real_init(self, M)
+
+    monkeypatch.setattr(_WorkingComplex, "__init__", counting_init)
+    t = _sd_sphere3_exchange()
+    monkeypatch.undo()
+    assert sum(kind is _WorkingComplex and n >= 100
+               for kind, n in built) <= 3
+    assert len(t) == 1184
+    assert hashlib.sha256(dumps_transcript(t).encode()).hexdigest() == (
+        "3fc85a57a9b3c7c65f6654d1096bb1238e8395901a56f46d879c2dbc547d1f57")
+
+
+@pytest.mark.parametrize("v, flips", [(3, 1184), (6, 732), (9, 732)])
+def test_sd_sphere3_exchange_flip_counts(v, flips):
+    sd = derived_subdivision(standard_sphere(3))
+    t = expand_exchange(sd, (v,), (sd.fresh_vertex(),))
+    assert len(t) == flips
 
 
 def test_a_fault_in_the_expansion_is_a_runtime_error(monkeypatch):
