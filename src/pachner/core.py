@@ -51,8 +51,15 @@ EMPTY = ()
 
 
 def simplex(vertices):
-    """Normalise `vertices` into a simplex tuple, validating labels."""
-    vs = tuple(sorted(vertices))
+    """Normalise `vertices` into a simplex tuple, validating labels.
+
+    Labels that do not compare are checked in input order, so the first
+    one that is not a vertex is named."""
+    vs = tuple(vertices)
+    try:
+        vs = tuple(sorted(vs))
+    except TypeError:
+        pass
     for v in vs:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise MalformedSimplexError(f"bad vertex label {v!r}")

@@ -358,6 +358,11 @@ def _relabel_witness_move(mv, ren):
                     simplex(ren.get(v, v) for v in mv.B))
 
 
+def _composed(ren, new):
+    """The renaming `ren` followed by `new`."""
+    return {**new, **{k: new.get(v, v) for k, v in ren.items()}}
+
+
 def _star_via_factors(A, B, spheres, a):
     """Starring flips for lk(A) = dB * join of sphere boundaries: the
     link shelling is assembled structurally, no search involved."""
@@ -381,8 +386,11 @@ def _expand(S, A, B, core, spheres, wmoves, session):
     sub * the A-side spheres, so it uses the near side's core and
     witness.  Only the sides recurse, each on a link of the core, so
     the nesting grows with the dimension of the core, not with the
-    length of the witness."""
+    length of the witness.  The walk keeps one renaming of the witness
+    labels, composed as squares rename them, and applies it to a
+    witness move only when a square takes that move."""
     out, far = [], []
+    ren, i = {}, 0  # witness label -> the label the walk uses; next move
     while True:
         session.charge()
         # the exchange is already bistellar: single move
@@ -393,7 +401,6 @@ def _expand(S, A, B, core, spheres, wmoves, session):
         if core.vertices() and is_simplex_boundary(core):
             spheres = spheres + (core.vertices(),)
             core = _TRIVIAL
-            wmoves = ()
         if core == _TRIVIAL:
             # base: lk(A) is a join of simplex boundaries, hence a
             # shellable sphere; star A and B over the same fresh vertex
@@ -402,30 +409,30 @@ def _expand(S, A, B, core, spheres, wmoves, session):
             out += _star_via_factors(A, B, spheres, a).moves
             out += invert_transcript(_star_via_factors(B, A, spheres, a)).moves
             break
-        if not wmoves:
+        if i == len(wmoves):
             raise ValueError(
                 "witness exhausted before the core became a simplex boundary")
-        first, rest = wmoves[0], wmoves[1:]
-        C, D = simplex(first.A), simplex(first.B)
+        D = simplex(ren.get(v, v) for v in wmoves[i].B)
         if len(D) == 1:
             # a singleton traded simplex is a label the witness minted (it
             # cannot be a vertex of the core, or the move would be illegal
             # there); it may collide with ambient or planned labels, so
             # substitute a session-fresh one throughout the witness tail
             d2 = session.fresh()
-            ren = {D[0]: d2}
+            ren = _composed(ren, {D[0]: d2})
             D = (d2,)
-            rest = tuple(_relabel_witness_move(mv, ren) for mv in rest)
-            first = Exchange(C, D)
         # one exchange square: X -> Y, then A -> B, then Y -> Xp
         if not S._star(D):
             # traded simplex absent from the ambient complex: exchange it
             # in around A*C, walk on with the witness, and trade it out
             # around B*C
+            first = _relabel_witness_move(wmoves[i], ren)
+            i += 1
+            C = first.A
             X, Xp, Y = tuple(sorted(A + C)), tuple(sorted(B + C)), D
             lkC = core.link(C)
             sub = lkC.restrict(set(lkC.vertices()) - set(D))
-            mid_core, mid_moves = apply_move(core, first), rest
+            mid_core = apply_move(core, first)
         else:
             # traded simplex already present: detach one of its vertices
             # first by starring around it, which frees the witness move to
@@ -434,15 +441,14 @@ def _expand(S, A, B, core, spheres, wmoves, session):
             X, Xp, Y = (tuple(sorted(A + (u,))), tuple(sorted(B + (u,))),
                         (session.fresh(),))
             sub = core.link((u,))
-            ren = {u: Y[0]}
-            mid_core = core.relabel(ren)
-            mid_moves = tuple(_relabel_witness_move(mv, ren) for mv in wmoves)
+            mid_core = core.relabel({u: Y[0]})
+            ren = _composed(ren, {u: Y[0]})
         sub_moves = session.take(search_witness(sub, session.remaining + 1))
         with_B = spheres + ((B,) if len(B) >= 2 else ())
         with_A = spheres + ((A,) if len(A) >= 2 else ())
         out += _expand(S, X, Y, sub, with_B, sub_moves, session).moves
         far.append((Y, Xp, sub, with_A, sub_moves))
-        core, wmoves = mid_core, mid_moves
+        core = mid_core
     _replay(S, (Exchange(A, B),))
     for side in reversed(far):
         out += _expand(S, *side, session).moves

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -185,8 +186,10 @@ def _check_exchange(S, A, B):
 
 
 def _opposite(F, ridges):
-    """The v in the sorted simplex F whose opposite face F - v is in `ridges`."""
-    return tuple(v for i, v in enumerate(F) if F[:i] + F[i + 1:] in ridges)
+    """The v in the sorted simplex F whose opposite face F - v is in `ridges`
+    (``combinations`` drops the last vertex first)."""
+    faces = [*itertools.combinations(F, len(F) - 1)][::-1]
+    return tuple(v for v, R in zip(F, faces) if R in ridges)
 
 
 def _split(F, A, through, incidence):
@@ -197,17 +200,18 @@ def _split(F, A, through, incidence):
     the boundary ridges containing it, and ``incidence`` a vertex to the
     facets containing it.  The split is refused when A or B is empty,
     when A is a boundary face (some boundary ridge through A[0] contains
-    it), or when another facet contains B: F then meets the rest in more
-    than A * dB."""
+    it; any one does when A is a vertex), or when another facet contains
+    B, that is when the facets on B's vertices, intersected, are more
+    than F: F then meets the rest in more than A * dB."""
     B = tuple(v for v in F if v not in A)
     if not A or not B:
         return None
-    sa, sb = set(A), set(B)
-    if any(sa.issubset(R) for R in through.get(A[0], ())):
+    if (through.get(A[0]) if len(A) == 1
+            else any(set(A).issubset(R) for R in through.get(A[0], ()))):
         return None
-    if any(G != F and sb.issubset(G) for G in incidence[B[0]]):
-        return None
-    return A, B
+    on_b = (incidence[B[0]] if len(B) == 1
+            else set.intersection(*[incidence[v] for v in B]))
+    return None if len(on_b) > 1 else (A, B)
 
 
 def _check_shell(S, A, B):
@@ -576,10 +580,12 @@ class _ShellState(_WorkingComplex):
     ``enumerate_moves(M, "shell")`` with one copy of that list.
     ``remove(G)`` drops the facet G and re-reads only the facets meeting
     G that share a ridge with it or whose A or B lies in G: no other
-    split can change.  Only a split that changed is moved in the list,
-    by bisection, so no node sorts or builds its moves anew.  It logs
-    the reads it overwrites, and ``undo()`` pops the log to restore the
-    complex before the last removal without re-reading.
+    split can change.  It decides which from the number of vertices each
+    facet shares with G, counted for all of them at once, so no test
+    builds a set per facet.  Only a split that changed is moved in the
+    list, by bisection, so no node sorts or builds its moves anew.  It
+    logs the reads it overwrites, and ``undo()`` pops the log to restore
+    the complex before the last removal without re-reading.
     """
 
     kind = "shell"
@@ -590,13 +596,13 @@ class _ShellState(_WorkingComplex):
         self._widths = {}        # facet size -> number of facets
         self._rim = set()        # the ridges in one facet
         self._through = {}       # vertex -> the boundary ridges on it
-        self._reads = {}         # facet -> (A, its split or None)
-        self._order = []         # the Shell of every split, by (A, B)
         self._log = []           # per removal: (facet, read) pairs it
         #                          replaced, the removed facet first
         super().__init__(M)
-        for F in self.facets:
-            self._store(F, self._read(F))
+        # facet -> (A, its split or None); the Shell of every split, by (A, B)
+        self._reads = {F: self._read(F) for F in self.facets}
+        self._order = sorted((Shell(*s) for _, s in self._reads.values() if s),
+                             key=_ab)
 
     def _tally(self, f, step):
         super()._tally(f, step)
@@ -612,7 +618,8 @@ class _ShellState(_WorkingComplex):
                 degree[r] = new
             else:
                 del degree[r]
-            over += (new > 2) - (old > 2)
+            if old > 2 or new > 2:
+                over += (new > 2) - (old > 2)
             if new == 1:  # r joins the boundary
                 rim.add(r)
                 for v in r:
@@ -659,27 +666,28 @@ class _ShellState(_WorkingComplex):
 
     def remove(self, G):
         """Remove the facet G (the shell surgery) and re-read the splits
-        it can change, logging the reads it replaces."""
+        it can change, logging the reads it replaces.  A facet F that
+        shares n vertices with G (one count over the facets on G's
+        vertices) is re-read when it shares a ridge with G (n is one less
+        than both sizes), when G holds all of its A, or when the n shared
+        vertices less those in A are all of F - A, its B."""
         self._replace((G,), ())
         read = self._reads.pop(G)
         self._reorder(read[1], None)
         replaced = [(G, read)]
         gs = set(G)
-        if len(G) > 1:
-            near = set().union(*(self._by_vertex.get(v, ()) for v in G))
+        if len(G) > 1:  # facet -> the number of vertices it shares with G
+            near = Counter(itertools.chain.from_iterable(
+                self._by_vertex.get(v, ()) for v in G))
         else:
-            near = set(self.facets)  # every point shares the ridge ()
-        for F in near:
+            near = dict.fromkeys(self.facets, 0)  # all share the ridge ()
+        for F, n in near.items():
             read = self._reads[F]
             A = read[0]
-            shared = gs.intersection(F)
-            # A lies in G when all of A is shared; B = F - A when all
-            # that is shared outside A makes up F - A
-            inA = len(shared.intersection(A))
-            if (len(shared) == len(F) - 1 == len(G) - 1
-                    or A and inA == len(A)
-                    or len(F) > len(A)
-                    and len(shared) - inA == len(F) - len(A)):
+            b = len(F) - len(A)
+            if (n == len(G) - 1 == len(F) - 1
+                    or A and gs.issuperset(A)
+                    or n >= b > 0 and n - len(gs.intersection(A)) == b):
                 replaced.append((F, read))
                 self._store(F, self._read(F))
         self._log.append(replaced)

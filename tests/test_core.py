@@ -33,6 +33,9 @@ def test_simplex_normalisation():
         simplex([-1, 2])
     with pytest.raises(MalformedSimplexError):
         simplex(["a"])
+    # labels that do not compare: the first bad one in input order
+    with pytest.raises(MalformedSimplexError, match="bad vertex label 'a'"):
+        simplex([0, "a"])
 
 
 def test_full_simplex_face_count():
@@ -114,7 +117,8 @@ def test_from_facets_keeps_exactly_the_pairwise_maximal_entries():
     for family in families:
         assert Complex.from_facets(family).facets == _pairwise_maximal(
             family), family
-    for bad in ([-1, 2], [3, 3], ["a"], [True, 2], [1.5]):
+    for bad in ([-1, 2], [3, 3], ["a"], [True, 2], [1.5], [0, "a"],
+                [0, None]):
         with pytest.raises(MalformedSimplexError):
             Complex.from_facets([(0, 1, 2), bad, (4,)])
 

@@ -712,6 +712,34 @@ def test_exchange_expansion_moves_one_working_copy(monkeypatch):
         "3fc85a57a9b3c7c65f6654d1096bb1238e8395901a56f46d879c2dbc547d1f57")
 
 
+def test_expansion_relabels_each_witness_move_once_per_walk(monkeypatch):
+    """A walk keeps one composed renaming of its witness labels and
+    applies it to a witness move only when a square takes that move, so
+    it relabels each move it is handed at most once.  Each witness that
+    ``ExpansionSession.take`` hands out is walked twice, by its square's
+    near and far side.  On sd S3 (1,184 flips) the walks are handed 104
+    moves; relabelling the whole witness tail at every renaming square
+    made 331 calls."""
+    calls, handed = [], []
+    relabel, expand = (pachner.expander._relabel_witness_move,
+                       pachner.expander._expand)
+
+    def counting_relabel(mv, ren):
+        calls.append(mv)
+        return relabel(mv, ren)
+
+    def counting_expand(S, A, B, core, spheres, wmoves, session):
+        handed.append(len(wmoves))
+        return expand(S, A, B, core, spheres, wmoves, session)
+
+    monkeypatch.setattr(pachner.expander, "_relabel_witness_move",
+                        counting_relabel)
+    monkeypatch.setattr(pachner.expander, "_expand", counting_expand)
+    t = _sd_sphere3_exchange()
+    assert len(t) == 1184
+    assert 0 < len(calls) <= sum(handed) == 104
+
+
 @pytest.mark.parametrize("v, flips", [(3, 1184), (6, 732), (9, 732)])
 def test_sd_sphere3_exchange_flip_counts(v, flips):
     sd = derived_subdivision(standard_sphere(3))

@@ -51,6 +51,7 @@ INPUTS = {
     "relabelled sd S3": lambda: _relabelled(
         derived_subdivision(standard_sphere(3)), 11),
     "sd of a 3-simplex": lambda: derived_subdivision(full_simplex(range(4))),
+    "sd of a 4-simplex": lambda: derived_subdivision(full_simplex(range(5))),
     "pinched K": pinched_complex,
     "Csaszar torus": csaszar_torus,
     "impure": lambda: Complex.from_facets(
@@ -68,10 +69,14 @@ def _agrees(S):
 def _kept_in_order(S):
     """The kept order is the Shell of every split the state has read,
     sorted by (A, B), and what a fresh state of its complex keeps, even
-    where the boundary is undefined and no move is listed."""
+    where the boundary is undefined and no move is listed.  So are the
+    reads themselves: a skipped re-read whose split stays None shows
+    only in its A."""
     splits = sorted(read[1] for read in S._reads.values() if read[1])
     assert S._order == [Shell(A, B) for A, B in splits]
-    assert S._order == _ShellState(S.complex())._order
+    fresh = _ShellState(S.complex())
+    assert S._order == fresh._order
+    assert S._reads == fresh._reads
 
 
 class _Checked(_ShellState):
