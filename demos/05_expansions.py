@@ -8,7 +8,7 @@ checked against the one-shot move it expands:
 * a stellar subdivision at any face, expanded through a shelling of the
   link;
 * a stellar exchange, expanded recursively through a join factorisation
-  of the common link plus a flip witness for its core.
+  of the common link plus a witness read from a shelling of its core.
 """
 
 from pachner import (
@@ -63,7 +63,8 @@ link = octa.link(A)
 core, spheres = factor_link(link)
 print(f"   common link factors as core {core.facet_list()} "
       f"joined with sphere pairs {spheres}")
-print(f"   core flip witness: {len(search_witness(core).moves)} moves")
+print(f"   core witness from its shelling: "
+      f"{len(search_witness(core).moves)} moves")
 t = expand_exchange(octa, A, B)
 assert apply_transcript(octa, t) == apply_move(octa, Exchange(A, B))
 print(f"   expanded to {len(t)} bistellar flips, replayed exactly")
@@ -79,7 +80,7 @@ core, spheres = factor_link(M.link(A))
 witness = search_witness(core)
 print(f"suspended hexagon, exchange {list(A)} <-> {list(B)}:")
 print(f"   core is the hexagon ({len(core.facet_list())} edges), "
-      f"witness has {len(witness.moves)} moves")
+      f"witness from its shelling has {len(witness.moves)} moves")
 t = expand_exchange(M, A, B)
 assert apply_transcript(M, t) == apply_move(M, Exchange(A, B))
 print(f"   expanded to {len(t)} bistellar flips, replayed exactly")

@@ -10,8 +10,8 @@ failure from a search that gave up:
 * 0 -- success / affirmative verdict
 * 1 -- provably negative verdict (illegal move, no shelling exists,
        not a combinatorial manifold, not isomorphic, invariant mismatch,
-       a starring with no expansion); only a verdict or a named
-       disproof exits 1
+       a starring or exchange with no expansion); only a verdict or a
+       named disproof exits 1
 * 2 -- undecided within budget (bounded search exhausted, a search
        deeper than the Python recursion limit, or an internal fault:
        any other exception, a plain ValueError included)
@@ -463,7 +463,8 @@ def _build_parser():
     q.add_argument("--simplex-b", required=True, metavar="'V0 V1 ...'",
                    help="simplex introduced by the exchange")
     q.add_argument("--budget", type=_budget, default=DEFAULT_EXPANSION_BUDGET,
-                   help="search budget (default %(default)s)")
+                   help="shelling-search nodes per link core, and exchange "
+                   "squares (default %(default)s)")
     out_flag(q)
 
     q = command("reduce", _cmd_reduce,

@@ -6,23 +6,28 @@ ball X converts the cone over its boundary into X by one bistellar move
 per facet; starrings expand by running that conversion backwards inside
 the star; and a general exchange expands square by square along a
 witness -- a sequence of exchanges reducing the residual link factor to
-a simplex boundary.  One loop walks the squares of a witness; only the
-sides of a square recurse, on a link of lower dimension, so the depth of
-an expansion is bounded by the dimension of the link, not by the length
-of its witness.  One working copy of M is the only ambient: each near
+a simplex boundary.  expand_exchange reads each witness from a shelling
+of its core: the core's sphere evidence, the flips recognize._evidence
+certifies, read as exchanges.  So a starring's link and an exchange's
+core pass one gate (_closed_shelling): closed, then shelled within
+budget.  One loop walks the squares of a witness; only the sides of a
+square recurse, on a link of lower dimension, so the depth of an
+expansion is bounded by the dimension of the link, not by the length of
+its witness.  One working copy of M is the only ambient: each near
 side X -> Y moves it, the exchange itself moves it once at the base,
 and each far side is the exchange Y -> Xp, expanded forward from there,
 so no square copies the complex.
 
-The private builders (_cone_steps, _join_steps, recognize._cone_flips)
-compute steps by label arithmetic and check nothing.  Every returned
-object is certified once, in its own complex: a public combinator
-replays the caller's shelling and its own output, and a transcript is
-replayed once in the caller's complex against the exact result.  For an
-exchange that is the one-move result.  One entry (_expansion) serves
+The private builders (_cone_steps, _join_steps, recognize._cone_flips
+and its inverse recognize._flips_to_cone) compute steps by label
+arithmetic and check nothing.  Every returned object is certified once,
+in its own complex: a public combinator replays the caller's shelling
+and its own output, and a transcript is replayed once in the caller's
+complex against the exact result.  For an exchange that is the one-move
+result.  One entry (_expansion) serves
 exchange_to_bistellar, which first checks the caller's factorization
 and witness, and expand_exchange, whose own are correct by
-construction; every witness, the top one and each one searched for a
+construction; every witness, the top one and each one read for a
 sub-link, enters the session's labels through ExpansionSession.take.
 For starrings, one expansion path (subdivision_to_bistellar, of which
 star_move_transcript is the case of one starring) takes them in turn on
@@ -46,7 +51,8 @@ from .core import (
     simplex,
     simplex_boundary,
 )
-from .flipsearch import Schedule, reduce as _flip_reduce
+# bound here only for the benchmark's tracing test; the expander never calls it
+from .flipsearch import reduce as _flip_reduce
 from .moves import (
     Bistellar,
     Exchange,
@@ -66,18 +72,19 @@ from .moves import (
 from .recognize import (
     ShellingSequence,
     _cone_flips,
+    _flips_to_cone,
     _ridges_paired,
     find_shelling,
     replay_shelling,
 )
 
-WITNESS_SEED = 271828
 DEFAULT_EXPANSION_BUDGET = 100_000
 
 
 class NoExpansionError(ValueError):
-    """A starring whose link is not closed, or is unshellable: it has no
-    bistellar expansion by this construction."""
+    """A starring whose link, or an exchange whose link core, is not
+    closed or is unshellable: it has no bistellar expansion by this
+    construction."""
 
 
 # -- shelling combinators -----------------------------------------------
@@ -195,10 +202,22 @@ def star_move_transcript(M, A, budget=DEFAULT_EXPANSION_BUDGET, at=None):
     return subdivision_to_bistellar(M, Transcript((Star(A, a),)), budget)
 
 
-def _star_from_link_shelling(A, sh, a):
-    """The starring of A at the label a as flips, unchecked: cone the
-    shelling sh of lk(A) over A, convert and invert."""
-    return invert_transcript(_cone_flips(_cone_steps(sh, A), a))
+def _closed_shelling(L, budget, name, what):
+    """A shelling of L, the link `name` that the expansion of `what`
+    reads.  NoExpansionError when L is not closed, before any search, or
+    has no shelling; BudgetExhaustedError when the search runs out of
+    its `budget` nodes first."""
+    if not _ridges_paired(L):
+        raise NoExpansionError(
+            f"{name} is not closed; {what} has no bistellar expansion")
+    try:
+        sh = find_shelling(L, budget)
+    except BudgetExhaustedError:
+        raise BudgetExhaustedError(f"shelling search for {name} exhausted "
+                                   f"its budget of {budget}") from None
+    if sh is None:
+        raise NoExpansionError(f"{name} is unshellable; cannot expand {what}")
+    return sh
 
 
 def subdivision_to_bistellar(M, transcript, budget=DEFAULT_EXPANSION_BUDGET):
@@ -222,23 +241,10 @@ def subdivision_to_bistellar(M, transcript, budget=DEFAULT_EXPANSION_BUDGET):
         # lk(A) = d(a) * L with d(a) = {-}, so L is lk(A).  A closed lk
         # makes the boundary of A * lk exactly dA * lk, which the
         # expansion relies on
-        lk = rep.link_factor
-        if not _ridges_paired(lk):
-            raise NoExpansionError(
-                f"lk({fmt_simplex(A)}) is not closed; this starring has no "
-                "bistellar expansion")
-        try:
-            sh = find_shelling(lk, budget)
-        except BudgetExhaustedError:
-            raise BudgetExhaustedError(
-                f"shelling search for lk({fmt_simplex(A)}) exhausted its "
-                f"budget of {budget}") from None
-        if sh is None:
-            raise NoExpansionError(
-                f"lk({fmt_simplex(A)}) is unshellable; cannot expand this "
-                "starring")
+        sh = _closed_shelling(rep.link_factor, budget,
+                              f"lk({fmt_simplex(A)})", "this starring")
         _apply(S, mv, rep)
-        flips.extend(_star_from_link_shelling(A, sh, mv.a).moves)
+        flips.extend(_flips_to_cone(_cone_steps(sh, A), mv.a).moves)
     t = Transcript(tuple(flips))
     _certify(M, t, S.complex(), "starring expansion")
     return t
@@ -327,18 +333,19 @@ def factor_link(L):
 
 
 def search_witness(L, budget=DEFAULT_EXPANSION_BUDGET):
-    """Find a witness for the core L by seeded bistellar annealing.
-
-    Raises BudgetExhaustedError when the reduction does not reach a
-    simplex boundary within the proposal budget."""
+    """The witness of the core L, read from a shelling of L: no moves
+    for a simplex boundary, else L's sphere evidence as exchanges, the
+    flips carrying L to the boundary of its initial facet plus
+    L.fresh_vertex().  The shelling passes the same gate as a
+    starring's link: NoExpansionError when L is not closed or has no
+    shelling, BudgetExhaustedError when the search runs out of its
+    `budget` nodes.  The witness is not replayed on L."""
     if is_simplex_boundary(L):
         return Witness(())
-    end, t = _flip_reduce(L, Schedule(seed=WITNESS_SEED, max_moves=budget))
-    if not is_simplex_boundary(end):
-        raise BudgetExhaustedError(
-            "witness search stalled on a link core with f-vector "
-            f"{L.f_vector().counts} after {budget} proposals")
-    return Witness(tuple(Exchange(mv.A, mv.B) for mv in t.moves))
+    name = f"link core with f-vector {L.f_vector().counts}"
+    sh = _closed_shelling(L, budget, name, "this exchange")
+    flips = _flips_to_cone(sh, L.fresh_vertex())
+    return Witness(tuple(Exchange(mv.A, mv.B) for mv in flips.moves))
 
 
 def _validate_witness(core, witness):
@@ -370,7 +377,7 @@ def _star_via_factors(A, B, spheres, a):
     for W in (B,) + tuple(spheres):
         if len(W) >= 2:
             sh = _join_steps(sh, W)
-    return _star_from_link_shelling(A, sh, a)
+    return _flips_to_cone(_cone_steps(sh, A), a)
 
 
 def _expand(S, A, B, core, spheres, wmoves, session):

@@ -429,8 +429,7 @@ def _evidence(K, budget):
     if sh.initial is None:
         return Transcript(sh.steps), sh.terminal
     V = sh.initial + (K.fresh_vertex(),)
-    t = invert_transcript(
-        _cone_flips(ShellingSequence(sh.steps, sh.terminal), V[-1]))
+    t = _flips_to_cone(sh, V[-1])
     _certify(K, t, simplex_boundary(V), "sphere evidence")
     return t, V
 
@@ -450,6 +449,14 @@ def _cone_flips(sh, v):
     moves = [Bistellar(tuple(sorted((v,) + mv.B)), mv.A) for mv in sh.steps]
     moves.append(Bistellar((v,), sh.terminal))
     return Transcript(tuple(moves))
+
+
+def _flips_to_cone(sh, v):
+    """Flips carrying the ball X that sh shells to v * (boundary of X):
+    _cone_flips inverted; unchecked.  A sphere's shelling shells the
+    ball its initial facet F leaves, and F stays in place, so they carry
+    the sphere to the boundary of F + (v,)."""
+    return invert_transcript(_cone_flips(sh, v))
 
 
 def _cone_apex(K):

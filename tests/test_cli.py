@@ -482,6 +482,17 @@ def test_expand_star_of_an_open_link_exits_1(tmp_path, capsys):
         "expansion\n")
 
 
+def test_expand_exchange_of_an_open_link_core_exits_1(tmp_path, capsys):
+    """lk(0) in a fan of three triangles is a path: the exchange has no
+    expansion, a named disproof (exit 1) made before any search."""
+    fan = Complex.from_facets([(0, 1, 2), (0, 2, 3), (0, 3, 4)])
+    assert main(["expand-exchange", _cx(tmp_path, fan),
+                 "--simplex-a", "0", "--simplex-b", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: link core with f-vector (4, 3) is not closed; this exchange "
+        "has no bistellar expansion\n")
+
+
 def test_expand_star_of_an_unshellable_link_exits_1(tmp_path, monkeypatch,
                                                    capsys):
     monkeypatch.setattr(pachner.expander, "find_shelling",

@@ -4,8 +4,9 @@ Fixture notes, verified by hand:
 
 * suspension of a hexagon: poles 0/1 over the 6-cycle 2-3-4-5-6-7.
   lk(pole) is the hexagon itself -- no simplex-boundary join factor --
-  so starring a pole forces a walk along a witness, and every searched
-  witness move trades an absent chord (case: traded simplex absent).
+  so starring a pole forces a walk along a witness, and every move of
+  the witness read from the hexagon's shelling trades a simplex absent
+  from the ambient complex (case: traded simplex absent).
 * twisted octahedron: poles 0/1 over the 4-cycle 2-4-3-5.  The edge
   (4,5) IS present (facets 145, 345), so the hand witness move
   (2,) -> (4,5) trades a simplex already in the ambient complex and
@@ -30,6 +31,7 @@ from pachner.core import (
 from pachner.expander import (
     ExpansionSession,
     LinkFactorization,
+    NoExpansionError,
     Witness,
     ball_to_cone_transcript,
     cone_shelling,
@@ -285,8 +287,8 @@ def test_flip_replay_reads_one_working_copy(monkeypatch):
 def test_star_expansion_fault_is_a_runtime_error(sphere2, monkeypatch):
     """A built transcript that fails its replay in M is our fault, not
     an illegal move of the caller's."""
-    real = pachner.expander._cone_flips
-    monkeypatch.setattr(pachner.expander, "_cone_flips",
+    real = pachner.expander._flips_to_cone
+    monkeypatch.setattr(pachner.expander, "_flips_to_cone",
                         lambda sh, v: Transcript(real(sh, v).moves[1:]))
     with pytest.raises(RuntimeError, match="does not replay"):
         star_move_transcript(sphere2, (0, 1))
@@ -407,6 +409,19 @@ def test_search_witness_budget_error(torus7):
         search_witness(torus7, budget=30)
 
 
+def test_search_witness_refuses_an_unshellable_core(monkeypatch):
+    """A core passes the starring's gate: a closed core with no shelling
+    is a named refusal, not an exhausted search."""
+    monkeypatch.setattr(pachner.expander, "find_shelling",
+                        lambda L, budget=None: None)
+    hexagon = Complex.from_facets(
+        [(i, 2 + (i - 1) % 6) for i in range(2, 8)])
+    with pytest.raises(NoExpansionError, match=(
+            r"^link core with f-vector \(6, 6\) is unshellable; "
+            r"cannot expand this exchange$")):
+        search_witness(hexagon)
+
+
 # -- exchange expansion ------------------------------------------------------
 
 
@@ -460,34 +475,22 @@ def test_detach_branch_searches_only_the_witness_it_spends(monkeypatch):
 # Pinned expansions of both exchange-square branches, so that changes to
 # the expansion cannot drift the transcripts unnoticed.
 HEXAGON_EXPANSION = """\
-FLIP [0 2] ; [3 7]
-FLIP [0 4 5] ; [9]
-FLIP [0 4 9] ; [11]
-FLIP [0 4] ; [3 11]
-FLIP [0 3 11] ; [10]
-FLIP [0 11] ; [9 10]
-FLIP [3 11] ; [4 10]
-FLIP [11] ; [4 9 10]
-FLIP [0 9] ; [5 10]
-FLIP [0 10] ; [3 5]
-FLIP [0 7] ; [3 6]
-FLIP [0 5 6] ; [12]
-FLIP [0 6] ; [3 12]
-FLIP [0] ; [3 5 12]
-FLIP [3 5 12] ; [8]
-FLIP [3 12] ; [6 8]
-FLIP [12] ; [5 6 8]
-FLIP [3 6] ; [7 8]
-FLIP [3 5] ; [8 10]
-FLIP [5 10] ; [8 9]
-FLIP [8 9 10] ; [13]
-FLIP [8 10] ; [3 13]
-FLIP [9 10] ; [4 13]
-FLIP [10] ; [3 4 13]
-FLIP [3 13] ; [4 8]
-FLIP [13] ; [4 8 9]
-FLIP [9] ; [4 5 8]
-FLIP [3 7] ; [2 8]
+FLIP [0 6 7] ; [9]
+FLIP [0 7] ; [2 9]
+FLIP [0 6] ; [5 9]
+FLIP [0 5] ; [4 9]
+FLIP [0 4] ; [3 9]
+FLIP [0 3 9] ; [10]
+FLIP [0 9] ; [2 10]
+FLIP [0] ; [2 3 10]
+FLIP [2 3 10] ; [8]
+FLIP [2 10] ; [8 9]
+FLIP [10] ; [3 8 9]
+FLIP [3 9] ; [4 8]
+FLIP [4 9] ; [5 8]
+FLIP [5 9] ; [6 8]
+FLIP [2 9] ; [7 8]
+FLIP [9] ; [6 7 8]
 """
 
 DETACH_EXPANSION = """\
@@ -534,14 +537,14 @@ def test_hexagon_expansion_builds_join_shellings_privately(monkeypatch):
 
 def test_hexagon_expansion_replays_once_in_the_complex(monkeypatch):
     """The base-case starrings are not certified on their own, and the
-    witness expand_exchange found is not replayed again on the core: one
-    replay of the whole 28-flip transcript in M certifies the
+    witness expand_exchange read from a shelling is not replayed on the
+    core: one replay of the whole 16-flip transcript in M certifies the
     expansion."""
     replays = _count_calls(monkeypatch, "apply_transcript")
     t = expand_exchange(suspended_hexagon(), (0,), (8,))
     assert dumps_transcript(t) == HEXAGON_EXPANSION
     assert len(replays) == 1
-    assert sum(len(tr) for _, tr in replays) == len(t) == 28
+    assert sum(len(tr) for _, tr in replays) == len(t) == 16
 
 
 def test_expand_exchange_checks_its_exchange_once(monkeypatch):
@@ -622,7 +625,8 @@ def test_expansion_budget_guard():
 
 def _sd_sphere3_exchange():
     """Exchange vertex 0 of sd S3 for a fresh label: its link core, sd S2,
-    needs a witness of 50 moves, and the squares search sub-witnesses."""
+    gets a witness of 23 moves from its shelling, and the squares read
+    sub-witnesses."""
     sd = derived_subdivision(standard_sphere(3))
     return expand_exchange(sd, (0,), (sd.fresh_vertex(),))
 
@@ -672,7 +676,7 @@ def test_expansion_nesting_is_bounded_by_the_core_dimension(monkeypatch):
     """The squares of one witness are walked in a loop; only the sides
     of a square nest, on a link of lower dimension.  sd S3's link core
     is a 2-sphere, so the nesting is at most 3 however long the witness
-    (50 moves here)."""
+    (23 moves here)."""
     real = pachner.expander._expand
     depth = [0, 0]
 
@@ -707,9 +711,9 @@ def test_exchange_expansion_moves_one_working_copy(monkeypatch):
     monkeypatch.undo()
     assert sum(kind is _WorkingComplex and n >= 100
                for kind, n in built) <= 3
-    assert len(t) == 1184
+    assert len(t) == 54
     assert hashlib.sha256(dumps_transcript(t).encode()).hexdigest() == (
-        "3fc85a57a9b3c7c65f6654d1096bb1238e8395901a56f46d879c2dbc547d1f57")
+        "5af2592db2df1845de127cc4e9f5233bf91995f25f11ec32549ed67e8ded5641")
 
 
 def test_expansion_relabels_each_witness_move_once_per_walk(monkeypatch):
@@ -717,9 +721,8 @@ def test_expansion_relabels_each_witness_move_once_per_walk(monkeypatch):
     applies it to a witness move only when a square takes that move, so
     it relabels each move it is handed at most once.  Each witness that
     ``ExpansionSession.take`` hands out is walked twice, by its square's
-    near and far side.  On sd S3 (1,184 flips) the walks are handed 104
-    moves; relabelling the whole witness tail at every renaming square
-    made 331 calls."""
+    near and far side.  On sd S3 (54 flips) the walks are handed 23
+    moves."""
     calls, handed = [], []
     relabel, expand = (pachner.expander._relabel_witness_move,
                        pachner.expander._expand)
@@ -736,15 +739,46 @@ def test_expansion_relabels_each_witness_move_once_per_walk(monkeypatch):
                         counting_relabel)
     monkeypatch.setattr(pachner.expander, "_expand", counting_expand)
     t = _sd_sphere3_exchange()
-    assert len(t) == 1184
-    assert 0 < len(calls) <= sum(handed) == 104
+    assert len(t) == 54
+    assert 0 < len(calls) <= sum(handed) == 23
 
 
-@pytest.mark.parametrize("v, flips", [(3, 1184), (6, 732), (9, 732)])
+@pytest.mark.parametrize("v, flips", [(3, 54), (6, 54), (9, 54)])
 def test_sd_sphere3_exchange_flip_counts(v, flips):
     sd = derived_subdivision(standard_sphere(3))
     t = expand_exchange(sd, (v,), (sd.fresh_vertex(),))
     assert len(t) == flips
+
+
+@pytest.mark.parametrize("v", [0, 7])
+def test_sd_sphere4_exchange_replays(v):
+    """The link core of a vertex of sd S4 is sd S3, which shells, so the
+    exchange for the fresh label 62 expands along the witness read from
+    that shelling and replays to the exchange itself."""
+    sd = derived_subdivision(standard_sphere(4))
+    t = expand_exchange(sd, (v,), (62,))
+    assert apply_transcript(sd, t) == apply_move(sd, Exchange((v,), (62,)))
+
+
+_OPEN_CORES = {
+    "a path in a fan": [(0, 1, 2), (0, 2, 3), (0, 3, 4)],
+    "two edges": [(0, 1, 2), (0, 3, 4)],
+    "a triangle": [(0, 1, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OPEN_CORES))
+def test_an_open_link_core_is_refused_without_a_search(case, monkeypatch):
+    """lk(0) has no simplex-boundary factor and is not closed, so the
+    exchange of vertex 0 for a fresh label has no expansion: a named
+    refusal before any shelling search."""
+    searches = _count_calls(monkeypatch, "find_shelling")
+    M = Complex.from_facets(_OPEN_CORES[case])
+    with pytest.raises(NoExpansionError, match=(
+            r"^link core with f-vector \(.*\) is not closed; this exchange "
+            r"has no bistellar expansion$")):
+        expand_exchange(M, (0,), (M.fresh_vertex(),))
+    assert searches == []
 
 
 def test_a_fault_in_the_expansion_is_a_runtime_error(monkeypatch):
