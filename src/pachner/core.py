@@ -14,13 +14,15 @@ All vertex labels are non-negative integers; `fresh_vertex` hands out
 to callers.  Membership, links and stars read one private working copy
 per complex (`_WorkingComplex`: the facet set and a vertex -> facets
 incidence), built on first use and never changed; only `faces()` builds
-the closure of every face.  The move replays of `moves` change such a
-copy in place.
+the closure of every face.  The f-vector is counted once, from that
+closure or from the face counts of a flip state that read or built the
+complex.  The move replays of `moves` change such a copy in place.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -120,10 +122,14 @@ class Complex:
     be normalised (sorted tuples, mutually incomparable, nonempty set).
     Membership, links and stars read the working copy `_incidence()`,
     built on first use unless the move that made the complex handed its
-    own copy over; only `faces()` builds the face closure.
+    own copy over; only `faces()` builds the face closure.  The f-vector
+    is cached: counted from that closure on the first `f_vector()` call,
+    unless a ``moves._FlipState`` that read or built the complex filled
+    it from its face counts first.
     """
 
-    __slots__ = ("_facets", "_working", "_faces", "_by_dim", "_vertices")
+    __slots__ = ("_facets", "_working", "_faces", "_by_dim", "_vertices",
+                 "_fvector")
 
     def __init__(self, facets, _trusted=False):
         if not _trusted:
@@ -133,6 +139,7 @@ class Complex:
         self._faces = None               # frozenset of all faces incl. ()
         self._by_dim = None              # dict dim -> sorted tuple of faces
         self._vertices = None
+        self._fvector = None             # FVector, once counted or filled
 
     @staticmethod
     def from_facets(facets):
@@ -145,22 +152,7 @@ class Complex:
         entry is given; no entries at all, or () alone, gives {-}, the
         complex whose only simplex is the empty one.
         """
-        normalised = {simplex(f) for f in facets}
-        normalised.discard(EMPTY)  # in place: ties keep their order
-        if not normalised:
-            return Complex(frozenset({EMPTY}), _trusted=True)
-        order = sorted(normalised, key=len, reverse=True)
-        if len(order[0]) == len(order[-1]):
-            return Complex(frozenset(order), _trusted=True)
-        keep, on = [], {}        # on: vertex -> the kept facets on it
-        for f in order:
-            if all(v in on for v in f) and set.intersection(
-                    *[on[v] for v in f]):
-                continue
-            keep.append(f)
-            for v in f:
-                on.setdefault(v, set()).add(f)
-        return Complex(frozenset(keep), _trusted=True)
+        return _maximal({simplex(f) for f in facets})
 
     # -- basic queries ------------------------------------------------
 
@@ -218,12 +210,10 @@ class Complex:
         return len(self.faces()) - 1
 
     def f_vector(self):
-        counts = [0] * (self.dim + 1)
-        for f in self.faces():
-            if f:
-                counts[len(f) - 1] += 1
-        euler = sum(c if d % 2 == 0 else -c for d, c in enumerate(counts))
-        return FVector(tuple(counts), euler)
+        if self._fvector is None:
+            sizes = Counter(map(len, self.faces()))
+            self._fvector = _fvector(sizes[r] for r in range(1, self.dim + 2))
+        return self._fvector
 
     def is_pure(self):
         return len({len(f) for f in self._facets}) == 1
@@ -282,8 +272,7 @@ class Complex:
     def restrict(self, verts):
         """Induced subcomplex on the given vertex set."""
         w = set(verts)
-        return Complex.from_facets(
-            tuple(v for v in f if v in w) for f in self._facets)
+        return _maximal({tuple(v for v in f if v in w) for f in self._facets})
 
     # -- identity -----------------------------------------------------
 
@@ -299,6 +288,33 @@ class Complex:
         if len(fs) > 6:
             shown += f", ... ({len(fs)} facets)"
         return f"Complex<{shown or '-'}>"
+
+
+def _maximal(normalised):
+    """The complex of the inclusion-maximal members of `normalised`, a
+    set of simplexes that it changes; see ``Complex.from_facets``."""
+    normalised.discard(EMPTY)  # in place: ties keep their order
+    if not normalised:
+        return Complex(frozenset({EMPTY}), _trusted=True)
+    order = sorted(normalised, key=len, reverse=True)
+    if len(order[0]) == len(order[-1]):
+        return Complex(frozenset(order), _trusted=True)
+    keep, on = [], {}        # on: vertex -> the kept facets on it
+    for f in order:
+        if all(v in on for v in f) and set.intersection(
+                *[on[v] for v in f]):
+            continue
+        keep.append(f)
+        for v in f:
+            on.setdefault(v, set()).add(f)
+    return Complex(frozenset(keep), _trusted=True)
+
+
+def _fvector(counts):
+    """The FVector of the face counts by dimension, from 0 up."""
+    counts = tuple(counts)
+    euler = sum(c if d % 2 == 0 else -c for d, c in enumerate(counts))
+    return FVector(counts, euler)
 
 
 def _link(tops, a):
@@ -392,7 +408,7 @@ def simplex_boundary(verts):
     vs = simplex(verts)
     if not vs:
         return _TRIVIAL
-    return Complex.from_facets(itertools.combinations(vs, len(vs) - 1))
+    return _maximal(set(itertools.combinations(vs, len(vs) - 1)))
 
 
 def standard_sphere(n, offset=0):

@@ -197,8 +197,13 @@ def ball_to_cone_transcript(X, sh, v):
 def star_move_transcript(M, A, budget=DEFAULT_EXPANSION_BUDGET, at=None):
     """Bistellar transcript realizing the starring of A on M: the
     expansion of the one starring Star(A, a), a being `at` when given
-    (it must be unused), the least fresh label otherwise."""
-    a = M.fresh_vertex() if at is None else at
+    (it must be unused), otherwise the least fresh label that is not a
+    vertex of A, so that an absent A is refused as absent."""
+    a = at
+    if a is None:
+        a = M.fresh_vertex()
+        while a in A:
+            a += 1
     return subdivision_to_bistellar(M, Transcript((Star(A, a),)), budget)
 
 

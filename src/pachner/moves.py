@@ -65,6 +65,7 @@ from .core import (
     EMPTY,
     _TRIVIAL,
     _WorkingComplex,
+    _fvector,
     _link,
     _ridges,
     _rim,
@@ -463,7 +464,10 @@ class _FlipState(_WorkingComplex):
     the facets it removes and inserts: no other link changes.  It
     inserts or deletes by bisection the faces that join or leave, so no
     flip re-sorts anything.  Walks drive it through ``enumerate_moves``
-    and ``apply_move``.
+    and ``apply_move``.  Its face counts are the f-vector: it fills the
+    cached one of the complex it is built from, when not yet counted, and
+    of every complex ``complex()`` returns, so neither builds a face
+    closure to count it.
     """
 
     kind = "bistellar"
@@ -477,6 +481,8 @@ class _FlipState(_WorkingComplex):
         super().__init__(M)
         self._retest(self._on)
         self._order = sorted(self._links)
+        if M._fvector is None:
+            M._fvector = _fvector(self._sizes[1:])
 
     def _tally(self, f, step):
         super()._tally(f, step)
@@ -522,6 +528,11 @@ class _FlipState(_WorkingComplex):
             else:
                 links[A] = B
         return moved
+
+    def complex(self):
+        K = super().complex()
+        K._fvector = _fvector(self._sizes[1:])
+        return K
 
     def objective(self):
         """The f-vector read from the top dimension down, so fewer

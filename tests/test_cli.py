@@ -482,6 +482,18 @@ def test_expand_star_of_an_open_link_exits_1(tmp_path, capsys):
         "expansion\n")
 
 
+def test_expand_star_on_the_empty_complex_names_the_absent_simplex(
+        tmp_path, capsys):
+    """On {-} the least fresh label is 0; the default label skips the
+    vertices of A, so starring [0] is refused because [0] is absent,
+    not because the label meets A (exit 1 either way)."""
+    path = tmp_path / "empty.cx"
+    path.write_text("", encoding="utf-8")
+    assert main(["expand-star", str(path), "--simplex", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: illegal move STAR [0] 1: A = [0] is not in the complex\n")
+
+
 def test_expand_exchange_of_an_open_link_core_exits_1(tmp_path, capsys):
     """lk(0) in a fan of three triangles is a path: the exchange has no
     expansion, a named disproof (exit 1) made before any search."""
@@ -528,6 +540,27 @@ def test_reduce_artifacts_are_deterministic(tmp_path, sphere2):
     for name in ("reduced.cx", "reduction.tr"):
         assert ((tmp_path / "one" / name).read_bytes()
                 == (tmp_path / "two" / name).read_bytes())
+
+
+def test_reduce_reports_f_vectors_without_a_face_closure(tmp_path, capsys,
+                                                         monkeypatch):
+    """The flip state's face counts are the f-vectors reduce prints: it
+    fills the input's and every complex it returns, so no face closure
+    is built, and the lines are those a closure counts."""
+    cx = _cx(tmp_path, derived_subdivision(standard_sphere(3)))
+    built = []
+    real = Complex.faces
+
+    def counting(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Complex, "faces", counting)
+    main(["reduce", cx, "--seed", "5", "--max-moves", "40"])
+    assert built == []
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "initial: f = (30, 150, 240, 120); chi = 0",
+        "final: f = (30, 150, 240, 120); chi = 0"]
 
 
 def test_prove_equiv_certificate(tmp_path, sphere2, capsys):

@@ -259,6 +259,12 @@ WALKS = {
 WALK_STEPS = {"sd S4": 30}
 
 
+def _counted(K):
+    """K's f-vector counted from a face closure, on a copy of K that no
+    flip state has filled."""
+    return Complex.from_facets(K.facets).f_vector()
+
+
 def _assert_faces_kept(state, K):
     """The working state keeps, on each nonempty face of K and on no
     other key, the facets of st(A, K), each once, and K's f-vector."""
@@ -268,7 +274,7 @@ def _assert_faces_kept(state, K):
         star = state._on[A]
         assert len(star) == len(set(star))
         assert set(star) == set(K.star(A).facets)
-    assert tuple(state._sizes[1:]) == K.f_vector().counts
+    assert tuple(state._sizes[1:]) == _counted(K).counts
 
 
 @pytest.mark.parametrize("name", sorted(WALKS))
@@ -278,11 +284,13 @@ def test_flip_state_matches_enumeration_along_seeded_walks(name):
     apply_move chain reaches lists, enumerate_moves(cur, "bistellar"),
     keeps its faces in sorted order and holds that complex, with the
     facets on each of its faces and its f-vector; a list it
-    returned is unchanged by the next flip and listing.  On the first
-    and the last complex both lists are the brute-force filter's.  Moves
-    that add facets are only taken while the complex has below 1.25
-    times its starting facet count."""
-    cur = WALKS[name]()
+    returned is unchanged by the next flip and listing.  The f-vectors
+    the state fills, of the walk's input and of each complex it returns,
+    are those a face closure counts.  On the first and the last complex
+    both lists are the brute-force filter's.  Moves that add facets are
+    only taken while the complex has below 1.25 times its starting
+    facet count."""
+    start = cur = WALKS[name]()
     assert enumerate_moves(cur, "bistellar") == brute_force_flips(cur)
     state = _FlipState(cur)
     cap = len(cur.facets) * 5 // 4
@@ -297,7 +305,10 @@ def test_flip_state_matches_enumeration_along_seeded_walks(name):
         assert state._order == sorted(state._links)
         assert state.complex() == cur
         _assert_faces_kept(state, cur)
-        assert state.objective() == tuple(reversed(cur.f_vector().counts))
+        counted = _counted(cur)
+        assert state.complex().f_vector() == counted
+        assert start.f_vector() == _counted(start)
+        assert state.objective() == tuple(reversed(counted.counts))
         assert is_simplex_boundary(state) == is_simplex_boundary(cur)
         moves = listed
         if len(cur.facets) >= cap:

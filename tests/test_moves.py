@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import pachner.core
 import pachner.moves
 from pachner.core import (
     BudgetExhaustedError,
@@ -401,6 +402,27 @@ def test_move_data_is_checked_once_before_any_family_check(sphere2):
         "check failed: duplicate vertex 5 in (5, 5)")
     assert check_move(sphere2, Bistellar((7, 8), (5, 6))).reason == (
         "A = [7 8] is not in the complex")
+
+
+def test_a_star_check_validates_only_the_move_data(monkeypatch):
+    """check_move validates A and B once, and simplex_boundary(B) its
+    vertices; the link's restriction and dB are built from sorted tuples
+    with no second validation.  On the edge [0 5] of sd S3, whose link
+    is a hexagon, that is 3 simplex calls instead of 10."""
+    sd = derived_subdivision(standard_sphere(3))
+    mv = Star((0, 5), sd.fresh_vertex())
+    calls = []
+    real = pachner.core.simplex
+
+    def counting(vertices):
+        calls.append(vertices)
+        return real(vertices)
+
+    monkeypatch.setattr(pachner.core, "simplex", counting)
+    monkeypatch.setattr(pachner.moves, "simplex", counting)
+    rep = check_move(sd, mv)
+    assert rep.legal and len(rep.link_factor.facets) == 6
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("body, M, move, kind", [
