@@ -94,7 +94,15 @@ _DEFAULT_SCHEDULE = Schedule()
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage, but 2 means `undecided` here, so
-    usage errors are remapped onto the malformed-input code."""
+    usage errors are remapped onto the malformed-input code.  A `-`
+    followed by inf, infinity or nan (any case) is read as a value, not
+    as an option string, so `--temp -inf` reaches ``_finite``."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:].lower() in (
+                "inf", "infinity", "nan"):
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
         self.print_usage(sys.stderr)

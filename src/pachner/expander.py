@@ -16,7 +16,10 @@ expansion is bounded by the dimension of the link, not by the length of
 its witness.  One working copy of M is the only ambient: each near
 side X -> Y moves it, the exchange itself moves it once at the base,
 and each far side is the exchange Y -> Xp, expanded forward from there,
-so no square copies the complex.
+so no square copies the complex.  Likewise one working copy of the link
+core is moved along the witness by one checked exchange per square,
+whose check gives the square's sub-link: no square reads a link or
+copies the core.
 
 The private builders (_cone_steps, _join_steps, recognize._cone_flips
 and its inverse recognize._flips_to_cone) compute steps by label
@@ -56,17 +59,13 @@ from .flipsearch import reduce as _flip_reduce
 from .moves import (
     Bistellar,
     Exchange,
-    IllegalMoveError,
     Shell,
     Star,
     Transcript,
     _apply,
     _certify,
     _minimal_nonfaces,
-    _replay,
-    apply_move,
     apply_transcript,
-    check_move,
     invert_transcript,
 )
 from .recognize import (
@@ -240,15 +239,11 @@ def subdivision_to_bistellar(M, transcript, budget=DEFAULT_EXPANSION_BUDGET):
             raise ValueError(f"move {i} is not a starring: {mv}")
         A = simplex(mv.A)
         mv = Star(A, mv.a)
-        rep = check_move(S, mv)
-        if not rep.legal:
-            raise IllegalMoveError(mv, rep)
         # lk(A) = d(a) * L with d(a) = {-}, so L is lk(A).  A closed lk
         # makes the boundary of A * lk exactly dA * lk, which the
         # expansion relies on
-        sh = _closed_shelling(rep.link_factor, budget,
+        sh = _closed_shelling(_apply(S, mv).link_factor, budget,
                               f"lk({fmt_simplex(A)})", "this starring")
-        _apply(S, mv, rep)
         flips.extend(_flips_to_cone(_cone_steps(sh, A), mv.a).moves)
     t = Transcript(tuple(flips))
     _certify(M, t, S.complex(), "starring expansion")
@@ -390,7 +385,11 @@ def _expand(S, A, B, core, spheres, wmoves, session):
     which it leaves at the exchange's result; uncertified (the caller
     replays it).
 
-    One loop walks the exchange squares of the witness `wmoves`: each
+    One loop walks the exchange squares of the witness `wmoves` on one
+    working copy of `core`.  Each square moves that copy by one checked
+    exchange C -> Y (``moves._apply``): the witness move, or the
+    renaming of a vertex the ambient already trades, and the check's
+    link factor is the square's sub-link, lk(C) = dY * sub.  The
     square's near side X -> Y is expanded on the way out, moving S
     across it.  Once the base flips are out, S takes Exchange(A, B),
     one checked surgery, and each far side Y -> Xp is expanded forward
@@ -403,17 +402,17 @@ def _expand(S, A, B, core, spheres, wmoves, session):
     witness move only when a square takes that move."""
     out, far = [], []
     ren, i = {}, 0  # witness label -> the label the walk uses; next move
+    K = _WorkingComplex(core)
     while True:
         session.charge()
-        # the exchange is already bistellar: single move
-        if core == _TRIVIAL and not spheres:
-            out.append(Bistellar(A, B))
-            break
-        # a spherical core is one more join factor; the witness is spent
-        if core.vertices() and is_simplex_boundary(core):
-            spheres = spheres + (core.vertices(),)
-            core = _TRIVIAL
-        if core == _TRIVIAL:
+        if is_simplex_boundary(K):
+            # a spherical core is one more join factor; the witness is spent
+            if K.vertices():
+                spheres = spheres + (tuple(sorted(K.vertices())),)
+            if not spheres:
+                # the exchange is already bistellar: single move
+                out.append(Bistellar(A, B))
+                break
             # base: lk(A) is a join of simplex boundaries, hence a
             # shellable sphere; star A and B over the same fresh vertex
             # and splice
@@ -438,30 +437,26 @@ def _expand(S, A, B, core, spheres, wmoves, session):
             # traded simplex absent from the ambient complex: exchange it
             # in around A*C, walk on with the witness, and trade it out
             # around B*C
-            first = _relabel_witness_move(wmoves[i], ren)
+            mv = _relabel_witness_move(wmoves[i], ren)
             i += 1
-            C = first.A
-            X, Xp, Y = tuple(sorted(A + C)), tuple(sorted(B + C)), D
-            lkC = core.link(C)
-            sub = lkC.restrict(set(lkC.vertices()) - set(D))
-            mid_core = apply_move(core, first)
         else:
             # traded simplex already present: detach one of its vertices
-            # first by starring around it, which frees the witness move to
-            # proceed
+            # first by renaming it in the core (the exchange u -> fresh),
+            # which frees the witness move to proceed
             u = min(D)
-            X, Xp, Y = (tuple(sorted(A + (u,))), tuple(sorted(B + (u,))),
-                        (session.fresh(),))
-            sub = core.link((u,))
-            mid_core = core.relabel({u: Y[0]})
-            ren = _composed(ren, {u: Y[0]})
+            mv = Exchange((u,), (session.fresh(),))
+            ren = _composed(ren, {u: mv.B[0]})
+        # the core takes the square's move; its check reads lk(C) =
+        # dY * sub
+        sub = _apply(K, mv).link_factor
+        C, Y = mv.A, mv.B
+        X, Xp = tuple(sorted(A + C)), tuple(sorted(B + C))
         sub_moves = session.take(search_witness(sub, session.remaining + 1))
         with_B = spheres + ((B,) if len(B) >= 2 else ())
         with_A = spheres + ((A,) if len(A) >= 2 else ())
         out += _expand(S, X, Y, sub, with_B, sub_moves, session).moves
         far.append((Y, Xp, sub, with_A, sub_moves))
-        core = mid_core
-    _replay(S, (Exchange(A, B),))
+    _apply(S, Exchange(A, B))
     for side in reversed(far):
         out += _expand(S, *side, session).moves
     return Transcript(tuple(out))
@@ -496,16 +491,17 @@ def exchange_to_bistellar(M, A, B, factorization, witness,
     [Bistellar(A, B)] whenever the move is already bistellar."""
     A = simplex(A)
     B = simplex(B)
-    target = apply_move(M, Exchange(A, B))
+    T = _WorkingComplex(M)
+    L = _apply(T, Exchange(A, B)).link_factor  # lk(A) = dB * L
     if simplex(factorization.B) != B:
         raise ValueError("factorization B-part differs from the move")
-    built = simplex_boundary(B).join(factorization.core)
+    built = factorization.core
     for W in factorization.spheres:
         built = built.join(simplex_boundary(W))
-    if built != M.link(A):
+    if built != L:
         raise ValueError("factorization does not rebuild lk(A)")
     _validate_witness(factorization.core, witness)
-    return _expansion(M, A, B, target, factorization.core,
+    return _expansion(M, A, B, T.complex(), factorization.core,
                       factorization.spheres, witness, budget)
 
 
@@ -513,13 +509,8 @@ def expand_exchange(M, A, B, budget=DEFAULT_EXPANSION_BUDGET):
     """One-call exchange expansion: factor the link residue, search a
     witness for the core, and expand; the factorization and the witness
     are correct by construction, so neither is checked again."""
-    A = simplex(A)
-    B = simplex(B)
-    mv = Exchange(A, B)
-    rep = check_move(M, mv)
-    if not rep.legal:
-        raise IllegalMoveError(mv, rep)
-    target = _apply(_WorkingComplex(M), mv, rep).complex()
-    core, spheres = factor_link(rep.link_factor)
-    return _expansion(M, A, B, target, core, spheres,
+    A, B = simplex(A), simplex(B)
+    T = _WorkingComplex(M)
+    core, spheres = factor_link(_apply(T, Exchange(A, B)).link_factor)
+    return _expansion(M, A, B, T.complex(), core, spheres,
                       search_witness(core, budget), budget)

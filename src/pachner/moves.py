@@ -28,14 +28,16 @@ per family: it returns the facets the move removes and inserts, which
 returns a LegalityReport and reads a complex through its working copy;
 it checks the move's (A, B) data once for every family, refusing
 malformed simplexes, data that is not a tuple and an A that meets B,
-and lets a fault in a family's check propagate.  ``apply_move`` checks
-first and raises IllegalMoveError (carrying the report) on failure, then
-applies the surgery to a fresh working copy, which becomes the result's
-incidence; ``apply_transcript`` replays on one working copy, one check
-per step, through ``_replay``, which also moves a working copy the
-caller keeps.  Complexes stay immutable to callers; the working copies
-are private.  Two of them are the one lister of their family's moves:
-``_FlipState`` for bistellar moves, which keeps the facets on each face
+and lets a fault in a family's check propagate.  ``_apply`` is the one
+checked step on a working copy: it checks the move there once, raises
+IllegalMoveError (carrying the report) and leaves the copy unchanged
+when the move is illegal, else applies the surgery in place, and
+returns the report, whose link factor the caller may read.
+``apply_move`` is one ``_apply`` on a fresh working copy, which becomes
+the result's incidence; ``apply_transcript`` replays on one working
+copy through ``_replay``, one ``_apply`` per step.  Complexes stay
+immutable to callers; the working copies are private.  Two of them are
+the one lister of their family's moves: ``_FlipState`` for bistellar moves, which keeps the facets on each face
 and reads each link from them (lk(A) = dB exactly when A lies in len(B)
 facets of len(A) + len(B) - 1 vertices, whose vertices outside A are
 B's, or A is a facet) and keeps those faces in sorted order, and
@@ -329,10 +331,17 @@ def check_move(M, move):
     return family[1](S, A, B)
 
 
-def _apply(S, move, report):
-    """Apply a move checked legal on the working copy S to S in place."""
+def _apply(S, move):
+    """The one checked step on the working copy S: check the move once on
+    S, raise IllegalMoveError (S unchanged) if it is illegal, else apply
+    its surgery to S in place.  Returns the report, whose link factor
+    the caller may read."""
+    report = check_move(S, move)
+    if not report.legal:
+        raise IllegalMoveError(move, report)
     pair, _, surgery, _ = _FAMILIES[type(move)]
-    return S._replace(*surgery(S, *pair(move), report.link_factor))
+    S._replace(*surgery(S, *pair(move), report.link_factor))
+    return report
 
 
 def _handed_over(S):
@@ -347,17 +356,16 @@ def apply_move(M, move):
     """Apply a legal move; raises IllegalMoveError otherwise.
 
     The result is a new complex, which keeps the fresh working copy
-    the move was applied to as its incidence.  On a ``_FlipState`` the
-    move must be one its ``moves()`` lists; the state is flipped in
-    place and returned.
+    the move was checked and applied on (``_apply``) as its incidence.
+    On a ``_FlipState`` the move must be one its ``moves()`` lists; the
+    state is flipped in place and returned.
     """
     if isinstance(M, _FlipState):
         M.apply(move)
         return M
-    report = check_move(M, move)
-    if not report.legal:
-        raise IllegalMoveError(move, report)
-    return _handed_over(_apply(_WorkingComplex(M), move, report))
+    S = _WorkingComplex(M)
+    _apply(S, move)
+    return _handed_over(S)
 
 
 def invert(move):
@@ -750,19 +758,19 @@ def invert_transcript(t):
 
 
 def _replay(S, moves):
-    """Check and apply each move in order on the working copy S, in
-    place; IllegalAtStepError names the first failing step."""
+    """``_apply`` each move in order to the working copy S; an
+    IllegalAtStepError names the first failing step."""
     for i, move in enumerate(moves):
-        report = check_move(S, move)
-        if not report.legal:
-            raise IllegalAtStepError(i, move, report)
-        _apply(S, move, report)
+        try:
+            _apply(S, move)
+        except IllegalMoveError as exc:
+            raise IllegalAtStepError(i, move, exc.report) from None
     return S
 
 
 def apply_transcript(M, t):
-    """Replay every move in order on one working copy of M, one check per
-    step (``_replay``)."""
+    """Replay every move in order on one working copy of M, one
+    ``_apply`` per step (``_replay``)."""
     return _handed_over(_replay(_WorkingComplex(M), t.moves))
 
 

@@ -107,7 +107,7 @@ def test_negative_budget_is_bad_usage(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan", "-Infinity"])
 @pytest.mark.parametrize("flag", ["--temp", "--decay"])
 @pytest.mark.parametrize("subcommand", ["reduce", "prove-equiv"])
 def test_non_finite_schedule_is_bad_usage(tmp_path, capsys, subcommand, flag,
@@ -116,17 +116,14 @@ def test_non_finite_schedule_is_bad_usage(tmp_path, capsys, subcommand, flag,
     so it is a usage error rather than an exhausted search."""
     disk, out = _cx(tmp_path, _DISK), tmp_path / "art"
     inputs = [disk] if subcommand == "reduce" else [disk, disk]
-    with pytest.raises(SystemExit) as exc:
-        main([subcommand, *inputs, f"{flag}={value}", "--out", str(out)])
-    assert exc.value.code == 3
-    assert f"expected a finite number, got {value!r}" in capsys.readouterr().err
-    assert not out.exists()
-    if value.startswith("-"):
-        # as its own argument argparse reads -inf as an option string,
-        # and refuses the flag with its own message before any parsing
+    # joined to its flag or as its own argument, where a leading - must
+    # not make argparse read the value as an option string
+    for given in ([f"{flag}={value}"], [flag, value]):
         with pytest.raises(SystemExit) as exc:
-            main([subcommand, *inputs, flag, value, "--out", str(out)])
+            main([subcommand, *inputs, *given, "--out", str(out)])
         assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert f"expected a finite number, got {value!r}" in err
         assert not out.exists()
 
 

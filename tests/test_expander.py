@@ -318,8 +318,7 @@ def test_subdivision_to_bistellar_checks_each_star_once(monkeypatch):
             flips.append(move)
         return real(M, move)
 
-    for module in (pachner.moves, pachner.expander):
-        monkeypatch.setattr(module, "check_move", counting)
+    monkeypatch.setattr(pachner.moves, "check_move", counting)
     replays = _count_calls(monkeypatch, "apply_transcript")
     S4 = standard_sphere(4)
     t = derived_subdivision_transcript(S4)
@@ -548,8 +547,9 @@ def test_hexagon_expansion_replays_once_in_the_complex(monkeypatch):
 
 
 def test_expand_exchange_checks_its_exchange_once(monkeypatch):
-    """The legality report of Exchange(A, B) also yields its result;
-    the expansion does not check the exchange again on M."""
+    """The check of Exchange(A, B) on one working copy of M also yields
+    its result and its link; the expansion checks the exchange once
+    more, where it moves its ambient copy, and never on M itself."""
     checked = []
     real = pachner.moves.check_move
 
@@ -558,11 +558,11 @@ def test_expand_exchange_checks_its_exchange_once(monkeypatch):
         return real(M, move)
 
     monkeypatch.setattr(pachner.moves, "check_move", counting)
-    monkeypatch.setattr(pachner.expander, "check_move", counting)
     M = suspended_hexagon()
     t = expand_exchange(M, (0,), (8,))
-    assert [N for N, mv in checked
-            if mv == Exchange((0,), (8,)) and N == M] == [M]
+    on = [N for N, mv in checked if mv == Exchange((0,), (8,))]
+    assert len(on) == 2 and len({id(N) for N in on}) == 2
+    assert all(isinstance(N, _WorkingComplex) for N in on)
     assert dumps_transcript(t) == HEXAGON_EXPANSION
 
 
@@ -698,7 +698,12 @@ def test_exchange_expansion_moves_one_working_copy(monkeypatch):
     """One working copy of sd S3 is the ambient of the whole expansion,
     moved by one checked exchange per square side; no square copies the
     complex.  The other copies of 100 or more facets are the exchange's
-    result and the certifying replay."""
+    result and the certifying replay.  Likewise each walk moves one
+    working copy of its link core, one checked exchange per square, and
+    reads the square's sub-link from that check, so no witness move
+    copies the core: five copies of more than 10 facets are built, of
+    any kind, the three above and the shelling state and the walk of
+    the core sd S2."""
     built = []
     real_init = _WorkingComplex.__init__
 
@@ -711,6 +716,7 @@ def test_exchange_expansion_moves_one_working_copy(monkeypatch):
     monkeypatch.undo()
     assert sum(kind is _WorkingComplex and n >= 100
                for kind, n in built) <= 3
+    assert sum(n > 10 for _, n in built) <= 5
     assert len(t) == 54
     assert hashlib.sha256(dumps_transcript(t).encode()).hexdigest() == (
         "5af2592db2df1845de127cc4e9f5233bf91995f25f11ec32549ed67e8ded5641")
@@ -783,14 +789,16 @@ def test_an_open_link_core_is_refused_without_a_search(case, monkeypatch):
 
 def test_a_fault_in_the_expansion_is_a_runtime_error(monkeypatch):
     """A witness expand_exchange builds is not checked again, so an
-    inconsistent one is our fault: its KeyError (the traded simplex
-    10**6 is not in the core) surfaces as RuntimeError, not as a
-    refusal of the caller's move."""
+    inconsistent one is our fault: the core's check refuses its move
+    (10**6 is not in the core; the minted 10**6 + 1 is renamed to the
+    session's next label), and that surfaces as RuntimeError naming the
+    planned move, not as a refusal of the caller's move."""
     bad = Witness((Exchange((10**6,), (10**6 + 1,)),))
     monkeypatch.setattr(pachner.expander, "search_witness",
                         lambda L, budget=None: bad)
     with pytest.raises(RuntimeError, match=r"^exchange expansion failed: "
-                       r"\(1000000,\) is not a simplex of the complex$"):
+                       r"illegal move XCHG \[1000000\] ; \[1000002\]: "
+                       r"A = \[1000000\] is not in the complex$"):
         expand_exchange(suspended_hexagon(), (0,), (8,))
 
 

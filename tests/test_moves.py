@@ -452,10 +452,12 @@ def test_working_copy_checks_as_its_complex():
     """A working copy changed in place by each step's surgery answers
     every check as a complex built afresh from its facets, reason and
     link factor included: for the step, its inverse, the garbage moves
-    and a few candidates of every family.  The walk's transcript replays
-    to where its one-move applications end."""
+    and a few candidates of every family.  ``_apply`` of an illegal
+    probe raises IllegalMoveError carrying the check's report and leaves
+    the copy as it was.  The walk's transcript replays to where its
+    one-move applications end."""
     strip = Complex.from_facets([(0, 1, 2), (1, 2, 3), (2, 3, 4)])
-    seen = set()
+    seen, refused = set(), 0
     for M, seed in ((standard_sphere(2), 11), (strip, 12)):
         S = _WorkingComplex(M)
         rng = random.Random(seed)
@@ -466,14 +468,25 @@ def test_working_copy_checks_as_its_complex():
             for kind in MOVE_KINDS:
                 probes += _candidates(K, kind, rng)[:3]
             for probe in probes:
-                assert check_move(S, probe) == check_move(K, probe), probe
-            _apply(S, mv, check_move(S, mv))
+                report = check_move(S, probe)
+                assert report == check_move(K, probe), probe
+                if report.legal:
+                    continue
+                facets = set(S.facets)
+                by_vertex = {v: set(fs) for v, fs in S._by_vertex.items()}
+                with pytest.raises(IllegalMoveError) as exc:
+                    _apply(S, probe)
+                assert exc.value.report == report, probe
+                assert S.facets == facets and S._by_vertex == by_vertex
+                refused += 1
+            assert _apply(S, mv) == check_move(K, mv)
             assert S.complex() == nxt
             moves.append(mv)
         assert len(moves) == 20
         assert apply_transcript(M, Transcript(tuple(moves))) == nxt
         seen.update(type(mv) for mv in moves)
     assert seen == {Star, Weld, Bistellar, Exchange, Shell, Unshell}
+    assert refused >= 40 * len(GARBAGE)
 
 
 def test_an_unsorted_B_is_illegal_in_every_exchange_family():
