@@ -15,13 +15,15 @@ randomness comes from a SplitMix64 generator owned by this module, so a
 
 The walk runs on one mutable working state (``moves._FlipState``), not
 on a new Complex per step.  The state keeps the facets on each face and
-reads each link from them.  On it ``enumerate_moves`` returns the legal
-flips, read in one pass from faces the state keeps in order; the state
-is the one flip lister, so its list is its complex's by construction.
-``apply_move`` checks a flip by lookups and flips the state in place,
-re-testing only the links in the star it changed; a flip re-sorts
-nothing.  An immutable Complex is built only for a new best and at the
-end.
+reads each link from them, and keeps the (A, B) pairs of its legal
+flips in sorted order.  On it ``enumerate_moves`` returns a read-only
+listing over one copy of that order, which builds a flip only for the
+index the walk draws; the state is the one flip lister, so its listing
+is its complex's by construction.  ``apply_move`` checks a flip by
+lookups and flips the state in place, re-testing only the links in the
+star it changed and moving by bisection the flips whose link changed
+or whose B appeared or vanished; a flip re-sorts and rebuilds nothing.
+An immutable Complex is built only for a new best and at the end.
 
 A successful reduction to a simplex boundary certifies the input as a
 combinatorial sphere; two reductions meeting in isomorphic endpoints

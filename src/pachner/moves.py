@@ -37,20 +37,23 @@ returns the report, whose link factor the caller may read.
 the result's incidence; ``apply_transcript`` replays on one working
 copy through ``_replay``, one ``_apply`` per step.  Complexes stay
 immutable to callers; the working copies are private.  Two of them are
-the one lister of their family's moves: ``_FlipState`` for bistellar moves, which keeps the facets on each face
-and reads each link from them (lk(A) = dB exactly when A lies in len(B)
-facets of len(A) + len(B) - 1 vertices, whose vertices outside A are
-B's, or A is a facet) and keeps those faces in sorted order, and
-``_ShellState`` for shell moves, which removes a facet, re-reads only
-the splits next to it and undoes a removal from its log.  Each keeps
-its legal moves (for flips, the faces they start from) in sorted
-order, updated by bisection where a move changed a read, so a node
-lists its moves with one copy of that order.  A search keeps one and
-re-tests only where a move changed it; ``enumerate_moves`` on a complex
-builds a fresh one.  ``enumerate_moves(S, kind)`` accepts
-either for its own family and returns its kept move list;
-``apply_move(S, move)`` also accepts a ``_FlipState``, checks the move
-by lookups and flips S in place.
+the one lister of their family's moves: ``_FlipState`` for bistellar
+moves, which keeps the facets on each face and reads each link from
+them (lk(A) = dB exactly when A lies in len(B) facets of len(A) +
+len(B) - 1 vertices, whose vertices outside A are B's, or A is a
+facet), and ``_ShellState`` for shell moves, which removes a facet,
+re-reads only the splits next to it and undoes a removal from its log.
+Each keeps its legal moves in one (A, B) order, moved by bisection only
+where a move changed them, so a node lists its moves with one copy of
+that order.  For flips the order holds (A, B) pairs, and it also
+changes where a face B appears or vanishes, as that decides the flips
+onto B; their listing builds a Bistellar only when one is read.  A
+search keeps one state and re-tests only where a move changed it;
+``enumerate_moves`` on a complex builds a fresh one and returns a plain
+list.  ``enumerate_moves(S, kind)`` accepts either state for its own
+family and returns its kept listing; ``apply_move(S, move)`` also
+accepts a ``_FlipState``, checks the move by lookups and flips S in
+place.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -417,7 +421,7 @@ def enumerate_moves(M, kind):
     state = {"bistellar": _FlipState, "shell": _ShellState}.get(kind)
     if state:
         # the state lists its family's legal moves as they stand: no check
-        return state(M).moves() if M.dim >= 0 else []
+        return list(state(M).moves()) if M.dim >= 0 else []
     fresh = M.fresh_vertex()
     if kind == "star":
         return [Star(A, fresh) for A in sorted(f for f in M.faces() if f)]
@@ -457,22 +461,26 @@ class _FlipState(_WorkingComplex):
 
     Besides the facets and their incidence it keeps the facets on each
     nonempty face, per-size face counts, and for every face A whose link
-    is a simplex boundary the link's vertices (() when A is a facet),
-    and all those faces in sorted order.  The link is read from the
-    facets on A, with no link built: a face in one facet has link {-}
-    exactly when it is that facet; otherwise lk(A) is the boundary of a
-    simplex on n vertices exactly when A lies in n facets, each with
-    len(A) + n - 1 vertices, whose vertices outside A number n.  As a
-    facet has at most dim + 1 vertices, a face with n + len(A) above
-    dim + 2 is skipped at once.  Flip A -> B is then legal exactly when
-    B is absent, and ``moves()`` lists the legal flips in one pass over
-    the sorted faces; it is the one flip lister, which
-    ``enumerate_moves(M, "bistellar")`` calls on a fresh state.
-    ``apply`` does the exchange surgery and re-tests only the faces of
-    the facets it removes and inserts: no other link changes.  It
-    inserts or deletes by bisection the faces that join or leave, so no
-    flip re-sorts anything.  Walks drive it through ``enumerate_moves``
-    and ``apply_move``.  Its face counts are the f-vector: it fills the
+    is a simplex boundary the link's vertices (() when A is a facet).
+    The link is read from the facets on A, with no link built: a face in
+    one facet has link {-} exactly when it is that facet; otherwise
+    lk(A) is the boundary of a simplex on n vertices exactly when A lies
+    in n facets, each with len(A) + n - 1 vertices, whose vertices
+    outside A number n.  As a facet has at most dim + 1 vertices, a face
+    with n + len(A) above dim + 2 is skipped at once.  Flip A -> B is
+    then legal exactly when B is absent, and ``_legal`` keeps the (A, B)
+    pairs of the legal flips in sorted order (B is () for a facet, whose
+    flip takes the fresh label), with a map from each B to the faces A
+    whose link is dB.  A legal flip changes in two places only: where a
+    link changes, which ``apply`` re-tests on the faces of the facets it
+    removes and inserts (no other link changes), and where a face B
+    appears or vanishes, when ``_tally`` moves the flips onto B, which
+    may start far from the flip, as the two poles of a suspension do.
+    Each moves one pair by bisection, so no flip re-sorts or rebuilds
+    the order.  ``moves()`` lists the order with one copy; it is the one
+    flip lister, which ``enumerate_moves(M, "bistellar")`` calls on a
+    fresh state.  Walks drive it through ``enumerate_moves`` and
+    ``apply_move``.  Its face counts are the f-vector: it fills the
     cached one of the complex it is built from, when not yet counted, and
     of every complex ``complex()`` returns, so neither builds a face
     closure to count it.
@@ -485,22 +493,36 @@ class _FlipState(_WorkingComplex):
         self._sizes = [0] * (M.dim + 2)  # face size -> number of faces
         self._links = {}         # face -> its link's vertices, when the
         #                          link is a simplex boundary
+        self._onto = {}          # B -> the faces A with lk(A) = dB; empty
+        #                          while building, so _tally reads none
         self._moves = None       # moves(), until the next flip
         super().__init__(M)
         self._retest(self._on)
-        self._order = sorted(self._links)
+        links, onto, on = self._links, self._onto, self._on
+        legal = []
+        for A in sorted(links):
+            B = links[A]
+            if B:
+                onto.setdefault(B, []).append(A)
+            if B not in on:
+                legal.append((A, B))
+        self._legal = legal      # the (A, B) of every legal flip, sorted
         if M._fvector is None:
             M._fvector = _fvector(self._sizes[1:])
 
     def _tally(self, f, step):
         super()._tally(f, step)
-        on, sizes = self._on, self._sizes
+        on, sizes, onto = self._on, self._sizes, self._onto
         if step > 0:
             for s in _nonempty_faces(f):
                 star = on.get(s)
                 if star is None:  # the face appears
                     on[s] = [f]
                     sizes[len(s)] += 1
+                    if onto and s in onto:  # the flips onto s leave
+                        legal = self._legal
+                        for A in onto[s]:
+                            del legal[bisect_left(legal, (A, s))]
                 else:
                     star.append(f)
             return
@@ -511,12 +533,16 @@ class _FlipState(_WorkingComplex):
             else:  # the face disappears
                 del on[s]
                 sizes[len(s)] -= 1
+                if onto and s in onto:  # the flips onto s join
+                    for A in onto[s]:
+                        insort(self._legal, (A, s))
 
     def _retest(self, faces):
-        """Re-decide the links of `faces`; returns those that joined or
-        left ``_links``."""
+        """Re-decide the links of `faces`; returns (A, old, new) for each
+        face whose link changed, old and new being the link's vertices
+        before and after, or None when it is no simplex boundary."""
         links, on, top = self._links, self._on, len(self._sizes)
-        moved = []
+        changed = []
         for A in faces:
             star = on.get(A, ())  # an absent face is skipped
             n = len(star)
@@ -529,13 +555,14 @@ class _FlipState(_WorkingComplex):
                 if len(rest) == n and all(
                         len(F) == len(A) + n - 1 for F in star):
                     B = tuple(sorted(rest))
-            if (A in links) != (B is not None):
-                moved.append(A)
-            if B is None:
-                links.pop(A, None)
-            else:
-                links[A] = B
-        return moved
+            old = links.get(A)
+            if old != B:
+                changed.append((A, old, B))
+                if B is None:
+                    del links[A]
+                else:
+                    links[A] = B
+        return changed
 
     def complex(self):
         K = super().complex()
@@ -549,15 +576,14 @@ class _FlipState(_WorkingComplex):
 
     def moves(self):
         """The legal flips, sorted by A; a facet A flips to a fresh
-        vertex.  One pass over the faces kept in order: nothing is
-        sorted, and a list once returned is never changed.  It is kept
+        vertex.  A read-only listing over one copy of the kept order:
+        nothing is sorted, and a flip is built only when read, so a
+        later flip does not change a listing once returned.  It is kept
         until the next flip, as a walk re-reads it after every rejected
         proposal."""
         if self._moves is None:
-            fresh = (max(self._by_vertex) + 1,)
-            links, on = self._links, self._on
-            self._moves = [Bistellar(A, links[A] or fresh)
-                           for A in self._order if links[A] not in on]
+            self._moves = _FlipListing(self._legal[:],
+                                       (max(self._by_vertex) + 1,))
         return self._moves
 
     def _lists(self, mv):
@@ -576,14 +602,50 @@ class _FlipState(_WorkingComplex):
         gone, new = _exchange_surgery(self, mv.A, mv.B, _TRIVIAL)
         self._replace(gone, new)
         self._moves = None
-        order = self._order
-        for A in self._retest({s for f in gone | new
-                               for s in _nonempty_faces(f)}):
-            i = bisect_left(order, A)
-            if i < len(order) and order[i] == A:
-                del order[i]
-            else:
-                order.insert(i, A)
+        legal, onto, on = self._legal, self._onto, self._on
+        for A, old, B in self._retest({s for f in gone | new
+                                       for s in _nonempty_faces(f)}):
+            if old is not None:
+                if old:
+                    onto[old].remove(A)
+                    if not onto[old]:
+                        del onto[old]
+                if old not in on:
+                    del legal[bisect_left(legal, (A, old))]
+            if B is not None:
+                if B:
+                    onto.setdefault(B, []).append(A)
+                if B not in on:
+                    insort(legal, (A, B))
+
+
+class _FlipListing(Sequence):
+    """The flips a ``_FlipState`` lists, read-only: a copy of its sorted
+    (A, B) pairs and the fresh label, with a Bistellar built only for
+    an index read or an iteration.  It compares equal to the list of
+    the same flips."""
+
+    __slots__ = ("_pairs", "_fresh")
+
+    def __init__(self, pairs, fresh):
+        self._pairs = pairs
+        self._fresh = fresh
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def __getitem__(self, i):
+        A, B = self._pairs[i]
+        return Bistellar(A, B or self._fresh)
+
+    def __iter__(self):
+        fresh = self._fresh
+        return (Bistellar(A, B or fresh) for A, B in self._pairs)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _FlipListing)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 class _ShellState(_WorkingComplex):

@@ -16,6 +16,7 @@ from pachner.core import (
     full_simplex,
     is_simplex_boundary,
     isomorphic,
+    simplex_boundary,
     standard_sphere,
 )
 from pachner.flipsearch import (
@@ -302,7 +303,9 @@ def test_flip_state_matches_enumeration_along_seeded_walks(name):
             assert held[0] == held[1]
         held = listed, list(listed)
         assert listed == enumerate_moves(cur, "bistellar")
-        assert state._order == sorted(state._links)
+        L = state._links
+        assert state._legal == [(A, L[A]) for A in sorted(L)
+                                if L[A] not in state._on]
         assert state.complex() == cur
         _assert_faces_kept(state, cur)
         counted = _counted(cur)
@@ -318,7 +321,8 @@ def test_flip_state_matches_enumeration_along_seeded_walks(name):
         cur = apply_move(cur, mv)
     assert state.complex() == cur
     _assert_faces_kept(state, cur)
-    assert state._order == sorted(state._links)
+    L = state._links
+    assert state._legal == [(A, L[A]) for A in sorted(L) if L[A] not in state._on]
     assert enumerate_moves(state, "bistellar") == brute_force_flips(cur)
 
 
@@ -332,8 +336,18 @@ def _simplex_boundary_links(K):
     return links
 
 
+def _bipyramid():
+    """The suspension of d[1 2 3] with poles 0 and 4: both poles flip
+    onto the absent triangle [1 2 3]."""
+    return simplex_boundary((0, 4)).join(simplex_boundary((1, 2, 3)))
+
+
 COUNT_RULE_FIXTURES = {
     "boundary of the 3-simplex": lambda: standard_sphere(2),
+    "bipyramid": _bipyramid,
+    # poles 0 and 1 over the 6-cycle 2-3-4-5-6-7
+    "suspended hexagon": lambda: simplex_boundary((0, 1)).join(
+        Complex.from_facets([(i, 2 + (i - 1) % 6) for i in range(2, 8)])),
     "Csaszar torus": csaszar_torus,
     "three triangles on one edge": lambda: Complex.from_facets(
         [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
@@ -354,7 +368,8 @@ def test_flip_state_counts_agree_with_closure_links(name):
     """The links the working state reads from the facets on each face
     are those whose closure is a simplex boundary, and the facets it
     keeps on each face are the face's star: at construction and after
-    each of 20 seeded flips."""
+    each of 20 seeded flips, after each of which the state also lists
+    what a fresh state of its complex lists."""
     state = _FlipState(COUNT_RULE_FIXTURES[name]())
     rng = SplitMix64(len(name))
     assert state._links == _simplex_boundary_links(state.complex())
@@ -364,6 +379,57 @@ def test_flip_state_counts_agree_with_closure_links(name):
         apply_move(state, moves[rng.randrange(len(moves))])
         assert state._links == _simplex_boundary_links(state.complex())
         _assert_faces_kept(state, state.complex())
+        assert list(enumerate_moves(state, "bistellar")) == enumerate_moves(
+            state.complex(), "bistellar")
+
+
+def test_flips_onto_a_face_leave_and_join_where_it_changes(monkeypatch):
+    """On the bipyramid both poles flip onto [1 2 3].  The flip at 0
+    inserts [1 2 3], so the flip at 4 leaves the list though no face of
+    vertex 4 is re-tested; the facet flip of [1 2 3] to the fresh vertex
+    5 removes it, and the flip at 4 is listed again."""
+    state = _FlipState(_bipyramid())
+    retested = []
+    real = _FlipState._retest
+
+    def recording(self, faces):
+        faces = list(faces)
+        retested.extend(faces)
+        return real(self, faces)
+
+    monkeypatch.setattr(_FlipState, "_retest", recording)
+
+    def listed():
+        return {(mv.A, mv.B) for mv in enumerate_moves(state, "bistellar")}
+
+    pole4 = ((4,), (1, 2, 3))
+    assert {((0,), (1, 2, 3)), pole4} <= listed()
+    apply_move(state, Bistellar((0,), (1, 2, 3)))
+    assert pole4 not in listed()
+    assert retested and not any(4 in A for A in retested)
+    apply_move(state, Bistellar((1, 2, 3), (5,)))
+    assert pole4 in listed()
+    assert listed() == {(mv.A, mv.B) for mv in brute_force_flips(
+        state.complex())}
+
+
+def test_reduce_builds_at_most_one_flip_per_proposal(monkeypatch):
+    """A walk's listing builds a Bistellar only for the flip it draws:
+    on sd S3 under seed 12, 400 proposals build at most 400, where a
+    list of every legal flip after each accepted flip built about 360
+    per flip."""
+    sd = derived_subdivision(standard_sphere(3))
+    built = []
+    real = Bistellar.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Bistellar, "__init__", counting)
+    end, t = reduce(sd, Schedule(seed=12, max_moves=400))
+    assert len(t) == 26
+    assert len(built) <= 400
 
 
 def test_flip_state_rejects_a_flip_it_does_not_list():
