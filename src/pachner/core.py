@@ -161,8 +161,10 @@ class Complex:
         return self._facets
 
     def facet_list(self):
-        """Facets in deterministic (length, lexicographic) order."""
-        return sorted(self._facets, key=lambda f: (len(f), f))
+        """Facets in deterministic (length, lexicographic) order: sorted
+        by length with a stable sort of the sorted facets, so no key
+        tuple is built per facet."""
+        return sorted(sorted(self._facets), key=len)
 
     @property
     def dim(self):

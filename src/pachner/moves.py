@@ -466,8 +466,10 @@ class _FlipState(_WorkingComplex):
     one facet has link {-} exactly when it is that facet; otherwise
     lk(A) is the boundary of a simplex on n vertices exactly when A lies
     in n facets, each with len(A) + n - 1 vertices, whose vertices
-    outside A number n.  As a facet has at most dim + 1 vertices, a face
-    with n + len(A) above dim + 2 is skipped at once.  Flip A -> B is
+    outside A number n.  For n = 2 that is a 0-sphere, read from the
+    one vertex each facet adds to A with no set built; as a facet has at
+    most dim + 1 vertices, a face with n + len(A) above dim + 2 is
+    skipped at once.  ``_retest`` states this rule once.  Flip A -> B is
     then legal exactly when B is absent, and ``_legal`` keeps the (A, B)
     pairs of the legal flips in sorted order (B is () for a facet, whose
     flip takes the fresh label), with a map from each B to the faces A
@@ -477,9 +479,13 @@ class _FlipState(_WorkingComplex):
     appears or vanishes, when ``_tally`` moves the flips onto B, which
     may start far from the flip, as the two poles of a suspension do.
     Each moves one pair by bisection, so no flip re-sorts or rebuilds
-    the order.  ``moves()`` lists the order with one copy; it is the one
-    flip lister, which ``enumerate_moves(M, "bistellar")`` calls on a
-    fresh state.  Walks drive it through ``enumerate_moves`` and
+    the order.  The state is built in one pass over the facets and
+    their proper faces, not by inserting facets one at a time through
+    ``_tally``: every facet's link is {-} with no test, ``_retest``
+    decides the other faces, and one pass over the links in sorted order
+    fills ``_legal``.  ``moves()`` lists the order with one copy; it is
+    the one flip lister, which ``enumerate_moves(M, "bistellar")`` calls
+    on a fresh state.  Walks drive it through ``enumerate_moves`` and
     ``apply_move``.  Its face counts are the f-vector: it fills the
     cached one of the complex it is built from, when not yet counted, and
     of every complex ``complex()`` returns, so neither builds a face
@@ -489,26 +495,41 @@ class _FlipState(_WorkingComplex):
     kind = "bistellar"
 
     def __init__(self, M):
-        self._on = {}            # nonempty face -> the facets on it
-        self._sizes = [0] * (M.dim + 2)  # face size -> number of faces
-        self._links = {}         # face -> its link's vertices, when the
-        #                          link is a simplex boundary
-        self._onto = {}          # B -> the faces A with lk(A) = dB; empty
-        #                          while building, so _tally reads none
-        self._moves = None       # moves(), until the next flip
-        super().__init__(M)
-        self._retest(self._on)
-        links, onto, on = self._links, self._onto, self._on
-        legal = []
+        self.facets = set()
+        self._by_vertex = {}     # vertex -> set of facets containing it
+        on = self._on = {}       # nonempty face -> the facets on it
+        insert = super()._tally
+        combinations = itertools.combinations
+        for f in M.facets:
+            insert(f, 1)
+            for r in range(1, len(f)):  # every face of f but f
+                for s in combinations(f, r):
+                    star = on.get(s)
+                    if star is None:
+                        on[s] = [f]
+                    else:
+                        star.append(f)
+        facets = [f for f in M.facets if f]  # not the empty facet of {-}
+        self._sizes = sizes = [0] * (M.dim + 2)  # face size -> faces
+        # face -> its link's vertices, when the link is a simplex boundary;
+        # a facet's link is {-}, and no other face's is
+        links = self._links = dict.fromkeys(facets, ())
+        self._retest(on)         # on holds every face but the facets
+        for f in facets:
+            on[f] = [f]
+        for s in on:
+            sizes[len(s)] += 1
+        onto = self._onto = {}   # B -> the faces A with lk(A) = dB
+        legal = self._legal = []  # the (A, B) of every legal flip, sorted
         for A in sorted(links):
             B = links[A]
             if B:
                 onto.setdefault(B, []).append(A)
             if B not in on:
                 legal.append((A, B))
-        self._legal = legal      # the (A, B) of every legal flip, sorted
+        self._moves = None       # moves(), until the next flip
         if M._fvector is None:
-            M._fvector = _fvector(self._sizes[1:])
+            M._fvector = _fvector(sizes[1:])
 
     def _tally(self, f, step):
         super()._tally(f, step)
@@ -519,7 +540,7 @@ class _FlipState(_WorkingComplex):
                 if star is None:  # the face appears
                     on[s] = [f]
                     sizes[len(s)] += 1
-                    if onto and s in onto:  # the flips onto s leave
+                    if s in onto:  # the flips onto s leave
                         legal = self._legal
                         for A in onto[s]:
                             del legal[bisect_left(legal, (A, s))]
@@ -533,7 +554,7 @@ class _FlipState(_WorkingComplex):
             else:  # the face disappears
                 del on[s]
                 sizes[len(s)] -= 1
-                if onto and s in onto:  # the flips onto s join
+                if s in onto:  # the flips onto s join
                     for A in onto[s]:
                         insort(self._legal, (A, s))
 
@@ -547,10 +568,16 @@ class _FlipState(_WorkingComplex):
             star = on.get(A, ())  # an absent face is skipped
             n = len(star)
             B = None
-            if n == 1:  # link {-} exactly when A is its one facet
+            if n == 2:  # the 0-sphere on the vertex of each facet not in A
+                F, G = star
+                if len(F) == len(G) == len(A) + 1:
+                    a = sum(A)  # F is A and one label more: sum(F) - a
+                    x, y = sum(F) - a, sum(G) - a
+                    B = (x, y) if x < y else (y, x)
+            elif n == 1:  # link {-} exactly when A is its one facet
                 if star[0] == A:
                     B = ()
-            elif 1 < n <= top - len(A):
+            elif 2 < n <= top - len(A):
                 rest = set().union(*star).difference(A)
                 if len(rest) == n and all(
                         len(F) == len(A) + n - 1 for F in star):
@@ -582,8 +609,8 @@ class _FlipState(_WorkingComplex):
         until the next flip, as a walk re-reads it after every rejected
         proposal."""
         if self._moves is None:
-            self._moves = _FlipListing(self._legal[:],
-                                       (max(self._by_vertex) + 1,))
+            self._moves = _FlipListing(
+                self._legal[:], (max(self._by_vertex, default=-1) + 1,))
         return self._moves
 
     def _lists(self, mv):

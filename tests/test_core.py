@@ -393,6 +393,20 @@ def test_facet_file_round_trip(sphere3):
     assert dumps_complex(loads_complex(text)) == text
 
 
+def test_facet_list_orders_by_length_then_lexicographically():
+    """facet_list is the (length, lexicographic) order on an impure
+    complex, whose facets of each size interleave in plain tuple order,
+    and on {-}; dumps_complex writes the facets in it."""
+    K = Complex.from_facets([(3, 4, 5), (0, 9), (0, 1, 7), (10,), (8, 9),
+                             (1, 2, 3), (5, 6, 7, 8), (0, 2, 4)])
+    want = sorted(K.facets, key=lambda f: (len(f), f))
+    assert sorted(K.facets) != want
+    assert K.facet_list() == want
+    assert dumps_complex(K).splitlines() == [
+        " ".join(map(str, f)) for f in want]
+    assert simplex_boundary(()).facet_list() == [()]
+
+
 def test_facet_file_parsing_rules():
     K = loads_complex("# comment\n\n0 1 2\n1 2 3\n")
     assert K.facets == frozenset({(0, 1, 2), (1, 2, 3)})

@@ -355,6 +355,15 @@ COUNT_RULE_FIXTURES = {
     # facets have 3 and 2 vertices, not 1 + n - 1
     "impure: a face in facets of two sizes": lambda: Complex.from_facets(
         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4), (5, 6, 7, 8, 9)]),
+    # vertex 0 lies in two facets, each two vertices larger: no link
+    "bowtie": lambda: Complex.from_facets([(0, 1, 2), (0, 3, 4)]),
+    # vertex 0 lies in two facets of two different sizes: no link; the
+    # state meets the edge on vertex 0 first in one labelling, the
+    # triangle first in the other
+    "two facets of two sizes on a vertex": lambda: Complex.from_facets(
+        [(0, 1, 2), (0, 3)]),
+    "two facets of two sizes on a vertex, relabelled": lambda:
+        Complex.from_facets([(0, 1), (0, 2, 3)]),
     "single simplex": lambda: full_simplex(range(4)),
     "pinched": pinched_complex,
     "disjoint union": lambda: Complex.from_facets(
@@ -381,6 +390,46 @@ def test_flip_state_counts_agree_with_closure_links(name):
         _assert_faces_kept(state, state.complex())
         assert list(enumerate_moves(state, "bistellar")) == enumerate_moves(
             state.complex(), "bistellar")
+
+
+def test_flip_state_of_trivial_complexes():
+    """{-} has the empty facet and no nonempty face, so its state keeps
+    no link and lists no flip; two points each flip to the fresh vertex
+    2, as facets, and nothing else does."""
+    trivial = simplex_boundary(())
+    state = _FlipState(trivial)
+    assert state._on == {} and state._links == {}
+    assert state._legal == [] and state._onto == {}
+    assert list(state.moves()) == [] == enumerate_moves(trivial, "bistellar")
+    points = Complex.from_facets([(0,), (1,)])
+    state = _FlipState(points)
+    assert state._links == {(0,): (), (1,): ()}
+    assert state._legal == [((0,), ()), ((1,), ())]
+    assert list(state.moves()) == [Bistellar((0,), (2,)),
+                                   Bistellar((1,), (2,))]
+    assert enumerate_moves(points, "bistellar") == brute_force_flips(points)
+
+
+def test_flip_state_is_built_without_tallying_a_facet(monkeypatch):
+    """The state is built in one pass over the faces of the facets: on
+    sd S3 no facet goes through _FlipState._tally, which a flip uses to
+    insert and remove facets (one call per facet, 120, when the state
+    was built by inserting the facets one at a time)."""
+    sd = derived_subdivision(standard_sphere(3))
+    tallied = []
+    real = _FlipState._tally
+
+    def counting(self, f, step):
+        tallied.append(f)
+        real(self, f, step)
+
+    monkeypatch.setattr(_FlipState, "_tally", counting)
+    state = _FlipState(sd)
+    assert tallied == []
+    assert state.complex() == sd
+    _assert_faces_kept(state, sd)
+    apply_move(state, state.moves()[0])
+    assert tallied
 
 
 def test_flips_onto_a_face_leave_and_join_where_it_changes(monkeypatch):
