@@ -63,11 +63,14 @@ def simplex(vertices):
     except TypeError:
         pass
     for v in vs:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise MalformedSimplexError(f"bad vertex label {v!r}")
-    for a, b in zip(vs, vs[1:]):
-        if a == b:
-            raise MalformedSimplexError(f"duplicate vertex {a} in {vertices!r}")
+        if type(v) is not int or v < 0:  # else a vertex, with no more tests
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise MalformedSimplexError(f"bad vertex label {v!r}")
+    if len(set(vs)) < len(vs):
+        for a, b in zip(vs, vs[1:]):
+            if a == b:
+                raise MalformedSimplexError(
+                    f"duplicate vertex {a} in {vertices!r}")
     return vs
 
 
@@ -343,10 +346,17 @@ class _WorkingComplex:
     kind = ""
 
     def __init__(self, M):
-        self.facets = set()
-        self._by_vertex = {}     # vertex -> set of facets containing it
-        for f in M.facets:
-            self._tally(f, 1)
+        """A copy of M's facets and their incidence, built in one pass
+        with no ``_tally`` per facet: a subclass counts its own extras
+        after it, then keeps them through ``_tally``."""
+        self.facets = set(M.facets)
+        by = self._by_vertex = {}  # vertex -> set of facets containing it
+        for f in self.facets:
+            for v in f:
+                if v in by:
+                    by[v].add(f)
+                else:
+                    by[v] = {f}
 
     def _tally(self, f, step):
         """Insert (step 1) or remove (step -1) the facet f."""
@@ -537,14 +547,14 @@ def loads_complex(text):
         if not line or line.startswith("#"):
             continue
         try:
-            tops.append([int(tok) for tok in line.split()])
+            tops.append(list(map(int, line.split())))
         except ValueError as exc:
             raise MalformedSimplexError(f"line {ln}: {raw!r}") from exc
     return Complex.from_facets(tops)
 
 
 def dumps_complex(K):
-    lines = [" ".join(str(v) for v in f) for f in K.facet_list() if f]
+    lines = [" ".join(map(str, f)) for f in K.facet_list() if f]
     if not lines:
         return "# empty complex\n"
     return "\n".join(lines) + "\n"

@@ -36,24 +36,27 @@ returns the report, whose link factor the caller may read.
 ``apply_move`` is one ``_apply`` on a fresh working copy, which becomes
 the result's incidence; ``apply_transcript`` replays on one working
 copy through ``_replay``, one ``_apply`` per step.  Complexes stay
-immutable to callers; the working copies are private.  Two of them are
-the one lister of their family's moves: ``_FlipState`` for bistellar
-moves, which keeps the facets on each face and reads each link from
-them (lk(A) = dB exactly when A lies in len(B) facets of len(A) +
-len(B) - 1 vertices, whose vertices outside A are B's, or A is a
-facet), and ``_ShellState`` for shell moves, which removes a facet,
+immutable to callers; the working copies are private.  One rule reads
+a link that is a simplex boundary from the facets on A alone, with no
+link built (``_simplex_link``: lk(A) = dB exactly when A lies in len(B)
+facets of len(A) + len(B) - 1 vertices, whose vertices outside A are
+B's, or A is a facet and B one vertex).  The flip check decides a legal
+flip by it; a refusal goes through the general exchange check, which
+gives its reason and link factor.  Two working copies are the one
+lister of their family's moves: ``_FlipState`` for bistellar moves,
+which keeps the facets on each face and reads each link by the same
+rule, and ``_ShellState`` for shell moves, which removes a facet,
 re-reads only the splits next to it and undoes a removal from its log.
-Each keeps its legal moves in one (A, B) order, moved by bisection only
-where a move changed them, so a node lists its moves with one copy of
-that order.  For flips the order holds (A, B) pairs, and it also
-changes where a face B appears or vanishes, as that decides the flips
-onto B; their listing builds a Bistellar only when one is read.  A
-search keeps one state and re-tests only where a move changed it;
-``enumerate_moves`` on a complex builds a fresh one and returns a plain
-list.  ``enumerate_moves(S, kind)`` accepts either state for its own
-family and returns its kept listing; ``apply_move(S, move)`` also
-accepts a ``_FlipState``, checks the move by lookups and flips S in
-place.
+Each keeps its legal moves as sorted (A, B) pairs, moved by bisection
+only where a move changed them, so a node lists its moves with one copy
+of that order, and the listing builds a move only when one is read.
+For flips the order also changes where a face B appears or vanishes,
+as that decides the flips onto B.  A search keeps one state and
+re-tests only where a move changed it; ``enumerate_moves`` on a complex
+builds a fresh one and returns a plain list.  ``enumerate_moves(S,
+kind)`` accepts either state for its own family and returns its kept
+listing; ``apply_move(S, move)`` also accepts a ``_FlipState``, checks
+the move by lookups and flips S in place.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ class IllegalAtStepError(ValueError):
 
 def _check_exchange(S, A, B):
     """Shared legality core: lk(A, M) = dB * L with B absent from M; st(A)
-    is read once."""
+    is read once.  When B is one vertex, dB is {-} and L is lk(A)."""
     if not A:
         return LegalityReport(False, "A must be nonempty")
     star = S._star(A)
@@ -183,6 +186,8 @@ def _check_exchange(S, A, B):
         # covers B = () too: the empty simplex is in every complex
         return LegalityReport(False, f"B = {fmt_simplex(B)} is already in the complex")
     lk = _link(star, A)
+    if len(B) == 1:
+        return LegalityReport(True, link_factor=lk)
     L = lk.restrict(set(lk.vertices()) - set(B))
     if simplex_boundary(B).join(L) != lk:
         return LegalityReport(
@@ -194,9 +199,12 @@ def _check_exchange(S, A, B):
 
 def _opposite(F, ridges):
     """The v in the sorted simplex F whose opposite face F - v is in `ridges`
-    (``combinations`` drops the last vertex first)."""
-    faces = [*itertools.combinations(F, len(F) - 1)][::-1]
-    return tuple(v for v, R in zip(F, faces) if R in ridges)
+    (``combinations`` drops the last vertex first, so it pairs with F
+    read backwards)."""
+    A = [v for v, R in zip(F[::-1], itertools.combinations(F, len(F) - 1))
+         if R in ridges]
+    A.reverse()
+    return tuple(A)
 
 
 def _split(F, A, through, incidence):
@@ -210,12 +218,12 @@ def _split(F, A, through, incidence):
     it; any one does when A is a vertex), or when another facet contains
     B, that is when the facets on B's vertices, intersected, are more
     than F: F then meets the rest in more than A * dB."""
-    B = tuple(v for v in F if v not in A)
-    if not A or not B:
+    if not A or len(A) == len(F):
         return None
     if (through.get(A[0]) if len(A) == 1
-            else any(set(A).issubset(R) for R in through.get(A[0], ()))):
+            else any(map(set(A).issubset, through.get(A[0], ())))):
         return None
+    B = tuple([v for v in F if v not in A])
     on_b = (incidence[B[0]] if len(B) == 1
             else set.intersection(*[incidence[v] for v in B]))
     return None if len(on_b) > 1 else (A, B)
@@ -258,8 +266,46 @@ def _check_unshell(S, A, B):
     return LegalityReport(True)
 
 
+def _simplex_link(A, star):
+    """The vertices of lk(A) when it is the boundary of a simplex, read
+    from `star`, the facets on the nonempty face A, with no link built:
+    () when A is its one facet (lk(A) = {-}), else None when the link is
+    no simplex boundary.  The one statement of the link rule: lk(A) is
+    the boundary of a simplex on n vertices exactly when A lies in n
+    facets, each with len(A) + n - 1 vertices, whose vertices outside A
+    number n.  For n = 2 that is a 0-sphere, read from the one label each
+    facet adds to A (labels are ints) with no set built."""
+    n = len(star)
+    if n == 2:
+        F, G = star
+        if len(F) == len(G) == len(A) + 1:
+            a = sum(A)  # F is A and one label more: sum(F) - a
+            x, y = sum(F) - a, sum(G) - a
+            return (x, y) if x < y else (y, x)
+    elif n == 1:
+        (F,) = star
+        if len(F) == len(A):
+            return ()
+    elif n:
+        size = len(A) + n - 1
+        if all(len(F) == size for F in star):
+            rest = set().union(*star).difference(A)
+            if len(rest) == n:
+                return tuple(sorted(rest))
+    return None
+
+
 def _check_bistellar(S, A, B):
-    """An exchange whose residual link factor L is {-}."""
+    """An exchange whose residual link factor L is {-}: legal when B is
+    sorted and absent and lk(A) = dB by ``_simplex_link``, that is when
+    it reads B as lk(A)'s vertices, or A is a facet and B one vertex.
+    The link factor of a legal flip is {-}.  Any other move is refused
+    by the exchange check, so every refusal keeps its reason and link
+    factor: a legal exchange with L other than {-} is refused with L."""
+    if A:
+        lk = _simplex_link(A, S._star(A))
+        if (lk == B or lk == () and len(B) == 1) and not S._star(B):
+            return LegalityReport(True, link_factor=_TRIVIAL)
     rep = _check_exchange(S, A, B)
     if rep.legal and rep.link_factor != _TRIVIAL:
         return LegalityReport(
@@ -462,14 +508,11 @@ class _FlipState(_WorkingComplex):
     Besides the facets and their incidence it keeps the facets on each
     nonempty face, per-size face counts, and for every face A whose link
     is a simplex boundary the link's vertices (() when A is a facet).
-    The link is read from the facets on A, with no link built: a face in
-    one facet has link {-} exactly when it is that facet; otherwise
-    lk(A) is the boundary of a simplex on n vertices exactly when A lies
-    in n facets, each with len(A) + n - 1 vertices, whose vertices
-    outside A number n.  For n = 2 that is a 0-sphere, read from the
-    one vertex each facet adds to A with no set built; as a facet has at
-    most dim + 1 vertices, a face with n + len(A) above dim + 2 is
-    skipped at once.  ``_retest`` states this rule once.  Flip A -> B is
+    The link is read from the facets on A by ``_simplex_link``, the rule
+    the flip check also reads, with no link built.  ``_retest`` keeps
+    the rule's cases of one and two facets inline, as most faces are
+    decided there, and skips at once a face with n + len(A) above
+    dim + 2, as a facet has at most dim + 1 vertices.  Flip A -> B is
     then legal exactly when B is absent, and ``_legal`` keeps the (A, B)
     pairs of the legal flips in sorted order (B is () for a facet, whose
     flip takes the fresh label), with a map from each B to the faces A
@@ -495,13 +538,10 @@ class _FlipState(_WorkingComplex):
     kind = "bistellar"
 
     def __init__(self, M):
-        self.facets = set()
-        self._by_vertex = {}     # vertex -> set of facets containing it
+        super().__init__(M)
         on = self._on = {}       # nonempty face -> the facets on it
-        insert = super()._tally
         combinations = itertools.combinations
         for f in M.facets:
-            insert(f, 1)
             for r in range(1, len(f)):  # every face of f but f
                 for s in combinations(f, r):
                     star = on.get(s)
@@ -568,20 +608,17 @@ class _FlipState(_WorkingComplex):
             star = on.get(A, ())  # an absent face is skipped
             n = len(star)
             B = None
-            if n == 2:  # the 0-sphere on the vertex of each facet not in A
+            if n == 2:  # _simplex_link's 0-sphere, inline
                 F, G = star
                 if len(F) == len(G) == len(A) + 1:
-                    a = sum(A)  # F is A and one label more: sum(F) - a
+                    a = sum(A)
                     x, y = sum(F) - a, sum(G) - a
                     B = (x, y) if x < y else (y, x)
             elif n == 1:  # link {-} exactly when A is its one facet
                 if star[0] == A:
                     B = ()
-            elif 2 < n <= top - len(A):
-                rest = set().union(*star).difference(A)
-                if len(rest) == n and all(
-                        len(F) == len(A) + n - 1 for F in star):
-                    B = tuple(sorted(rest))
+            elif 2 < n <= top - len(A):  # a facet has at most top - 1 labels
+                B = _simplex_link(A, star)
             old = links.get(A)
             if old != B:
                 changed.append((A, old, B))
@@ -609,8 +646,9 @@ class _FlipState(_WorkingComplex):
         until the next flip, as a walk re-reads it after every rejected
         proposal."""
         if self._moves is None:
-            self._moves = _FlipListing(
-                self._legal[:], (max(self._by_vertex, default=-1) + 1,))
+            self._moves = _MoveListing(
+                self._legal[:], Bistellar,
+                (max(self._by_vertex, default=-1) + 1,))
         return self._moves
 
     def _lists(self, mv):
@@ -646,16 +684,17 @@ class _FlipState(_WorkingComplex):
                     insort(legal, (A, B))
 
 
-class _FlipListing(Sequence):
-    """The flips a ``_FlipState`` lists, read-only: a copy of its sorted
-    (A, B) pairs and the fresh label, with a Bistellar built only for
-    an index read or an iteration.  It compares equal to the list of
-    the same flips."""
+class _MoveListing(Sequence):
+    """The moves a working state lists, read-only: a copy of its sorted
+    (A, B) pairs, the move class and, for flips, the fresh label that an
+    empty B stands for, with a move built only for an index read or an
+    iteration.  It compares equal to the list of the same moves."""
 
-    __slots__ = ("_pairs", "_fresh")
+    __slots__ = ("_pairs", "_move", "_fresh")
 
-    def __init__(self, pairs, fresh):
+    def __init__(self, pairs, move, fresh=()):
         self._pairs = pairs
+        self._move = move
         self._fresh = fresh
 
     def __len__(self):
@@ -663,14 +702,14 @@ class _FlipListing(Sequence):
 
     def __getitem__(self, i):
         A, B = self._pairs[i]
-        return Bistellar(A, B or self._fresh)
+        return self._move(A, B or self._fresh)
 
     def __iter__(self):
-        fresh = self._fresh
-        return (Bistellar(A, B or fresh) for A, B in self._pairs)
+        move, fresh = self._move, self._fresh
+        return (move(A, B or fresh) for A, B in self._pairs)
 
     def __eq__(self, other):
-        if isinstance(other, (list, _FlipListing)):
+        if isinstance(other, (list, _MoveListing)):
             return list(self) == list(other)
         return NotImplemented
 
@@ -680,44 +719,70 @@ class _ShellState(_WorkingComplex):
 
     Besides the facets and their incidence it keeps the number of facets
     on each ridge, the boundary ridges with a vertex -> boundary ridges
-    map (with the incidence, the three maps a split is read from): the
-    search's incremental copy of what ``core._ridges`` counts once, kept
+    map (with the incidence, the three maps a split is read from), kept
     as facets come and go.  It also keeps each facet's read: the vertices
     A opposite its boundary ridges and ``_split``'s answer, and the legal
-    shell moves in one list sorted by (A, B), so ``moves()`` lists
-    ``enumerate_moves(M, "shell")`` with one copy of that list.
+    shell moves as (A, B) pairs in one sorted list, so ``moves()`` lists
+    ``enumerate_moves(M, "shell")`` with one copy of that list and builds
+    a Shell only when one is read.  It is built in one pass, with no
+    facet inserted through ``_tally``: one grouping of the facets by
+    ridge (``core._ridges``) gives the ridge counts, the boundary ridges
+    and each facet's A, the label it adds to each boundary ridge on it,
+    so a facet on no boundary ridge is read with no test.
     ``remove(G)`` drops the facet G and re-reads only the facets meeting
     G that share a ridge with it or whose A or B lies in G: no other
-    split can change.  It decides which from the number of vertices each
-    facet shares with G, counted for all of them at once, so no test
-    builds a set per facet.  Only a split that changed is moved in the
-    list, by bisection, so no node sorts or builds its moves anew.  It
-    logs the reads it overwrites, and ``undo()`` pops the log to restore
-    the complex before the last removal without re-reading.
+    split can change, and only a shared ridge changes an A.  It decides
+    which from the number of vertices each facet shares with G, counted
+    for all of them at once, so no test builds a set per facet.  Only a
+    split that changed is moved in the list, by bisection, so no node
+    sorts or builds its moves anew.  It logs the reads it overwrites,
+    and ``undo()`` pops the log to restore the complex before the last
+    removal without re-reading.
     """
 
     kind = "shell"
 
     def __init__(self, M):
-        self._degree = {}        # ridge -> number of facets on it
-        self._over = 0           # ridges in three or more facets
-        self._widths = {}        # facet size -> number of facets
-        self._rim = set()        # the ridges in one facet
-        self._through = {}       # vertex -> the boundary ridges on it
+        super().__init__(M)
+        facets = self.facets
+        self._widths = Counter(map(len, facets))  # facet size -> facets
+        on = _ridges(facets) if EMPTY not in facets else {}
+        degree = self._degree = {r: len(fs) for r, fs in on.items()}
+        self._over = sum(map((2).__lt__, degree.values()))  # ridges in 3+
+        self._rim = rim = set()  # the ridges in one facet
+        through = self._through = {}  # vertex -> the boundary ridges on it
+        opposite = {}            # facet -> the vertices A opposite its rim
+        for r, fs in on.items():
+            if len(fs) == 1:
+                rim.add(r)
+                for v in r:
+                    if v in through:
+                        through[v].add(r)
+                    else:
+                        through[v] = {r}
+                F = fs[0]
+                v = sum(F) - sum(r)  # F is r and one label more
+                if F in opposite:
+                    opposite[F].append(v)
+                else:
+                    opposite[F] = [v]
         self._log = []           # per removal: (facet, read) pairs it
         #                          replaced, the removed facet first
-        super().__init__(M)
-        # facet -> (A, its split or None); the Shell of every split, by (A, B)
-        self._reads = {F: self._read(F) for F in self.facets}
-        self._order = sorted((Shell(*s) for _, s in self._reads.values() if s),
-                             key=_ab)
+        # facet -> (A, its split or None); every split, sorted.  A facet
+        # with no boundary ridge has A = () and no split
+        reads = self._reads = dict.fromkeys(facets, ((), None))
+        for F, A in opposite.items():
+            A = tuple(sorted(A))
+            reads[F] = A, _split(F, A, through, self._by_vertex)
+        self._order = sorted(split for _, split in reads.values() if split)
 
     def _tally(self, f, step):
         super()._tally(f, step)
-        self._widths[len(f)] = self._widths.get(len(f), 0) + step
-        if not self._widths[len(f)]:
-            del self._widths[len(f)]
-        degree, rim, through = self._degree, self._rim, self._through
+        widths, degree, rim, through = (
+            self._widths, self._degree, self._rim, self._through)
+        widths[len(f)] += step
+        if not widths[len(f)]:
+            del widths[len(f)]
         over = 0
         for r in itertools.combinations(f, len(f) - 1):
             old = degree.get(r, 0)
@@ -741,36 +806,24 @@ class _ShellState(_WorkingComplex):
                     through[v].discard(r)
         self._over += over
 
-    def _read(self, F):
-        A = _opposite(F, self._rim)
-        return A, _split(F, A, self._through, self._by_vertex)
-
-    def _store(self, F, read):
-        """Keep F's read, and move its Shell in the order if its split
-        changed."""
-        old = self._reads.get(F, (None, None))[1]
-        self._reads[F] = read
-        self._reorder(old, read[1])
-
     def _reorder(self, old, new):
-        """Replace the Shell of the split `old` in the order by that of
-        `new`; either may be None."""
-        if old == new:
-            return
+        """Replace the split `old` in the order by `new`, which differs;
+        either may be None."""
         order = self._order
         if old:
-            del order[bisect_left(order, old, key=_ab)]
+            del order[bisect_left(order, old)]
         if new:
-            insort(order, Shell(*new), key=_ab)
+            insort(order, new)
 
     def moves(self):
         """The legal shell moves, sorted by (A, B); none unless the
         complex is pure with every ridge in at most two facets, when
-        its boundary is defined.  A copy of the kept order: nothing is
-        sorted or built, and a list once returned is never changed.
-        Nothing is cached, since a search asks once per node."""
+        its boundary is defined.  A read-only listing over one copy of
+        the kept order: nothing is sorted, a Shell is built only when
+        read, and a listing once returned is never changed.  Nothing is
+        cached, since a search asks once per node."""
         defined = not self._over and len(self._widths) == 1
-        return self._order[:] if defined else []
+        return _MoveListing(self._order[:] if defined else [], Shell)
 
     def remove(self, G):
         """Remove the facet G (the shell surgery) and re-read the splits
@@ -778,35 +831,50 @@ class _ShellState(_WorkingComplex):
         shares n vertices with G (one count over the facets on G's
         vertices) is re-read when it shares a ridge with G (n is one less
         than both sizes), when G holds all of its A, or when the n shared
-        vertices less those in A are all of F - A, its B."""
-        self._replace((G,), ())
-        read = self._reads.pop(G)
-        self._reorder(read[1], None)
+        vertices less those in A are all of F - A, its B.  Only a shared
+        ridge changes F's boundary ridges, so only then is its A read
+        again; otherwise only its split is."""
+        self._tally(G, -1)
+        reads, through, by = self._reads, self._through, self._by_vertex
+        read = reads.pop(G)
+        if read[1]:
+            self._reorder(read[1], None)
         replaced = [(G, read)]
-        gs = set(G)
-        if len(G) > 1:  # facet -> the number of vertices it shares with G
-            near = Counter(itertools.chain.from_iterable(
-                self._by_vertex.get(v, ()) for v in G))
+        gs, ridge = set(G), len(G) - 1
+        if ridge:  # facet -> the number of vertices it shares with G
+            near = {}
+            for v in G:
+                for F in by.get(v, ()):
+                    near[F] = near.get(F, 0) + 1
         else:
             near = dict.fromkeys(self.facets, 0)  # all share the ridge ()
         for F, n in near.items():
-            read = self._reads[F]
-            A = read[0]
-            b = len(F) - len(A)
-            if (n == len(G) - 1 == len(F) - 1
-                    or A and gs.issuperset(A)
-                    or n >= b > 0 and n - len(gs.intersection(A)) == b):
-                replaced.append((F, read))
-                self._store(F, self._read(F))
+            read = reads[F]
+            A, old = read
+            if n == ridge == len(F) - 1:
+                A = _opposite(F, self._rim)
+            elif not (A and gs.issuperset(A)
+                      or n >= (b := len(F) - len(A)) > 0
+                      and n - len(gs.intersection(A)) == b):
+                continue
+            new = _split(F, A, through, by)
+            replaced.append((F, read))
+            reads[F] = A, new
+            if new != old:
+                self._reorder(old, new)
         self._log.append(replaced)
 
     def undo(self):
         """Put back the facet of the last ``remove`` and the reads it
         replaced."""
         replaced = self._log.pop()
-        self._replace((), (replaced[0][0],))
+        self._tally(replaced[0][0], 1)
+        reads = self._reads
         for F, read in replaced:
-            self._store(F, read)
+            old = reads[F][1] if F in reads else None
+            reads[F] = read
+            if read[1] != old:
+                self._reorder(old, read[1])
 
 
 # -- transcripts -------------------------------------------------------

@@ -24,6 +24,7 @@ from pachner.moves import (
     IllegalAtStepError,
     MOVE_KINDS,
     IllegalMoveError,
+    LegalityReport,
     Shell,
     Star,
     Transcript,
@@ -44,7 +45,7 @@ from pachner.moves import (
     loads_transcript,
     parse_move,
 )
-from conftest import csaszar_torus, flag_subdivision
+from conftest import csaszar_torus, flag_subdivision, pinched_complex
 from walk import _candidates, seeded_walk
 
 
@@ -207,6 +208,48 @@ def test_three_to_one_move_undoes_starring(sphere2):
     rep = check_move(starred, mv)
     assert rep.legal
     assert apply_move(starred, mv) == sphere2
+
+
+FLIP_CHECK_INPUTS = {
+    "S2": lambda: standard_sphere(2),
+    "sd S2": lambda: derived_subdivision(standard_sphere(2)),
+    "Csaszar torus": csaszar_torus,
+    "pinched": pinched_complex,
+    "triangle strip": lambda: Complex.from_facets(
+        (i, i + 1, i + 2) for i in range(6)),
+    "impure": lambda: Complex.from_facets(
+        [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5, 6), (4, 5), (6, 7)]),
+}
+
+
+def _general_flip_check(M, A, B):
+    """The flip check as the general one: the exchange check, with the
+    legal ones refused when their link factor L is not {-}."""
+    rep = check_move(M, Exchange(A, B))
+    if rep.legal and rep.link_factor != Complex.from_facets([]):
+        return LegalityReport(
+            False, "lk(A) is not exactly dB (residual factor present)",
+            rep.link_factor)
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(FLIP_CHECK_INPUTS))
+def test_flip_check_agrees_with_the_general_check(name):
+    """Every face A against each minimal nonface B of lk(A), the fresh
+    label, a label in use and each such B unsorted: the flip check's
+    link rule gives the general check's legality, reason and link
+    factor."""
+    M = FLIP_CHECK_INPUTS[name]()
+    fresh, used = M.fresh_vertex(), M.vertices()[0]
+    legal = 0
+    for A in sorted(f for f in M.faces() if f):
+        cands = [*_minimal_nonfaces(M.link(A)), (fresh,), (used,)]
+        cands += [B[::-1] for B in cands if len(B) > 1]
+        for B in cands:
+            rep = check_move(M, Bistellar(A, B))
+            assert rep == _general_flip_check(M, A, B), (A, B)
+            legal += rep.legal
+    assert legal
 
 
 # -- stellar exchanges -------------------------------------------------
@@ -405,12 +448,17 @@ def test_move_data_is_checked_once_before_any_family_check(sphere2):
 
 
 def test_a_star_check_validates_only_the_move_data(monkeypatch):
-    """check_move validates A and B once, and simplex_boundary(B) its
-    vertices; the link's restriction and dB are built from sorted tuples
-    with no second validation.  On the edge [0 5] of sd S3, whose link
-    is a hexagon, that is 3 simplex calls instead of 10."""
+    """check_move validates A and B once.  A starring's B is one vertex,
+    so dB is {-} and the link factor is lk(A) itself: nothing else is
+    validated.  The weld undoing it builds the link's restriction and dB
+    from sorted tuples, and only simplex_boundary(B) validates its
+    vertices again.  On the edge [0 5] of sd S3, whose link is a
+    hexagon, that is 2 and 3 simplex calls (10 when every part was
+    validated again)."""
     sd = derived_subdivision(standard_sphere(3))
-    mv = Star((0, 5), sd.fresh_vertex())
+    a = sd.fresh_vertex()
+    mv = Star((0, 5), a)
+    starred = apply_move(sd, mv)
     calls = []
     real = pachner.core.simplex
 
@@ -422,19 +470,25 @@ def test_a_star_check_validates_only_the_move_data(monkeypatch):
     monkeypatch.setattr(pachner.moves, "simplex", counting)
     rep = check_move(sd, mv)
     assert rep.legal and len(rep.link_factor.facets) == 6
-    assert len(calls) == 3
+    assert len(calls) == 2
+    rep = check_move(starred, invert(mv))
+    assert rep.legal and rep.link_factor == sd.link((0, 5))
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("body, M, move, kind", [
-    ("_link", standard_sphere(2), Bistellar((0, 1, 2), (4,)), "exchange"),
+    ("_simplex_link", standard_sphere(2), Bistellar((0, 1, 2), (4,)),
+     "bistellar"),
     ("_split", Complex.from_facets([(0, 1, 2), (1, 2, 3)]),
      Shell((1, 2), (0,)), "unshell"),
 ], ids=["exchange check", "shell check"])
 def test_a_fault_in_a_check_body_propagates(monkeypatch, body, M, move,
                                             kind):
     """A TypeError raised inside a family's check is a fault, not an
-    illegal move: it escapes check_move, the enumeration that filters
-    through check_move, and a transcript replay.  The move is legal."""
+    illegal move: it escapes check_move, the family's enumeration (which
+    filters through check_move, or for flips reads every link by the
+    same rule as the flip check), and a transcript replay.  The move is
+    legal."""
     assert check_move(M, move).legal
 
     def broken(*args):

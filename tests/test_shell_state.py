@@ -67,13 +67,13 @@ def _agrees(S):
 
 
 def _kept_in_order(S):
-    """The kept order is the Shell of every split the state has read,
-    sorted by (A, B), and what a fresh state of its complex keeps, even
+    """The kept order is every split the state has read, as sorted (A, B)
+    pairs, and what a fresh state of its complex keeps, even
     where the boundary is undefined and no move is listed.  So are the
     reads themselves: a skipped re-read whose split stays None shows
     only in its A."""
     splits = sorted(read[1] for read in S._reads.values() if read[1])
-    assert S._order == [Shell(A, B) for A, B in splits]
+    assert S._order == splits
     fresh = _ShellState(S.complex())
     assert S._order == fresh._order
     assert S._reads == fresh._reads
