@@ -76,7 +76,7 @@ def simplex(vertices):
 
 def fmt_simplex(s):
     """Render a simplex as `[v0 v1 ...]` (the transcript-file syntax)."""
-    return "[" + " ".join(str(v) for v in s) + "]"
+    return "[" + " ".join(map(str, s)) + "]"
 
 
 def _ridges(facets):
@@ -132,7 +132,7 @@ class Complex:
     """
 
     __slots__ = ("_facets", "_working", "_faces", "_by_dim", "_vertices",
-                 "_fvector")
+                 "_fvector", "_dim")
 
     def __init__(self, facets, _trusted=False):
         if not _trusted:
@@ -143,6 +143,7 @@ class Complex:
         self._by_dim = None              # dict dim -> sorted tuple of faces
         self._vertices = None
         self._fvector = None             # FVector, once counted or filled
+        self._dim = None                 # the dimension, on first read
 
     @staticmethod
     def from_facets(facets):
@@ -171,7 +172,9 @@ class Complex:
 
     @property
     def dim(self):
-        return max(len(f) for f in self._facets) - 1
+        if self._dim is None:
+            self._dim = max(map(len, self._facets)) - 1
+        return self._dim
 
     def faces(self):
         """Every simplex of the complex, the empty one included."""

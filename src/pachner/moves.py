@@ -49,7 +49,8 @@ rule, and ``_ShellState`` for shell moves, which removes a facet,
 re-reads only the splits next to it and undoes a removal from its log.
 Each keeps its legal moves as sorted (A, B) pairs, moved by bisection
 only where a move changed them, so a node lists its moves with one copy
-of that order, and the listing builds a move only when one is read.
+of that order, and the listing builds a move only when one is read; the
+shelling search walks the copied pairs themselves (``pairs()``).
 For flips the order also changes where a face B appears or vanishes,
 as that decides the flips onto B.  A search keeps one state and
 re-tests only where a move changed it; ``enumerate_moves`` on a complex
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -714,29 +715,33 @@ class _MoveListing(Sequence):
         return NotImplemented
 
 
+_NO_READ = ((), None)    # the read of a facet on no boundary ridge
+
+
 class _ShellState(_WorkingComplex):
     """A working copy of a complex for searches over shell moves.
 
-    Besides the facets and their incidence it keeps the number of facets
-    on each ridge, the boundary ridges with a vertex -> boundary ridges
-    map (with the incidence, the three maps a split is read from), kept
-    as facets come and go.  It also keeps each facet's read: the vertices
-    A opposite its boundary ridges and ``_split``'s answer, and the legal
-    shell moves as (A, B) pairs in one sorted list, so ``moves()`` lists
-    ``enumerate_moves(M, "shell")`` with one copy of that list and builds
-    a Shell only when one is read.  It is built in one pass, with no
-    facet inserted through ``_tally``: one grouping of the facets by
-    ridge (``core._ridges``) gives the ridge counts, the boundary ridges
-    and each facet's A, the label it adds to each boundary ridge on it,
-    so a facet on no boundary ridge is read with no test.
+    Besides the facets and their incidence it keeps the facets on each
+    ridge, the boundary ridges with a vertex -> boundary ridges map (with
+    the incidence, the three maps a split is read from), kept as facets
+    come and go.  It also keeps the read of each facet on a boundary
+    ridge: the vertices A opposite its boundary ridges and ``_split``'s
+    answer (a facet on none has A = () and no split), and the legal
+    shell moves as (A, B) pairs in one sorted list, which ``pairs()``
+    copies and ``moves()`` lists as Shells.  It is built in one pass,
+    with no facet inserted through ``_tally``: one grouping of the facets
+    by ridge (``core._ridges``) is the ridge map, and gives the boundary
+    ridges and each facet's A, the label it adds to each boundary ridge
+    on it, so a facet on no boundary ridge is read with no test.
     ``remove(G)`` drops the facet G and re-reads only the facets meeting
-    G that share a ridge with it or whose A or B lies in G: no other
-    split can change, and only a shared ridge changes an A.  It decides
-    which from the number of vertices each facet shares with G, counted
-    for all of them at once, so no test builds a set per facet.  Only a
-    split that changed is moved in the list, by bisection, so no node
-    sorts or builds its moves anew.  It logs the reads it overwrites,
-    and ``undo()`` pops the log to restore the complex before the last
+    G that now lie alone on a ridge of G or whose A or B lies in G: no
+    other split can change, and only a ridge of G changes an A.  The
+    first are read from the ridge map; the second have an A already, so
+    it counts the vertices they share with G only for the facets on a
+    boundary ridge, and no test builds a set per facet.  Only a split
+    that changed is moved in the list, by bisection, so no node sorts or
+    builds its moves anew.  It logs the reads it overwrites, and
+    ``undo()`` pops the log to restore the complex before the last
     removal without re-reading.
     """
 
@@ -745,21 +750,20 @@ class _ShellState(_WorkingComplex):
     def __init__(self, M):
         super().__init__(M)
         facets = self.facets
-        self._widths = Counter(map(len, facets))  # facet size -> facets
-        on = _ridges(facets) if EMPTY not in facets else {}
-        degree = self._degree = {r: len(fs) for r, fs in on.items()}
-        self._over = sum(map((2).__lt__, degree.values()))  # ridges in 3+
+        self._widths = dict(Counter(map(len, facets)))  # size -> facets
+        # ridge -> the facets on it
+        on = self._on = _ridges(facets) if EMPTY not in facets else {}
+        # the ridges in three or more facets
+        self._over = sum(map((2).__lt__, map(len, on.values())))
         self._rim = rim = set()  # the ridges in one facet
-        through = self._through = {}  # vertex -> the boundary ridges on it
+        # vertex -> the boundary ridges on it (a set left empty stays)
+        through = self._through = defaultdict(set)
         opposite = {}            # facet -> the vertices A opposite its rim
         for r, fs in on.items():
             if len(fs) == 1:
                 rim.add(r)
                 for v in r:
-                    if v in through:
-                        through[v].add(r)
-                    else:
-                        through[v] = {r}
+                    through[v].add(r)
                 F = fs[0]
                 v = sum(F) - sum(r)  # F is r and one label more
                 if F in opposite:
@@ -768,43 +772,60 @@ class _ShellState(_WorkingComplex):
                     opposite[F] = [v]
         self._log = []           # per removal: (facet, read) pairs it
         #                          replaced, the removed facet first
-        # facet -> (A, its split or None); every split, sorted.  A facet
-        # with no boundary ridge has A = () and no split
-        reads = self._reads = dict.fromkeys(facets, ((), None))
+        # facet on a boundary ridge -> (A, its split or None); every
+        # split, sorted
+        reads = self._reads = {}
         for F, A in opposite.items():
             A = tuple(sorted(A))
             reads[F] = A, _split(F, A, through, self._by_vertex)
         self._order = sorted(split for _, split in reads.values() if split)
 
     def _tally(self, f, step):
+        """Insert (step 1) or remove (step -1) the facet f, moving it on
+        its ridges in the step's direction: a ridge joins or leaves the
+        boundary as its facet count crosses 1, and ``_over`` moves only
+        as the count crosses between 2 and 3."""
         super()._tally(f, step)
-        widths, degree, rim, through = (
-            self._widths, self._degree, self._rim, self._through)
-        widths[len(f)] += step
-        if not widths[len(f)]:
-            del widths[len(f)]
-        over = 0
-        for r in itertools.combinations(f, len(f) - 1):
-            old = degree.get(r, 0)
-            new = old + step
-            if new:
-                degree[r] = new
-            else:
-                del degree[r]
-            if old > 2 or new > 2:
-                over += (new > 2) - (old > 2)
-            if new == 1:  # r joins the boundary
-                rim.add(r)
-                for v in r:
-                    if v in through:
+        widths, on, rim, through = (
+            self._widths, self._on, self._rim, self._through)
+        w = len(f)
+        if (n := widths.get(w, 0) + step):
+            widths[w] = n
+        else:
+            del widths[w]
+        ridges = itertools.combinations(f, w - 1)
+        if step > 0:
+            for r in ridges:
+                fs = on.get(r)
+                if fs is None:  # r joins the complex and its boundary
+                    on[r] = [f]
+                    rim.add(r)
+                    for v in r:
                         through[v].add(r)
-                    else:
-                        through[v] = {r}
-            elif old == 1:  # r leaves it
+                    continue
+                fs.append(f)
+                if len(fs) == 2:  # r leaves the boundary
+                    rim.discard(r)
+                    for v in r:
+                        through[v].discard(r)
+                elif len(fs) == 3:
+                    self._over += 1
+            return
+        for r in ridges:
+            fs = on[r]
+            if len(fs) == 1:  # r leaves the boundary and the complex
+                del on[r]
                 rim.discard(r)
                 for v in r:
                     through[v].discard(r)
-        self._over += over
+                continue
+            fs.remove(f)
+            if len(fs) == 1:  # r joins the boundary
+                rim.add(r)
+                for v in r:
+                    through[v].add(r)
+            elif len(fs) == 2:
+                self._over -= 1
 
     def _reorder(self, old, new):
         """Replace the split `old` in the order by `new`, which differs;
@@ -815,45 +836,56 @@ class _ShellState(_WorkingComplex):
         if new:
             insort(order, new)
 
+    def pairs(self):
+        """The (A, B) pairs of the legal shell moves, in order: a copy of
+        the kept order, which no later removal changes, or () unless the
+        complex is pure with every ridge in at most two facets, when its
+        boundary is defined.  Nothing is cached, since a search asks once
+        per node."""
+        if self._over or len(self._widths) != 1:
+            return ()
+        return self._order[:]
+
     def moves(self):
-        """The legal shell moves, sorted by (A, B); none unless the
-        complex is pure with every ridge in at most two facets, when
-        its boundary is defined.  A read-only listing over one copy of
-        the kept order: nothing is sorted, a Shell is built only when
-        read, and a listing once returned is never changed.  Nothing is
-        cached, since a search asks once per node."""
-        defined = not self._over and len(self._widths) == 1
-        return _MoveListing(self._order[:] if defined else [], Shell)
+        """The legal shell moves, sorted by (A, B): a read-only listing
+        over ``pairs()`` that builds a Shell only when one is read."""
+        return _MoveListing(self.pairs(), Shell)
 
     def remove(self, G):
         """Remove the facet G (the shell surgery) and re-read the splits
-        it can change, logging the reads it replaces.  A facet F that
-        shares n vertices with G (one count over the facets on G's
-        vertices) is re-read when it shares a ridge with G (n is one less
-        than both sizes), when G holds all of its A, or when the n shared
-        vertices less those in A are all of F - A, its B.  Only a shared
-        ridge changes F's boundary ridges, so only then is its A read
-        again; otherwise only its split is."""
+        it can change, logging the reads it replaces.  Only a ridge of G
+        changes a facet's boundary ridges: a facet left alone on one,
+        found in the ridge map, gains it, and its A is read again.  Any
+        other split changes only when G holds all of the facet's A or of
+        F - A, its B, so only a facet with a read can change: the
+        vertices each one shares with G are counted over the facets on
+        G's vertices, and F, sharing n, is re-read when it shares a ridge
+        with G (n is one less than both sizes; its A is read again), when
+        G holds all of its A, or when the n shared vertices less those in
+        A are all of its B.  No other facet's A or split changes."""
         self._tally(G, -1)
-        reads, through, by = self._reads, self._through, self._by_vertex
-        read = reads.pop(G)
+        reads, through, by, on = (
+            self._reads, self._through, self._by_vertex, self._on)
+        read = reads.pop(G, _NO_READ)
         if read[1]:
             self._reorder(read[1], None)
         replaced = [(G, read)]
         gs, ridge = set(G), len(G) - 1
-        if ridge:  # facet -> the number of vertices it shares with G
-            near = {}
-            for v in G:
-                for F in by.get(v, ()):
+        near = {}                # facet with a read -> vertices shared with G
+        for v in G:
+            for F in by.get(v, ()):
+                if F in reads:
                     near[F] = near.get(F, 0) + 1
-        else:
-            near = dict.fromkeys(self.facets, 0)  # all share the ridge ()
+        for r in itertools.combinations(G, ridge):
+            fs = on.get(r)
+            if fs and len(fs) == 1:  # fs[0] gains the boundary ridge r
+                near[fs[0]] = ridge
         for F, n in near.items():
-            read = reads[F]
+            read = reads.get(F, _NO_READ)
             A, old = read
             if n == ridge == len(F) - 1:
                 A = _opposite(F, self._rim)
-            elif not (A and gs.issuperset(A)
+            elif not (gs.issuperset(A)
                       or n >= (b := len(F) - len(A)) > 0
                       and n - len(gs.intersection(A)) == b):
                 continue
@@ -871,8 +903,9 @@ class _ShellState(_WorkingComplex):
         self._tally(replaced[0][0], 1)
         reads = self._reads
         for F, read in replaced:
-            old = reads[F][1] if F in reads else None
-            reads[F] = read
+            old = reads.pop(F, _NO_READ)[1]
+            if read[0]:
+                reads[F] = read
             if read[1] != old:
                 self._reorder(old, read[1])
 

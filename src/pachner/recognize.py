@@ -37,11 +37,12 @@ from .core import (
 )
 from .moves import (
     Bistellar,
+    Shell,
     Transcript,
     _ShellState,
     _certify,
     apply_transcript,
-    enumerate_moves,
+    enumerate_moves,  # not called here: a binding the bench tracer wraps
     invert_transcript,
 )
 
@@ -580,42 +581,48 @@ def replay_shelling(X, sh):
 
 def _shell_ball(S, counter):
     """Depth-first search for shell moves down to one facet, trying the
-    moves of each node in enumeration order, on the working state S
-    (a ``moves._ShellState``).  Enumeration found each move legal, so
-    taking it removes its facet from S, and backtracking undoes the
-    removal; each node re-reads only the splits its removal changed,
-    and its moves are a copy of the order S keeps, so a list held for
-    an ancestor node is never changed by a later removal.
-    The stack is explicit, so the depth of the Python stack does not
-    grow with the facet count; each node visited costs one unit of
-    counter[0].  S is back as it came when the search returns None."""
-    untried = []   # per depth: the moves not yet tried there
-    path = []      # the move taken at each depth above the current one
+    moves of each node in (A, B) order, on the working state S (a
+    ``moves._ShellState``).  A node walks the (A, B) pairs of
+    ``S.pairs()``, a copy of the order S keeps, so a copy held for an
+    ancestor node is never changed by a later removal; it builds no
+    move.  S found each pair legal, so taking it removes the facet A * B
+    from S, and backtracking undoes the removal; each removal re-reads
+    only the splits it changed.  A Shell is built once per step of the
+    sequence returned.  The stack is explicit, so the depth of the
+    Python stack does not grow with the facet count; each node visited
+    costs one unit of counter[0].  S is back as it came when the search
+    returns None."""
+    untried = []   # per depth: the (A, B) pairs not yet tried there
+    path = []      # the pair taken at each depth above the current one
+    facets = S.facets
     while True:
         counter[0] -= 1
         if counter[0] < 0:
             raise BudgetExhaustedError("shelling search budget exhausted")
-        if len(S.facets) == 1:
-            return ShellingSequence(tuple(path), next(iter(S.facets)), None)
-        untried.append(iter(enumerate_moves(S, "shell")))
-        while (mv := next(untried[-1], None)) is None:
+        if len(facets) == 1:
+            return ShellingSequence(tuple([Shell(A, B) for A, B in path]),
+                                    next(iter(facets)), None)
+        untried.append(iter(S.pairs()))
+        while (ab := next(untried[-1], None)) is None:
             untried.pop()
             if not untried:
                 return None
             S.undo()
             path.pop()
-        path.append(mv)
-        S.remove(tuple(sorted(mv.A + mv.B)))
+        path.append(ab)
+        S.remove(tuple(sorted(ab[0] + ab[1])))
 
 
 def find_shelling(X, budget=DEFAULT_SHELLING_BUDGET):
     """First shelling in deterministic (A, B)-lexicographic order.
 
-    The search runs on one working state of X.  X is closed, and searched
-    in sphere mode, when the state has no boundary ridge and no ridge in
-    three or more facets: each facet F is then tried as the initial
-    removal, which removes F from the state, searches and puts F back.
-    Returns None when the whole search space is exhausted (a proof of
+    The search runs on one working state of X, whose nodes walk (A, B)
+    pairs and build no move; the Shells of the sequence returned are
+    built once, at the end.  X is closed, and searched in sphere mode,
+    when the state has no boundary ridge and no ridge in three or more
+    facets: each facet F is then tried as the initial removal, which
+    removes F from the state, searches and puts F back.  Returns None
+    when the whole search space is exhausted (a proof of
     unshellability); raises BudgetExhaustedError when the node budget
     runs out first.
     """

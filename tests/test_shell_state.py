@@ -66,17 +66,32 @@ def _agrees(S):
     assert enumerate_moves(S, "shell") == enumerate_moves(S.complex(), "shell")
 
 
-def _kept_in_order(S):
+def _matches_a_fresh_state(S):
     """The kept order is every split the state has read, as sorted (A, B)
     pairs, and what a fresh state of its complex keeps, even
     where the boundary is undefined and no move is listed.  So are the
     reads themselves: a skipped re-read whose split stays None shows
-    only in its A."""
+    only in its A.  So are the counts ``moves()`` shows only through the
+    rule that the boundary is defined: the facets on each ridge (in any
+    order), the boundary ridges, the ridges in three or more facets and
+    the facet sizes, and the boundary ridges on each vertex."""
     splits = sorted(read[1] for read in S._reads.values() if read[1])
     assert S._order == splits
     fresh = _ShellState(S.complex())
     assert S._order == fresh._order
     assert S._reads == fresh._reads
+
+    def ridges(T):
+        return {r: sorted(fs) for r, fs in T._on.items()}
+
+    def through(T):
+        return {v: rs for v, rs in T._through.items() if rs}
+
+    assert ridges(S) == ridges(fresh)
+    assert S._rim == fresh._rim
+    assert S._over == fresh._over
+    assert S._widths == fresh._widths
+    assert through(S) == through(fresh)
 
 
 class _Checked(_ShellState):
@@ -114,7 +129,8 @@ def test_state_matches_enumeration_along_the_search(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_state_matches_enumeration_along_seeded_walks(name):
     """Remove random facets (any facet, not only a listed shelling) and
-    undo at random, back to the start; the state must stay exact."""
+    undo at random, back to the start; after every removal and undo the
+    state must match a fresh state of the complex it holds."""
     K = INPUTS[name]()
     S = _ShellState(K)
     rng = random.Random(len(name))
@@ -132,13 +148,13 @@ def test_state_matches_enumeration_along_seeded_walks(name):
         assert listed == kept  # a returned list is never changed
         assert S.complex() == Complex.from_facets(set(K.facets) - set(removed))
         _agrees(S)
-        _kept_in_order(S)
+        _matches_a_fresh_state(S)
     while removed:
         S.undo()
         removed.pop()
     assert S.complex() == K
     _agrees(S)
-    _kept_in_order(S)
+    _matches_a_fresh_state(S)
 
 
 def test_shell_state_enumerates_shell_moves_only():
@@ -202,10 +218,11 @@ def test_search_reads_a_bounded_number_of_splits(monkeypatch):
 
 
 def test_search_builds_a_bounded_number_of_moves(monkeypatch):
-    """A node lists a copy of the kept order, and a Shell is built only
-    where a split changed: on sd S3 (120 facets) the search builds at
-    most 3 per facet (it built 2,203 when every node listed its moves
-    anew)."""
+    """A node walks a copy of the kept (A, B) pairs and builds no move: the
+    search builds exactly one Shell per step of the shelling it returns
+    (on sd S3 it built up to 3 per facet when a node listed Shells, and
+    2,203 when every node listed its moves anew), and none on the
+    Csaszar torus, whose exhaustive sphere-mode search returns None."""
     built = []
     real = Shell.__init__
 
@@ -213,11 +230,16 @@ def test_search_builds_a_bounded_number_of_moves(monkeypatch):
         built.append(args)
         real(self, *args)
 
-    K = derived_subdivision(standard_sphere(3))
     monkeypatch.setattr(Shell, "__init__", counting)
-    sh = find_shelling(K)
-    assert len(K.facets) == 120 and len(sh.steps) == 118
-    assert len(built) <= 3 * 120
+    for K, steps in ((derived_subdivision(standard_sphere(3)), 118),
+                     (_strip(300), 299)):
+        built.clear()
+        sh = find_shelling(K)
+        assert len(sh.steps) == steps
+        assert built == [(mv.A, mv.B) for mv in sh.steps]
+    built.clear()
+    assert find_shelling(csaszar_torus()) is None
+    assert built == []
 
 
 def test_shell_rule_on_a_complex_builds_no_face_set(monkeypatch):
