@@ -341,12 +341,9 @@ class _WorkingComplex:
     one, which nothing changes; a move replay changes its own copy in
     place by ``_replace``, then hands it to the complex it returns.
     Subclasses in ``moves`` extend ``_tally`` with their own counts and
-    list the legal moves of their one family, ``kind``, in ``moves()``.
-    Like a Complex it has ``facets`` and ``vertices()``, which is all
-    ``is_simplex_boundary`` reads.
+    list the legal moves of one family.  Like a Complex it has ``facets``
+    and ``vertices()``, which is all ``is_simplex_boundary`` reads.
     """
-
-    kind = ""
 
     def __init__(self, M):
         """A copy of M's facets and their incidence, built in one pass

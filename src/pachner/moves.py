@@ -42,29 +42,26 @@ link built (``_simplex_link``: lk(A) = dB exactly when A lies in len(B)
 facets of len(A) + len(B) - 1 vertices, whose vertices outside A are
 B's, or A is a facet and B one vertex).  The flip check decides a legal
 flip by it; a refusal goes through the general exchange check, which
-gives its reason and link factor.  Two working copies are the one
-lister of their family's moves: ``_FlipState`` for bistellar moves,
-which keeps the facets on each face and reads each link by the same
-rule, and ``_ShellState`` for shell moves, which removes a facet,
-re-reads only the splits next to it and undoes a removal from its log.
-Each keeps its legal moves as sorted (A, B) pairs, moved by bisection
-only where a move changed them, so a node lists its moves with one copy
-of that order, and the listing builds a move only when one is read; the
-shelling search walks the copied pairs themselves (``pairs()``).
-For flips the order also changes where a face B appears or vanishes,
-as that decides the flips onto B.  A search keeps one state and
-re-tests only where a move changed it; ``enumerate_moves`` on a complex
-builds a fresh one and returns a plain list.  ``enumerate_moves(S,
-kind)`` accepts either state for its own family and returns its kept
-listing; ``apply_move(S, move)`` also accepts a ``_FlipState``, checks
-the move by lookups and flips S in place.
+gives its reason and link factor.  Two working copies list the moves
+of a search, each keeping the legal ones as sorted (A, B) pairs, moved
+by bisection only where a move changed them, so a node lists its moves
+with one copy of that order.  ``_FlipState`` keeps the facets on each
+face and reads each link by the same rule; the flips onto a face B also
+change where B appears or vanishes.  Its ``moves()`` is the one flip
+lister, a ``_FlipListing`` that builds a Bistellar only when one is
+read.  ``_ShellState`` removes a facet, re-reads only the splits next to
+it and undoes a removal from its log; its ``pairs()`` is the one shell
+lister.  ``enumerate_moves`` on a complex builds a fresh state and
+returns a plain list, and on a ``_FlipState`` returns its kept listing;
+``apply_move(S, move)`` also accepts a ``_FlipState``, checks the move
+by lookups and flips S in place.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -454,21 +451,26 @@ def enumerate_moves(M, kind):
 
     Moves that introduce a new vertex use fresh_vertex(M); the legality
     checker accepts any unused label, but enumeration is canonical.
-    Bistellar and shell moves are listed by a fresh ``_FlipState`` or
-    ``_ShellState`` of M, with no check; the other families filter
-    candidates through ``check_move``.  A working state enumerates its
-    own family only, from what it keeps, so it lists what enumerating
-    its complex lists by construction.
+    Bistellar moves are listed by a fresh ``_FlipState`` of M and shell
+    moves by the ``pairs()`` of a fresh ``_ShellState``, with no check;
+    the other families filter candidates through ``check_move``.  A
+    shell move needs a pure complex of two or more facets, so no state
+    is built for any other.  Of the working copies only a ``_FlipState``
+    is enumerated, for bistellar moves, from what it keeps, so it lists
+    what enumerating its complex lists by construction.
     """
     if isinstance(M, _WorkingComplex):
-        if kind != M.kind:
-            raise ValueError(f"a {M.kind} working state enumerates "
-                             f"{M.kind} moves only, not {kind!r}")
+        if kind != "bistellar" or not isinstance(M, _FlipState):
+            raise ValueError(f"a working copy enumerates the bistellar "
+                             f"moves of a flip state only, not {kind!r}")
         return M.moves()
-    state = {"bistellar": _FlipState, "shell": _ShellState}.get(kind)
-    if state:
-        # the state lists its family's legal moves as they stand: no check
-        return list(state(M).moves()) if M.dim >= 0 else []
+    if kind == "bistellar":
+        # the state lists the legal flips as they stand: no check
+        return list(_FlipState(M).moves()) if M.dim >= 0 else []
+    if kind == "shell":
+        if len(M.facets) < 2 or not M.is_pure():
+            return []
+        return [Shell(A, B) for A, B in _ShellState(M).pairs()]
     fresh = M.fresh_vertex()
     if kind == "star":
         return [Star(A, fresh) for A in sorted(f for f in M.faces() if f)]
@@ -535,8 +537,6 @@ class _FlipState(_WorkingComplex):
     of every complex ``complex()`` returns, so neither builds a face
     closure to count it.
     """
-
-    kind = "bistellar"
 
     def __init__(self, M):
         super().__init__(M)
@@ -647,9 +647,8 @@ class _FlipState(_WorkingComplex):
         until the next flip, as a walk re-reads it after every rejected
         proposal."""
         if self._moves is None:
-            self._moves = _MoveListing(
-                self._legal[:], Bistellar,
-                (max(self._by_vertex, default=-1) + 1,))
+            self._moves = _FlipListing(
+                self._legal[:], (max(self._by_vertex, default=-1) + 1,))
         return self._moves
 
     def _lists(self, mv):
@@ -685,17 +684,16 @@ class _FlipState(_WorkingComplex):
                     insort(legal, (A, B))
 
 
-class _MoveListing(Sequence):
-    """The moves a working state lists, read-only: a copy of its sorted
-    (A, B) pairs, the move class and, for flips, the fresh label that an
-    empty B stands for, with a move built only for an index read or an
-    iteration.  It compares equal to the list of the same moves."""
+class _FlipListing(Sequence):
+    """The flips a ``_FlipState`` lists, read-only: a copy of its sorted
+    (A, B) pairs and the fresh label that an empty B stands for, with a
+    Bistellar built only for an index read or an iteration.  It compares
+    equal to the list of the same flips."""
 
-    __slots__ = ("_pairs", "_move", "_fresh")
+    __slots__ = ("_pairs", "_fresh")
 
-    def __init__(self, pairs, move, fresh=()):
+    def __init__(self, pairs, fresh):
         self._pairs = pairs
-        self._move = move
         self._fresh = fresh
 
     def __len__(self):
@@ -703,14 +701,14 @@ class _MoveListing(Sequence):
 
     def __getitem__(self, i):
         A, B = self._pairs[i]
-        return self._move(A, B or self._fresh)
+        return Bistellar(A, B or self._fresh)
 
     def __iter__(self):
-        move, fresh = self._move, self._fresh
-        return (move(A, B or fresh) for A, B in self._pairs)
+        fresh = self._fresh
+        return (Bistellar(A, B or fresh) for A, B in self._pairs)
 
     def __eq__(self, other):
-        if isinstance(other, (list, _MoveListing)):
+        if isinstance(other, (list, _FlipListing)):
             return list(self) == list(other)
         return NotImplemented
 
@@ -719,7 +717,10 @@ _NO_READ = ((), None)    # the read of a facet on no boundary ridge
 
 
 class _ShellState(_WorkingComplex):
-    """A working copy of a complex for searches over shell moves.
+    """A working copy of a complex for searches over shell moves.  Its
+    callers build it only on a pure complex of two or more facets, and
+    removing facets keeps a pure complex pure, so no test of purity is
+    kept here.
 
     Besides the facets and their incidence it keeps the facets on each
     ridge, the boundary ridges with a vertex -> boundary ridges map (with
@@ -728,11 +729,13 @@ class _ShellState(_WorkingComplex):
     ridge: the vertices A opposite its boundary ridges and ``_split``'s
     answer (a facet on none has A = () and no split), and the legal
     shell moves as (A, B) pairs in one sorted list, which ``pairs()``
-    copies and ``moves()`` lists as Shells.  It is built in one pass,
-    with no facet inserted through ``_tally``: one grouping of the facets
-    by ridge (``core._ridges``) is the ridge map, and gives the boundary
-    ridges and each facet's A, the label it adds to each boundary ridge
-    on it, so a facet on no boundary ridge is read with no test.
+    copies.  ``closed`` says whether the complex it was built from has
+    no boundary ridge and no ridge in three or more facets.  It is built
+    in one pass, with no facet inserted through ``_tally``: one grouping
+    of the facets by ridge (``core._ridges``) is the ridge map, and gives
+    the boundary ridges and each facet's A, the label it adds to each
+    boundary ridge on it, so a facet on no boundary ridge is read with
+    no test.
     ``remove(G)`` drops the facet G and re-reads only the facets meeting
     G that now lie alone on a ridge of G or whose A or B lies in G: no
     other split can change, and only a ridge of G changes an A.  The
@@ -745,14 +748,9 @@ class _ShellState(_WorkingComplex):
     removal without re-reading.
     """
 
-    kind = "shell"
-
     def __init__(self, M):
         super().__init__(M)
-        facets = self.facets
-        self._widths = dict(Counter(map(len, facets)))  # size -> facets
-        # ridge -> the facets on it
-        on = self._on = _ridges(facets) if EMPTY not in facets else {}
+        on = self._on = _ridges(self.facets)  # ridge -> the facets on it
         # the ridges in three or more facets
         self._over = sum(map((2).__lt__, map(len, on.values())))
         self._rim = rim = set()  # the ridges in one facet
@@ -779,6 +777,7 @@ class _ShellState(_WorkingComplex):
             A = tuple(sorted(A))
             reads[F] = A, _split(F, A, through, self._by_vertex)
         self._order = sorted(split for _, split in reads.values() if split)
+        self.closed = not rim and not self._over
 
     def _tally(self, f, step):
         """Insert (step 1) or remove (step -1) the facet f, moving it on
@@ -786,14 +785,8 @@ class _ShellState(_WorkingComplex):
         boundary as its facet count crosses 1, and ``_over`` moves only
         as the count crosses between 2 and 3."""
         super()._tally(f, step)
-        widths, on, rim, through = (
-            self._widths, self._on, self._rim, self._through)
-        w = len(f)
-        if (n := widths.get(w, 0) + step):
-            widths[w] = n
-        else:
-            del widths[w]
-        ridges = itertools.combinations(f, w - 1)
+        on, rim, through = self._on, self._rim, self._through
+        ridges = itertools.combinations(f, len(f) - 1)
         if step > 0:
             for r in ridges:
                 fs = on.get(r)
@@ -838,18 +831,10 @@ class _ShellState(_WorkingComplex):
 
     def pairs(self):
         """The (A, B) pairs of the legal shell moves, in order: a copy of
-        the kept order, which no later removal changes, or () unless the
-        complex is pure with every ridge in at most two facets, when its
-        boundary is defined.  Nothing is cached, since a search asks once
-        per node."""
-        if self._over or len(self._widths) != 1:
-            return ()
-        return self._order[:]
-
-    def moves(self):
-        """The legal shell moves, sorted by (A, B): a read-only listing
-        over ``pairs()`` that builds a Shell only when one is read."""
-        return _MoveListing(self.pairs(), Shell)
+        the kept order, which no later removal changes, or [] while a
+        ridge lies in three or more facets and the boundary is undefined.
+        Nothing is cached, since a search asks once per node."""
+        return [] if self._over else self._order[:]
 
     def remove(self, G):
         """Remove the facet G (the shell surgery) and re-read the splits

@@ -618,10 +618,12 @@ def find_shelling(X, budget=DEFAULT_SHELLING_BUDGET):
 
     The search runs on one working state of X, whose nodes walk (A, B)
     pairs and build no move; the Shells of the sequence returned are
-    built once, at the end.  X is closed, and searched in sphere mode,
-    when the state has no boundary ridge and no ridge in three or more
-    facets: each facet F is then tried as the initial removal, which
-    removes F from the state, searches and puts F back.  Returns None
+    built once, at the end.  A single facet shells at once and an impure
+    X not at all, so neither builds a state.  X is searched in sphere
+    mode when the state finds it ``closed``, with no boundary ridge and
+    no ridge in three or more facets: each facet F is then tried as the
+    initial removal, which removes F from the state, searches and puts
+    F back.  Returns None
     when the whole search space is exhausted (a proof of
     unshellability); raises BudgetExhaustedError when the node budget
     runs out first.
@@ -632,7 +634,7 @@ def find_shelling(X, budget=DEFAULT_SHELLING_BUDGET):
         return None
     counter = [budget]
     S = _ShellState(X)
-    if not S._rim and not S._over:
+    if S.closed:
         for F in X.facet_list():
             S.remove(F)
             seq = _shell_ball(S, counter)

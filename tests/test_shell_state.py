@@ -3,10 +3,10 @@ complexes, and the search's pinned behaviour.
 
 ``moves._ShellState`` keeps each facet's split and its legal moves in
 (A, B) order, and re-reads only the splits a removed facet can change;
-``enumerate_moves`` on the complex the state holds is its oracle after
-every removal and every undo, both along the search itself
-(backtracking included) and along seeded walks that remove any facet,
-legal shelling or not.  The pinned digests and node counts below come
+a fresh state of the complex it holds, and on a pure complex
+``enumerate_moves``, are its oracle after every removal and every undo,
+both along the search itself (backtracking included) and along seeded
+walks that remove any facet, legal shelling or not.  The pinned digests and node counts below come
 from the search that re-enumerated every node on an immutable complex;
 the state must not change them."""
 
@@ -33,7 +33,7 @@ from pachner.moves import (
     derived_subdivision,
     enumerate_moves,
 )
-from pachner.recognize import find_shelling
+from pachner.recognize import ShellingSequence, find_shelling
 
 
 def _strip(n):
@@ -62,8 +62,13 @@ INPUTS = {
 
 
 def _agrees(S):
-    """The state lists what enumeration lists on the complex it holds."""
-    assert enumerate_moves(S, "shell") == enumerate_moves(S.complex(), "shell")
+    """The state lists the pairs a fresh state of the complex it holds
+    lists and, on a pure complex, the Shells enumeration lists."""
+    K = S.complex()
+    pairs = S.pairs()
+    assert pairs == _ShellState(K).pairs()
+    if K.is_pure():
+        assert [Shell(A, B) for A, B in pairs] == enumerate_moves(K, "shell")
 
 
 def _matches_a_fresh_state(S):
@@ -71,10 +76,10 @@ def _matches_a_fresh_state(S):
     pairs, and what a fresh state of its complex keeps, even
     where the boundary is undefined and no move is listed.  So are the
     reads themselves: a skipped re-read whose split stays None shows
-    only in its A.  So are the counts ``moves()`` shows only through the
+    only in its A.  So are the counts ``pairs()`` shows only through the
     rule that the boundary is defined: the facets on each ridge (in any
-    order), the boundary ridges, the ridges in three or more facets and
-    the facet sizes, and the boundary ridges on each vertex."""
+    order), the boundary ridges, the ridges in three or more facets, and
+    the boundary ridges on each vertex."""
     splits = sorted(read[1] for read in S._reads.values() if read[1])
     assert S._order == splits
     fresh = _ShellState(S.complex())
@@ -90,7 +95,6 @@ def _matches_a_fresh_state(S):
     assert ridges(S) == ridges(fresh)
     assert S._rim == fresh._rim
     assert S._over == fresh._over
-    assert S._widths == fresh._widths
     assert through(S) == through(fresh)
 
 
@@ -136,7 +140,7 @@ def test_state_matches_enumeration_along_seeded_walks(name):
     rng = random.Random(len(name))
     removed = []
     for _ in range(120):
-        listed = enumerate_moves(S, "shell")
+        listed = S.pairs()
         kept = list(listed)
         if removed and (len(S.facets) == 1 or rng.random() < 0.4):
             S.undo()
@@ -158,10 +162,36 @@ def test_state_matches_enumeration_along_seeded_walks(name):
 
 
 def test_shell_state_enumerates_shell_moves_only():
+    """A shell state lists its moves through ``pairs()`` alone:
+    ``enumerate_moves`` reads no working copy but a flip state."""
     S = _ShellState(_strip(5))
-    assert enumerate_moves(S, "shell")
-    with pytest.raises(ValueError):
-        enumerate_moves(S, "bistellar")
+    assert S.pairs()
+    for kind in ("shell", "bistellar"):
+        with pytest.raises(ValueError):
+            enumerate_moves(S, kind)
+
+
+@pytest.mark.parametrize("facets, shelling", [
+    ([(0, 1, 2), (3, 4)], None),
+    ([(0, 1, 2)], ShellingSequence((), (0, 1, 2), None)),
+    ([], ShellingSequence((), (), None)),
+])
+def test_no_state_is_built_where_no_shell_move_exists(
+        facets, shelling, monkeypatch):
+    """An impure complex, a single facet and {-} have no shell move: the
+    search and enumeration answer without building a state."""
+    built = []
+    real = _ShellState.__init__
+
+    def counting(self, M):
+        built.append(M)
+        real(self, M)
+
+    monkeypatch.setattr(_ShellState, "__init__", counting)
+    K = Complex.from_facets(facets)
+    assert find_shelling(K) == shelling
+    assert enumerate_moves(K, "shell") == []
+    assert built == []
 
 
 SHELLINGS = {
