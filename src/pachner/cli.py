@@ -72,7 +72,6 @@ from .moves import (
     parse_simplex,
 )
 from .recognize import (
-    DEFAULT_BUDGET,
     DEFAULT_MAX_CELLS,
     DEFAULT_SHELLING_BUDGET,
     NOT_MANIFOLD,
@@ -399,7 +398,7 @@ def _build_parser():
     q = command("validate", _cmd_validate,
                 "structure report, manifold check, ball/sphere recognition")
     q.add_argument("complex", help="facet file")
-    q.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+    q.add_argument("--budget", type=_budget, default=DEFAULT_SHELLING_BUDGET,
                    help="shelling-search node budget of each recognition "
                    "(default %(default)s)")
     q.add_argument("--all-links", action="store_true",

@@ -21,22 +21,23 @@ core is moved along the witness by one checked exchange per square,
 whose check gives the square's sub-link: no square reads a link or
 copies the core.
 
-The private builders (_cone_steps, _join_steps, recognize._cone_flips
-and its inverse recognize._flips_to_cone) compute steps by label
-arithmetic and check nothing.  Every returned object is certified once,
-in its own complex: a public combinator replays the caller's shelling
-and its own output, and a transcript is replayed once in the caller's
-complex against the exact result.  For an exchange that is the one-move
-result.  One entry (_expansion) serves
-exchange_to_bistellar, which first checks the caller's factorization
-and witness, and expand_exchange, whose own are correct by
-construction; every witness, the top one and each one read for a
-sub-link, enters the session's labels through ExpansionSession.take.
-For starrings, one expansion path (subdivision_to_bistellar, of which
-star_move_transcript is the case of one starring) takes them in turn on
-one working copy, checks each once there and reads its link from that
-check, and the whole transcript is replayed against that copy.  A
-failure of our own output is a fault, raised as RuntimeError.
+The private builders (_cone_steps, _join_steps with _boundary_shelling,
+recognize._cone_flips and its inverse recognize._flips_to_cone) compute
+steps by label arithmetic, search nothing and check nothing.  Every
+returned object is certified once, in its own complex: a public
+combinator replays the caller's shelling and its own output, and a
+transcript is replayed once in the caller's complex against the exact
+result.  For an exchange that is the one-move result.  One entry
+(_expansion) serves exchange_to_bistellar, which first checks the
+caller's factorization and witness, and expand_exchange, whose own are
+correct by construction; every witness, the top one and each one read
+for a sub-link, enters the session's labels through
+ExpansionSession.take.  For starrings, one expansion path
+(subdivision_to_bistellar, of which star_move_transcript is the case of
+one starring) takes them in turn on one working copy, checks each once
+there and reads its link from that check, and the whole transcript is
+replayed against that copy.  A failure of our own output is a fault,
+raised as RuntimeError.
 """
 
 from __future__ import annotations
@@ -120,6 +121,15 @@ def cone_shelling(X, sh, v):
     return out
 
 
+def _boundary_shelling(W):
+    """The shelling find_shelling finds for the boundary of the simplex
+    on the sorted labels W, unchecked: remove W - W[-1], then shell
+    W - W[j] with A = W[j + 1:] for j from len(W) - 2 down to 1, ending
+    at W - W[0].  The boundary of one vertex is {-}, shelled at once."""
+    steps = tuple(Shell(W[j + 1:], W[:j]) for j in range(len(W) - 2, 0, -1))
+    return ShellingSequence(steps, W[1:], W[:-1] or None)
+
+
 def _join_steps(sh, W):
     """join_boundary_shelling over the labels W, unchecked; the base {-}
     (terminal ()) joins to the simplex boundary itself, and a sphere-mode
@@ -127,12 +137,12 @@ def _join_steps(sh, W):
     if len(W) == 1:
         return sh
     if sh.terminal == ():
-        return find_shelling(simplex_boundary(W))
+        return _boundary_shelling(W)
     C, v = W[:-1], W[-1]
     steps, initial = [], None
     if sh.initial is not None:
         D = sh.initial
-        shC = find_shelling(simplex_boundary(C))
+        shC = _boundary_shelling(C)
         if shC.initial is not None:
             steps.append(Shell((v,), tuple(sorted(shC.initial + D))))
         steps.extend(

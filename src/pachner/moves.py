@@ -250,15 +250,13 @@ def _check_shell(S, A, B):
 
 
 def _check_unshell(S, A, B):
-    """Gluing F = A * B must add F alone, and Shell must undo it."""
+    """Gluing F = A * B is legal when F is not yet a face and Shell(A, B)
+    is legal on the glued copy.  A facet inside F makes that copy impure,
+    so the Shell check refuses it as a boundary undefined."""
     F = tuple(sorted(A + B))
     if S._star(F):
         return LegalityReport(False, f"glued facet {fmt_simplex(F)} already present")
-    gone, new = _unshell_surgery(S, A, B, None)
-    if gone:
-        return LegalityReport(
-            False, f"glued facet {fmt_simplex(F)} contains a facet of the complex")
-    back = _check_shell(_WorkingComplex(S)._replace(gone, new), A, B)
+    back = _check_shell(_WorkingComplex(S)._replace((), (F,)), A, B)
     if not back.legal:
         return LegalityReport(False, f"gluing is not a shelling inverse: {back.reason}")
     return LegalityReport(True)
@@ -331,10 +329,9 @@ def _shell_surgery(S, A, B, L):
 
 
 def _unshell_surgery(S, A, B, L):
-    """Gluing F = A * B drops the facets inside F (none when legal)."""
-    F = tuple(sorted(A + B))
-    inside = set(F).issuperset
-    return [f for f in S.facets if inside(f)], (F,)
+    """Gluing F = A * B inserts F and removes nothing, the mirror of
+    ``_shell_surgery``: ``_check_unshell`` refuses a facet inside F."""
+    return (), (tuple(sorted(A + B)),)
 
 
 _ab = attrgetter("A", "B")
@@ -511,12 +508,10 @@ class _FlipState(_WorkingComplex):
     Besides the facets and their incidence it keeps the facets on each
     nonempty face, per-size face counts, and for every face A whose link
     is a simplex boundary the link's vertices (() when A is a facet).
-    The link is read from the facets on A by ``_simplex_link``, the rule
-    the flip check also reads, with no link built.  ``_retest`` keeps
-    the rule's cases of one and two facets inline, as most faces are
-    decided there, and skips at once a face with n + len(A) above
-    dim + 2, as a facet has at most dim + 1 vertices.  Flip A -> B is
-    then legal exactly when B is absent, and ``_legal`` keeps the (A, B)
+    Each link is read from the facets on A by ``_simplex_link``, the
+    rule the flip check also reads, with no link built; ``_retest``
+    decides links through it alone.  Flip A -> B is then
+    legal exactly when B is absent, and ``_legal`` keeps the (A, B)
     pairs of the legal flips in sorted order (B is () for a facet, whose
     flip takes the fresh label), with a map from each B to the faces A
     whose link is dB.  A legal flip changes in two places only: where a
@@ -600,26 +595,17 @@ class _FlipState(_WorkingComplex):
                         insort(self._legal, (A, s))
 
     def _retest(self, faces):
-        """Re-decide the links of `faces`; returns (A, old, new) for each
-        face whose link changed, old and new being the link's vertices
-        before and after, or None when it is no simplex boundary."""
+        """Re-decide the links of `faces` by ``_simplex_link``, which is
+        not called for a face on more than dim + 2 - len(A) facets: a
+        facet has at most dim + 1 vertices, so that link is no simplex
+        boundary.  Returns (A, old, new) for each face whose link
+        changed, old and new being the link's vertices before and after,
+        or None when it is no simplex boundary."""
         links, on, top = self._links, self._on, len(self._sizes)
         changed = []
         for A in faces:
-            star = on.get(A, ())  # an absent face is skipped
-            n = len(star)
-            B = None
-            if n == 2:  # _simplex_link's 0-sphere, inline
-                F, G = star
-                if len(F) == len(G) == len(A) + 1:
-                    a = sum(A)
-                    x, y = sum(F) - a, sum(G) - a
-                    B = (x, y) if x < y else (y, x)
-            elif n == 1:  # link {-} exactly when A is its one facet
-                if star[0] == A:
-                    B = ()
-            elif 2 < n <= top - len(A):  # a facet has at most top - 1 labels
-                B = _simplex_link(A, star)
+            star = on.get(A, ())  # an absent face has no link
+            B = _simplex_link(A, star) if len(star) <= top - len(A) else None
             old = links.get(A)
             if old != B:
                 changed.append((A, old, B))

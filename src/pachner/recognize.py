@@ -46,7 +46,6 @@ from .moves import (
     invert_transcript,
 )
 
-DEFAULT_BUDGET = 4000
 DEFAULT_SHELLING_BUDGET = 100_000
 DEFAULT_MAX_CELLS = 200_000
 
@@ -415,13 +414,13 @@ def _link_verdict(L, budget):
 
 
 def _evidence(K, budget):
-    """(t, V): a ball's shelling t down to its terminal facet V, or a
+    """(t, V): no moves and V = K's vertices when K is a simplex
+    boundary; otherwise from ``find_shelling``, a ball's shelling t down
+    to its terminal facet V (no steps when K is one facet), or a
     sphere's shelling (initial facet F) turned into the f_d - 1 flips t
     that carry K to the boundary of V = F + (apex,), certified by one
     replay in K.  None when the shelling search proves that K has no
     shelling; BudgetExhaustedError when it runs out of budget first."""
-    if len(K.facets) == 1:
-        return Transcript(), next(iter(K.facets))
     if is_simplex_boundary(K):
         return Transcript(), K.vertices()
     sh = find_shelling(K, budget)
@@ -465,7 +464,7 @@ def _cone_apex(K):
     return min((v for v in by if len(by[v]) == n), default=None)
 
 
-def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
+def recognize_ball_or_sphere(K, budget=DEFAULT_SHELLING_BUDGET):
     """Verdict on whether K is a combinatorial ball or sphere.
 
     Dimension <= 2 is decided exactly from one pass over the facets:
@@ -522,7 +521,7 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_BUDGET):
     return Verdict(UNKNOWN, reason=f"{shape.lower()} homology, but {missing}")
 
 
-def verify_combinatorial_manifold(M, budget=DEFAULT_BUDGET,
+def verify_combinatorial_manifold(M, budget=DEFAULT_SHELLING_BUDGET,
                                   audit_all_links=False):
     """Manifold when every vertex link (every simplex link, under
     audit_all_links) is verdict Sphere or Ball; NotManifold with the

@@ -136,6 +136,16 @@ def test_join_boundary_shelling_r_zero_is_identity(sphere2):
     assert join_boundary_shelling(0, sphere2, sh) is sh
 
 
+def test_simplex_boundary_shelling_is_computed_as_searched():
+    """The join builder shells a simplex boundary by label arithmetic:
+    the same sequence as find_shelling's, from {-} (one label, no
+    initial facet) up to nine labels, on consecutive and spread labels."""
+    for n in range(1, 10):
+        for W in (tuple(range(n)), tuple(range(4, 4 + 3 * n, 3))):
+            assert pachner.expander._boundary_shelling(W) == find_shelling(
+                simplex_boundary(W)), W
+
+
 # -- ball-to-cone transcripts ----------------------------------------------
 
 

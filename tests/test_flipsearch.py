@@ -159,10 +159,9 @@ def test_prove_equivalent_shells_balls():
 
 
 def test_prove_equivalent_shells_past_the_recognition_budget():
-    """A strip of 4,100 triangles needs more shelling nodes than
-    recognition's default budget of 4,000; prove-equiv shells within
-    the shell-find default and certifies it by 4,099 Shell moves, with
-    no annealing.  Replaying that many Shell moves is quadratic, so the
+    """A strip of 4,100 triangles needs a shelling node per facet;
+    prove-equiv shells within the shell-find default, which recognition
+    shares, and certifies it by 4,099 Shell moves, with no annealing.  Replaying that many Shell moves is quadratic, so the
     certificate is not replayed here."""
     strip = Complex.from_facets([(i, i + 1, i + 2) for i in range(4100)])
     cert = prove_equivalent(strip, full_simplex((0, 1, 2)),

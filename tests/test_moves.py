@@ -388,6 +388,21 @@ def test_unshell_rejects_bad_gluings(sphere2):
     assert not check_move(M, Unshell((0, 3), (4,))).legal
 
 
+def test_unshell_over_a_facet_is_the_shell_check_on_the_glued_copy():
+    """Gluing [0 1 2] onto the path [0 1] [1 2] would swallow both edges:
+    the glued copy is impure, so the Shell check there refuses it, and
+    applying it raises with the same report."""
+    path = Complex.from_facets([(0, 1), (1, 2)])
+    mv = Unshell((0,), (1, 2))
+    report = check_move(path, mv)
+    assert not report.legal
+    assert report.reason.startswith(
+        "gluing is not a shelling inverse: boundary undefined")
+    with pytest.raises(IllegalMoveError) as err:
+        apply_move(path, mv)
+    assert err.value.report == report
+
+
 def test_unshell_enumeration_is_deterministic():
     M = Complex.from_facets([(1, 2, 3)])
     moves = enumerate_moves(M, "unshell")

@@ -460,7 +460,7 @@ def test_recognize_dim_le_2_matches_link_by_link_reference():
     and under a seeded relabelling into range(2n): value, reason and
     evidence equal those of the link-by-link reference, whose yes-verdicts
     carry the evidence of an exactly decided verdict."""
-    from pachner.recognize import DEFAULT_BUDGET, _exact_evidence
+    from pachner.recognize import DEFAULT_SHELLING_BUDGET, _exact_evidence
     rng = random.Random(1414)
     for k in (2, 3):
         cells = list(itertools.combinations(range(5), k))
@@ -471,7 +471,7 @@ def test_recognize_dim_le_2_matches_link_by_link_reference():
             image = rng.sample(range(2 * len(vs)), len(vs))
             for M in (K, K.relabel(dict(zip(vs, image)))):
                 value, reason = _reference_dim_le_2(M)
-                ev = (_exact_evidence(M, DEFAULT_BUDGET)
+                ev = (_exact_evidence(M, DEFAULT_SHELLING_BUDGET)
                       if value in (SPHERE, BALL) else None)
                 v = recognize_ball_or_sphere(M)
                 assert (v.value, v.reason, _evidence_text(v.evidence)) == (
@@ -574,7 +574,7 @@ def test_recognize_failed_shelling_search_is_unknown(sphere3, monkeypatch,
     assert v.value == UNKNOWN
     assert v.evidence is None
     assert v.reason.endswith({"none": "it has no shelling",
-                              "budget": "ran out of its 4000-node budget"}[
+                              "budget": "ran out of its 100000-node budget"}[
                                   outcome])
 
 
@@ -591,6 +591,24 @@ def test_unknown_reason_tells_no_shelling_from_no_budget():
     assert (v.value, v.reason) == (
         UNKNOWN, "sphere homology, but the shelling search ran out of its "
         "5-node budget")
+
+
+def test_recognition_shells_past_four_thousand_facets_by_default():
+    """Recognition searches within the shell-find default budget, so a
+    strip of 4,100 triangles, which needs a node per facet, is a Ball
+    whose evidence is a 4,099-step shelling.  Each step is replayed as a
+    legal move of a shelling state of the strip (a replay by check_move
+    is quadratic in the facet count), and one facet is left."""
+    from pachner.moves import Shell, _ShellState
+    strip = Complex.from_facets([(i, i + 1, i + 2) for i in range(4100)])
+    v = recognize_ball_or_sphere(strip)
+    assert v.value == BALL
+    assert len(v.evidence) == 4099
+    S = _ShellState(strip)
+    for mv in v.evidence:
+        assert type(mv) is Shell and (mv.A, mv.B) in S.pairs(), mv
+        S.remove(tuple(sorted(mv.A + mv.B)))
+    assert len(S.facets) == 1
 
 
 @pytest.mark.parametrize("facets, budget, verdict", [
