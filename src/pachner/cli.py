@@ -515,7 +515,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except RuntimeError as exc:
-        # budget exhaustion, the recursion limit, or an internal fault
+        # budget exhaustion, a search route that found nothing, the
+        # recursion limit, or an internal fault
         return _fail(exc, EXIT_UNKNOWN)
     except (AbsentSimplexError, IllegalMoveError, IllegalAtStepError,
             NotPseudomanifoldError, JoinCollisionError,

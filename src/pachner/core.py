@@ -554,7 +554,12 @@ def loads_complex(text):
 
 
 def dumps_complex(K):
-    lines = [" ".join(map(str, f)) for f in K.facet_list() if f]
+    """One facet per line in ``facet_list`` order, each formatted by one
+    ``%d`` template per facet size (labels are validated ints)."""
+    lines = []
+    for n, facets in itertools.groupby(K.facet_list(), len):
+        if n:  # not the empty facet of {-}
+            lines.extend(map(" ".join(["%d"] * n).__mod__, facets))
     if not lines:
         return "# empty complex\n"
     return "\n".join(lines) + "\n"

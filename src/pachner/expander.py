@@ -83,8 +83,20 @@ DEFAULT_EXPANSION_BUDGET = 100_000
 
 class NoExpansionError(ValueError):
     """A starring whose link, or an exchange whose link core, is not
-    closed or is unshellable: it has no bistellar expansion by this
-    construction."""
+    closed: it has no bistellar expansion at all.  A flip replaces the
+    ball A * dB by dA * B, which has the same boundary, so it keeps the
+    degree of every ridge outside the flipped star, and with it the
+    boundary of M and every ridge of degree 3 or more.  A starring or
+    exchange whose link is not closed removes such ridges through A,
+    so no sequence of flips can match it."""
+
+
+class ShellingRouteError(RuntimeError):
+    """The shelling route found no shelling of a closed link, so it
+    cannot expand the move.  That proves the link unshellable, not that
+    the move has no expansion: unshellable spheres exist, and by
+    Pachner's theorem a starring of a combinatorial manifold is a
+    sequence of flips."""
 
 
 # -- shelling combinators -----------------------------------------------
@@ -218,9 +230,9 @@ def star_move_transcript(M, A, budget=DEFAULT_EXPANSION_BUDGET, at=None):
 
 def _closed_shelling(L, budget, name, what):
     """A shelling of L, the link `name` that the expansion of `what`
-    reads.  NoExpansionError when L is not closed, before any search, or
-    has no shelling; BudgetExhaustedError when the search runs out of
-    its `budget` nodes first."""
+    reads.  NoExpansionError when L is not closed, before any search;
+    ShellingRouteError when L has no shelling; BudgetExhaustedError when
+    the search runs out of its `budget` nodes first."""
     if not _ridges_paired(L):
         raise NoExpansionError(
             f"{name} is not closed; {what} has no bistellar expansion")
@@ -230,7 +242,8 @@ def _closed_shelling(L, budget, name, what):
         raise BudgetExhaustedError(f"shelling search for {name} exhausted "
                                    f"its budget of {budget}") from None
     if sh is None:
-        raise NoExpansionError(f"{name} is unshellable; cannot expand {what}")
+        raise ShellingRouteError(
+            f"{name} is unshellable; the shelling route cannot expand {what}")
     return sh
 
 
@@ -347,9 +360,10 @@ def search_witness(L, budget=DEFAULT_EXPANSION_BUDGET):
     for a simplex boundary, else L's sphere evidence as exchanges, the
     flips carrying L to the boundary of its initial facet plus
     L.fresh_vertex().  The shelling passes the same gate as a
-    starring's link: NoExpansionError when L is not closed or has no
-    shelling, BudgetExhaustedError when the search runs out of its
-    `budget` nodes.  The witness is not replayed on L."""
+    starring's link: NoExpansionError when L is not closed,
+    ShellingRouteError when it has no shelling, BudgetExhaustedError
+    when the search runs out of its `budget` nodes.  The witness is not
+    replayed on L."""
     if is_simplex_boundary(L):
         return Witness(())
     name = f"link core with f-vector {L.f_vector().counts}"

@@ -31,8 +31,10 @@ malformed simplexes, data that is not a tuple and an A that meets B,
 and lets a fault in a family's check propagate.  ``_apply`` is the one
 checked step on a working copy: it checks the move there once, raises
 IllegalMoveError (carrying the report) and leaves the copy unchanged
-when the move is illegal, else applies the surgery in place, and
-returns the report, whose link factor the caller may read.
+when the move is illegal, else applies the surgery in place, handing
+an exchange-family surgery the st(A) its check read, so a step reads
+st(A) once, and returns the report, whose link factor the caller may
+read.
 ``apply_move`` is one ``_apply`` on a fresh working copy, which becomes
 the result's incidence; ``apply_transcript`` replays on one working
 copy through ``_replay``, one ``_apply`` per step.  Complexes stay
@@ -46,11 +48,12 @@ gives its reason and link factor.  Two working copies list the moves
 of a search, each keeping the legal ones as sorted (A, B) pairs, moved
 by bisection only where a move changed them, so a node lists its moves
 with one copy of that order.  ``_FlipState`` keeps the facets on each
-face and reads each link by the same rule; the flips onto a face B also
-change where B appears or vanishes.  Its ``moves()`` is the one flip
-lister, a ``_FlipListing`` that builds a Bistellar only when one is
-read.  ``_ShellState`` removes a facet, re-reads only the splits next to
-it and undoes a removal from its log; its ``pairs()`` is the one shell
+face of two or more vertices, its incidence being the vertex stars, and
+reads each link by the same rule; the flips onto a face B also change
+where B appears or vanishes.  Its ``moves()`` is the one flip lister,
+a ``_FlipListing`` that builds a Bistellar only when one is read.
+``_ShellState`` removes a facet, re-reads only the splits next to it
+and undoes a removal from its log; its ``pairs()`` is the one shell
 lister.  ``enumerate_moves`` on a complex builds a fresh state and
 returns a plain list, and on a ``_FlipState`` returns its kept listing;
 ``apply_move(S, move)`` also accepts a ``_FlipState``, checks the move
@@ -63,7 +66,7 @@ import itertools
 from bisect import bisect_left, insort
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .core import (
@@ -143,6 +146,9 @@ class LegalityReport:
     legal: bool
     reason: str = ""
     link_factor: Complex | None = None
+    # st(A) as a legal exchange-family check read it, which the surgery
+    # removes, so an applied step reads it once
+    _star: set | None = field(default=None, repr=False, compare=False)
 
 
 class IllegalMoveError(ValueError):
@@ -185,14 +191,14 @@ def _check_exchange(S, A, B):
         return LegalityReport(False, f"B = {fmt_simplex(B)} is already in the complex")
     lk = _link(star, A)
     if len(B) == 1:
-        return LegalityReport(True, link_factor=lk)
+        return LegalityReport(True, link_factor=lk, _star=star)
     L = lk.restrict(set(lk.vertices()) - set(B))
     if simplex_boundary(B).join(L) != lk:
         return LegalityReport(
             False,
             f"lk(A) does not factor as d{fmt_simplex(B)} * L",
         )
-    return LegalityReport(True, link_factor=L)
+    return LegalityReport(True, link_factor=L, _star=star)
 
 
 def _opposite(F, ridges):
@@ -299,9 +305,10 @@ def _check_bistellar(S, A, B):
     by the exchange check, so every refusal keeps its reason and link
     factor: a legal exchange with L other than {-} is refused with L."""
     if A:
-        lk = _simplex_link(A, S._star(A))
+        star = S._star(A)
+        lk = _simplex_link(A, star)
         if (lk == B or lk == () and len(B) == 1) and not S._star(B):
-            return LegalityReport(True, link_factor=_TRIVIAL)
+            return LegalityReport(True, link_factor=_TRIVIAL, _star=star)
     rep = _check_exchange(S, A, B)
     if rep.legal and rep.link_factor != _TRIVIAL:
         return LegalityReport(
@@ -313,22 +320,23 @@ def _check_bistellar(S, A, B):
 # -- application -------------------------------------------------------
 
 
-# A surgery maps (S, A, B, link factor) for a legal move to (gone, new):
-# the facets of the working copy S it removes and the facets it inserts.
+# A surgery maps (A, B, link factor, st(A)) for a legal move to (gone,
+# new): the facets it removes from the working copy and the facets it
+# inserts.  st(A) is the star the check read, for an exchange-family move.
 
 
-def _exchange_surgery(S, A, B, L):
+def _exchange_surgery(A, B, L, star):
     """A legal exchange drops st(A) and inserts (A - v) * B * C over v in
     A, C a facet of L."""
-    return S._star(A), {tuple(sorted(A[:i] + A[i + 1:] + B + C))
-                        for i in range(len(A)) for C in L.facets}
+    return star, {tuple(sorted(A[:i] + A[i + 1:] + B + C))
+                  for i in range(len(A)) for C in L.facets}
 
 
-def _shell_surgery(S, A, B, L):
+def _shell_surgery(A, B, L, star):
     return (tuple(sorted(A + B)),), ()
 
 
-def _unshell_surgery(S, A, B, L):
+def _unshell_surgery(A, B, L, star):
     """Gluing F = A * B inserts F and removes nothing, the mirror of
     ``_shell_surgery``: ``_check_unshell`` refuses a facet inside F."""
     return (), (tuple(sorted(A + B)),)
@@ -379,13 +387,13 @@ def check_move(M, move):
 def _apply(S, move):
     """The one checked step on the working copy S: check the move once on
     S, raise IllegalMoveError (S unchanged) if it is illegal, else apply
-    its surgery to S in place.  Returns the report, whose link factor
-    the caller may read."""
+    its surgery to S in place, handing it the st(A) the check read.
+    Returns the report, whose link factor the caller may read."""
     report = check_move(S, move)
     if not report.legal:
         raise IllegalMoveError(move, report)
     pair, _, surgery, _ = _FAMILIES[type(move)]
-    S._replace(*surgery(S, *pair(move), report.link_factor))
+    S._replace(*surgery(*pair(move), report.link_factor, report._star))
     return report
 
 
@@ -497,21 +505,24 @@ def enumerate_moves(M, kind):
     return sorted(legal, key=lambda mv: _FAMILIES[type(mv)][0](mv))
 
 
-def _nonempty_faces(f):
+def _faces(f, least):
+    """The faces of f of `least` or more vertices."""
     return itertools.chain.from_iterable(
-        itertools.combinations(f, r) for r in range(1, len(f) + 1))
+        itertools.combinations(f, r) for r in range(least, len(f) + 1))
 
 
 class _FlipState(_WorkingComplex):
     """A working copy of a complex for walks over bistellar moves.
 
     Besides the facets and their incidence it keeps the facets on each
-    nonempty face, per-size face counts, and for every face A whose link
-    is a simplex boundary the link's vertices (() when A is a facet).
-    Each link is read from the facets on A by ``_simplex_link``, the
-    rule the flip check also reads, with no link built; ``_retest``
-    decides links through it alone.  Flip A -> B is then
-    legal exactly when B is absent, and ``_legal`` keeps the (A, B)
+    face of two or more vertices, per-size face counts, and for every
+    face A whose link is a simplex boundary the link's vertices (() when
+    A is a facet).  Each vertex star, a point facet's too, is kept once,
+    as the incidence: the state reads it there, and its vertex count is
+    the incidence's.  Each link is read from the facets on A by
+    ``_simplex_link``, the rule the flip check also reads, with no link
+    built; ``_retest`` decides links through it alone.  Flip A -> B is
+    then legal exactly when B is absent, and ``_legal`` keeps the (A, B)
     pairs of the legal flips in sorted order (B is () for a facet, whose
     flip takes the fresh label), with a map from each B to the faces A
     whose link is dB.  A legal flip changes in two places only: where a
@@ -521,24 +532,26 @@ class _FlipState(_WorkingComplex):
     may start far from the flip, as the two poles of a suspension do.
     Each moves one pair by bisection, so no flip re-sorts or rebuilds
     the order.  The state is built in one pass over the facets and
-    their proper faces, not by inserting facets one at a time through
-    ``_tally``: every facet's link is {-} with no test, ``_retest``
-    decides the other faces, and one pass over the links in sorted order
-    fills ``_legal``.  ``moves()`` lists the order with one copy; it is
-    the one flip lister, which ``enumerate_moves(M, "bistellar")`` calls
-    on a fresh state.  Walks drive it through ``enumerate_moves`` and
+    their proper faces of two or more vertices, not by inserting facets
+    one at a time through ``_tally``: every facet's link is {-} with no
+    test, the other links are decided from the (face, star) items of
+    that map and of the incidence under ``_retest``'s size bound, and
+    one pass over the links in sorted order fills ``_legal``.
+    ``moves()`` lists the order with one copy; it is the one flip
+    lister, which ``enumerate_moves(M, "bistellar")`` calls on a fresh
+    state.  Walks drive it through ``enumerate_moves`` and
     ``apply_move``.  Its face counts are the f-vector: it fills the
-    cached one of the complex it is built from, when not yet counted, and
-    of every complex ``complex()`` returns, so neither builds a face
-    closure to count it.
+    cached one of the complex it is built from, when not yet counted,
+    and of every complex ``complex()`` returns, so neither builds a
+    face closure to count it.
     """
 
     def __init__(self, M):
         super().__init__(M)
-        on = self._on = {}       # nonempty face -> the facets on it
+        on = self._on = {}       # face of 2+ vertices -> the facets on it
         combinations = itertools.combinations
         for f in M.facets:
-            for r in range(1, len(f)):  # every face of f but f
+            for r in range(2, len(f)):  # but f, which joins below
                 for s in combinations(f, r):
                     star = on.get(s)
                     if star is None:
@@ -546,15 +559,26 @@ class _FlipState(_WorkingComplex):
                     else:
                         star.append(f)
         facets = [f for f in M.facets if f]  # not the empty facet of {-}
-        self._sizes = sizes = [0] * (M.dim + 2)  # face size -> faces
+        top = M.dim + 2
+        self._sizes = sizes = [0] * top  # face size -> faces
         # face -> its link's vertices, when the link is a simplex boundary;
-        # a facet's link is {-}, and no other face's is
+        # a facet's link is {-}, and no other face's is.  The other links
+        # are decided from each (face, star) item under _retest's size
+        # bound, with no second lookup per face and no change list
         links = self._links = dict.fromkeys(facets, ())
-        self._retest(on)         # on holds every face but the facets
+        vertex_stars = (((v,), star) for v, star in self._by_vertex.items())
+        for A, star in itertools.chain(on.items(), vertex_stars):
+            if len(star) <= top - len(A):
+                B = _simplex_link(A, star)
+                if B is not None:
+                    links[A] = B
         for f in facets:
-            on[f] = [f]
+            if len(f) > 1:
+                on[f] = [f]
         for s in on:
             sizes[len(s)] += 1
+        if facets:  # not {-}: the vertex count is the incidence's
+            sizes[1] = len(self._by_vertex)
         onto = self._onto = {}   # B -> the faces A with lk(A) = dB
         legal = self._legal = []  # the (A, B) of every legal flip, sorted
         for A in sorted(links):
@@ -570,8 +594,9 @@ class _FlipState(_WorkingComplex):
     def _tally(self, f, step):
         super()._tally(f, step)
         on, sizes, onto = self._on, self._sizes, self._onto
+        sizes[1] = len(self._by_vertex)
         if step > 0:
-            for s in _nonempty_faces(f):
+            for s in _faces(f, 2):  # the faces on which facets are kept
                 star = on.get(s)
                 if star is None:  # the face appears
                     on[s] = [f]
@@ -583,7 +608,7 @@ class _FlipState(_WorkingComplex):
                 else:
                     star.append(f)
             return
-        for s in _nonempty_faces(f):
+        for s in _faces(f, 2):
             star = on[s]
             if len(star) > 1:
                 star.remove(f)
@@ -598,13 +623,16 @@ class _FlipState(_WorkingComplex):
         """Re-decide the links of `faces` by ``_simplex_link``, which is
         not called for a face on more than dim + 2 - len(A) facets: a
         facet has at most dim + 1 vertices, so that link is no simplex
-        boundary.  Returns (A, old, new) for each face whose link
-        changed, old and new being the link's vertices before and after,
-        or None when it is no simplex boundary."""
-        links, on, top = self._links, self._on, len(self._sizes)
+        boundary.  A vertex's facets are read from the incidence.
+        Returns (A, old, new) for each face whose link changed, old and
+        new being the link's vertices before and after, or None when it
+        is no simplex boundary."""
+        links, on, by = self._links, self._on, self._by_vertex
+        top = len(self._sizes)
         changed = []
         for A in faces:
-            star = on.get(A, ())  # an absent face has no link
+            # an absent face has no link
+            star = on.get(A, ()) if len(A) > 1 else by.get(A[0], ())
             B = _simplex_link(A, star) if len(star) <= top - len(A) else None
             old = links.get(A)
             if old != B:
@@ -646,16 +674,20 @@ class _FlipState(_WorkingComplex):
 
     def apply(self, mv):
         """Apply a flip that moves() lists; raises IllegalMoveError
-        otherwise.  No link is recomputed to check it."""
+        otherwise.  No link is recomputed to check it, and the surgery
+        removes a copy of the kept st(A)."""
         if not self._lists(mv):
             raise IllegalMoveError(mv, LegalityReport(
                 False, "not a flip of the working state"))
-        gone, new = _exchange_surgery(self, mv.A, mv.B, _TRIVIAL)
+        # a copy of the kept st(A), which the surgery's removals change
+        star = (self._on[mv.A] if len(mv.A) > 1
+                else self._by_vertex[mv.A[0]])
+        gone, new = _exchange_surgery(mv.A, mv.B, _TRIVIAL, tuple(star))
         self._replace(gone, new)
         self._moves = None
         legal, onto, on = self._legal, self._onto, self._on
-        for A, old, B in self._retest({s for f in gone | new
-                                       for s in _nonempty_faces(f)}):
+        for A, old, B in self._retest({s for f in (*gone, *new)
+                                       for s in _faces(f, 1)}):
             if old is not None:
                 if old:
                     onto[old].remove(A)

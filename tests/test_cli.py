@@ -502,13 +502,18 @@ def test_expand_exchange_of_an_open_link_core_exits_1(tmp_path, capsys):
         "has no bistellar expansion\n")
 
 
-def test_expand_star_of_an_unshellable_link_exits_1(tmp_path, monkeypatch,
+def test_expand_star_of_an_unshellable_link_exits_2(tmp_path, monkeypatch,
                                                    capsys):
+    """A closed link with no shelling defeats the shelling route only:
+    unshellable spheres exist, so the starring may still have an
+    expansion, and the answer is unknown (exit 2), not a disproof."""
     monkeypatch.setattr(pachner.expander, "find_shelling",
                         lambda L, budget=None: None)
     assert main(["expand-star", _cx(tmp_path, standard_sphere(3)),
-                 "--simplex", "0 1"]) == 1
-    assert "is unshellable" in capsys.readouterr().err
+                 "--simplex", "0 1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: lk([0 1]) is unshellable; the shelling route cannot "
+        "expand this starring\n")
 
 
 def test_reduce_reaches_simplex_boundary(tmp_path, sphere2, capsys):

@@ -407,6 +407,46 @@ def test_facet_list_orders_by_length_then_lexicographically():
     assert simplex_boundary(()).facet_list() == [()]
 
 
+def _dumps_reference(K):
+    """The facet file as one str per label: the format dumps_complex
+    must reproduce byte for byte."""
+    lines = [" ".join(map(str, f)) for f in K.facet_list() if f]
+    return "\n".join(lines) + "\n" if lines else "# empty complex\n"
+
+
+DUMPS_INPUTS = {
+    "{-}": lambda: simplex_boundary(()),
+    "one point": lambda: Complex.from_facets([(0,)]),
+    "impure, facets of three sizes": lambda: Complex.from_facets(
+        [(3, 4, 5), (0, 9), (0, 1, 7), (10,), (8, 9), (5, 6, 7, 8)]),
+    "labels above 10^6": lambda: Complex.from_facets(
+        [(0, 10**6 + 1, 2**40), (7, 10**6 + 1), (10**18,)]),
+    "Csaszar torus": csaszar_torus,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMPS_INPUTS))
+def test_dumps_complex_matches_the_str_join_reference(name):
+    """dumps_complex formats each facet through a %d template per facet
+    size: the bytes are those of joining str(label), and they load back
+    to the complex; {-} prints the empty-complex comment."""
+    K = DUMPS_INPUTS[name]()
+    text = dumps_complex(K)
+    assert text == _dumps_reference(K)
+    assert loads_complex(text) == K
+    if name == "{-}":
+        assert text == "# empty complex\n"
+
+
+def test_dumps_complex_matches_the_reference_on_the_shell_corpus():
+    """The same on every complex of the shelling-rule corpus."""
+    from test_shell_rule import CORPUS
+    for K in CORPUS:
+        text = dumps_complex(K)
+        assert text == _dumps_reference(K)
+        assert loads_complex(text) == K
+
+
 def test_facet_file_parsing_rules():
     K = loads_complex("# comment\n\n0 1 2\n1 2 3\n")
     assert K.facets == frozenset({(0, 1, 2), (1, 2, 3)})

@@ -32,6 +32,7 @@ from pachner.expander import (
     ExpansionSession,
     LinkFactorization,
     NoExpansionError,
+    ShellingRouteError,
     Witness,
     ball_to_cone_transcript,
     cone_shelling,
@@ -269,8 +270,9 @@ def test_flip_replay_on_a_complex_builds_no_face_set(monkeypatch):
 
 def test_flip_replay_reads_one_working_copy(monkeypatch):
     """Replaying the 516 flips of S4 -> sd S4 builds one working copy and
-    reads at most three stars per flip: st(A) and B for the check, st(A)
-    for the surgery."""
+    reads two stars per flip, st(A) and B, both for the check: the
+    surgery removes the st(A) the check read (three per flip when it
+    read st(A) again)."""
     S4 = simplex_boundary(range(6))
     t = subdivision_to_bistellar(S4, derived_subdivision_transcript(S4))
     assert len(t) == 516
@@ -289,7 +291,7 @@ def test_flip_replay_reads_one_working_copy(monkeypatch):
     monkeypatch.setattr(_WorkingComplex, "_star", counting_star)
     end = apply_transcript(S4, t)
     assert built == [_WorkingComplex]
-    assert len(stars) <= 3 * len(t)
+    assert len(stars) == 2 * len(t)
     monkeypatch.undo()
     assert end.f_vector() == derived_subdivision(S4).f_vector()
 
@@ -420,15 +422,18 @@ def test_search_witness_budget_error(torus7):
 
 def test_search_witness_refuses_an_unshellable_core(monkeypatch):
     """A core passes the starring's gate: a closed core with no shelling
-    is a named refusal, not an exhausted search."""
+    defeats the shelling route, a RuntimeError that is neither a
+    disproof (unshellable spheres exist) nor an exhausted search."""
     monkeypatch.setattr(pachner.expander, "find_shelling",
                         lambda L, budget=None: None)
     hexagon = Complex.from_facets(
         [(i, 2 + (i - 1) % 6) for i in range(2, 8)])
-    with pytest.raises(NoExpansionError, match=(
+    with pytest.raises(ShellingRouteError, match=(
             r"^link core with f-vector \(6, 6\) is unshellable; "
-            r"cannot expand this exchange$")):
+            r"the shelling route cannot expand this exchange$")) as info:
         search_witness(hexagon)
+    assert not isinstance(info.value, (NoExpansionError,
+                                       BudgetExhaustedError))
 
 
 # -- exchange expansion ------------------------------------------------------

@@ -253,6 +253,14 @@ WALKS = {
     "impure": lambda: Complex.from_facets(
         [(0, 1, 2), (1, 2, 3), (2, 3, 4, 5), (5, 6), (6, 7), (5, 7), (8,)]),
     "sd S4": lambda: derived_subdivision(standard_sphere(4)),
+    # in dimension 1 every face but a facet is a vertex, so every link
+    # is read from the incidence
+    "circle": lambda: Complex.from_facets(
+        [(i, (i + 1) % 7) for i in range(7)]),
+    # vertices 0 and 1 joined by paths of 2, 3 and 4 edges
+    "theta graph": lambda: Complex.from_facets(
+        [(0, 2), (1, 2), (0, 3), (3, 4), (1, 4),
+         (0, 5), (5, 6), (6, 7), (1, 7)]),
 }
 # every step builds a fresh state and a new complex with thousands of
 # faces
@@ -266,14 +274,19 @@ def _counted(K):
 
 
 def _assert_faces_kept(state, K):
-    """The working state keeps, on each nonempty face of K and on no
-    other key, the facets of st(A, K), each once, and K's f-vector."""
-    faces = {A for A in K.faces() if A}
+    """The working state keeps, on each face of K of two or more
+    vertices (the facets among them) and on no other key, the facets of
+    st(A, K), each once; its incidence holds the star of every vertex, a
+    point facet's too; and it keeps K's f-vector."""
+    faces = {A for A in K.faces() if len(A) > 1}
     assert state._on.keys() == faces
     for A in faces:
         star = state._on[A]
         assert len(star) == len(set(star))
         assert set(star) == set(K.star(A).facets)
+    assert state._by_vertex.keys() == set(K.vertices())
+    for v, star in state._by_vertex.items():
+        assert star == set(K.star((v,)).facets)
     assert tuple(state._sizes[1:]) == _counted(K).counts
 
 
