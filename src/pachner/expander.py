@@ -42,7 +42,9 @@ raised as RuntimeError.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (
     BudgetExhaustedError,
@@ -330,20 +332,24 @@ def factor_link(L):
 
     Returns (core, spheres) with L equal to the join of `core` and the
     boundaries of the `spheres` simplexes, and no such factor left in
-    the core.  Candidates are minimal nonfaces, largest first."""
+    the core, on a link of any size.  Candidates are minimal nonfaces,
+    largest first.  A candidate W reaches the exact join test only when
+    each w in W lies on (|W| - 1)/|W| of L's facets, counted over the
+    facets with no working copy built: every factor dW * rest does, as
+    its facets are the (W - w) * C, C a facet of rest."""
     spheres = []
     while True:
         if L.vertices() and is_simplex_boundary(L):
             spheres.append(L.vertices())
             L = _TRIVIAL
             break
-        try:
-            cands = _minimal_nonfaces(L)
-        except BudgetExhaustedError:
-            break
         found = None
         verts = set(L.vertices())
-        for W in sorted(cands, key=lambda w: (-len(w), w)):
+        on, n = Counter(chain.from_iterable(L.facets)), len(L.facets)
+        for W in sorted(_minimal_nonfaces(L), key=lambda w: (-len(w), w)):
+            k = len(W)
+            if any(k * on[w] != (k - 1) * n for w in W):
+                continue
             rest = L.restrict(verts - set(W))
             if simplex_boundary(W).join(rest) == L:
                 found = (W, rest)

@@ -63,14 +63,13 @@ by lookups and flips S in place.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .core import (
-    BudgetExhaustedError,
     Complex,
     EMPTY,
     _TRIVIAL,
@@ -432,23 +431,25 @@ def invert(move):
 # -- enumeration -------------------------------------------------------
 
 
-def _minimal_nonfaces(L, max_vertices=16):
-    """Vertex sets that are not simplexes of L though every proper
-    subset is.  These are the only candidates B with dB contained in L."""
-    vs = L.vertices()
-    if len(vs) > max_vertices:
-        raise BudgetExhaustedError(
-            f"link has {len(vs)} vertices, above the nonface enumeration "
-            f"cap of {max_vertices}")
+def _minimal_nonfaces(L):
+    """Vertex sets of two or more vertices of L that are not simplexes of
+    L though every proper subset is, sorted by (size, labels).  These are
+    the only candidates B with dB contained in L.  One pass over the
+    faces F of L: a minimal nonface less its largest vertex v is a face,
+    so it is F + (v,) for a v above max(F), kept when it is no face and
+    its facets other than F are faces.  L may have any number of
+    vertices."""
     faces = L.faces()
+    vs = L.vertices()
     out = []
-    for s in range(2, len(vs) + 1):
-        for S in itertools.combinations(vs, s):
-            if S in faces:
-                continue
-            if all(S[:i] + S[i + 1:] in faces for i in range(s)):
-                out.append(S)
-    return out
+    for F in faces:
+        if F:
+            for v in vs[bisect_right(vs, F[-1]):]:
+                S = F + (v,)
+                if S not in faces and all(
+                        S[:i] + S[i + 1:] in faces for i in range(len(F))):
+                    out.append(S)
+    return sorted(sorted(out), key=len)
 
 
 def enumerate_moves(M, kind):
@@ -741,10 +742,11 @@ class _ShellState(_WorkingComplex):
     kept here.
 
     Besides the facets and their incidence it keeps the facets on each
-    ridge, the boundary ridges with a vertex -> boundary ridges map (with
-    the incidence, the three maps a split is read from), kept as facets
-    come and go.  It also keeps the read of each facet on a boundary
-    ridge: the vertices A opposite its boundary ridges and ``_split``'s
+    ridge, a boundary ridge being one on one facet, and a vertex ->
+    boundary ridges map (with the incidence, the three maps a split is
+    read from), kept as facets come and go.  It also keeps the read of
+    each facet on a boundary ridge: the vertices A opposite its boundary
+    ridges, each read as the label the facet adds to one, and ``_split``'s
     answer (a facet on none has A = () and no split), and the legal
     shell moves as (A, B) pairs in one sorted list, which ``pairs()``
     copies.  ``closed`` says whether the complex it was built from has
@@ -757,7 +759,8 @@ class _ShellState(_WorkingComplex):
     ``remove(G)`` drops the facet G and re-reads only the facets meeting
     G that now lie alone on a ridge of G or whose A or B lies in G: no
     other split can change, and only a ridge of G changes an A.  The
-    first are read from the ridge map; the second have an A already, so
+    first are found in the ridge map and their A read again from it as
+    the build reads it; the second have an A already, so
     it counts the vertices they share with G only for the facets on a
     boundary ridge, and no test builds a set per facet.  Only a split
     that changed is moved in the list, by bisection, so no node sorts or
@@ -771,13 +774,11 @@ class _ShellState(_WorkingComplex):
         on = self._on = _ridges(self.facets)  # ridge -> the facets on it
         # the ridges in three or more facets
         self._over = sum(map((2).__lt__, map(len, on.values())))
-        self._rim = rim = set()  # the ridges in one facet
         # vertex -> the boundary ridges on it (a set left empty stays)
         through = self._through = defaultdict(set)
         opposite = {}            # facet -> the vertices A opposite its rim
         for r, fs in on.items():
             if len(fs) == 1:
-                rim.add(r)
                 for v in r:
                     through[v].add(r)
                 F = fs[0]
@@ -795,7 +796,7 @@ class _ShellState(_WorkingComplex):
             A = tuple(sorted(A))
             reads[F] = A, _split(F, A, through, self._by_vertex)
         self._order = sorted(split for _, split in reads.values() if split)
-        self.closed = not rim and not self._over
+        self.closed = not opposite and not self._over
 
     def _tally(self, f, step):
         """Insert (step 1) or remove (step -1) the facet f, moving it on
@@ -803,20 +804,18 @@ class _ShellState(_WorkingComplex):
         boundary as its facet count crosses 1, and ``_over`` moves only
         as the count crosses between 2 and 3."""
         super()._tally(f, step)
-        on, rim, through = self._on, self._rim, self._through
+        on, through = self._on, self._through
         ridges = itertools.combinations(f, len(f) - 1)
         if step > 0:
             for r in ridges:
                 fs = on.get(r)
                 if fs is None:  # r joins the complex and its boundary
                     on[r] = [f]
-                    rim.add(r)
                     for v in r:
                         through[v].add(r)
                     continue
                 fs.append(f)
                 if len(fs) == 2:  # r leaves the boundary
-                    rim.discard(r)
                     for v in r:
                         through[v].discard(r)
                 elif len(fs) == 3:
@@ -826,13 +825,11 @@ class _ShellState(_WorkingComplex):
             fs = on[r]
             if len(fs) == 1:  # r leaves the boundary and the complex
                 del on[r]
-                rim.discard(r)
                 for v in r:
                     through[v].discard(r)
                 continue
             fs.remove(f)
             if len(fs) == 1:  # r joins the boundary
-                rim.add(r)
                 for v in r:
                     through[v].add(r)
             elif len(fs) == 2:
@@ -869,6 +866,7 @@ class _ShellState(_WorkingComplex):
         self._tally(G, -1)
         reads, through, by, on = (
             self._reads, self._through, self._by_vertex, self._on)
+        combinations = itertools.combinations
         read = reads.pop(G, _NO_READ)
         if read[1]:
             self._reorder(read[1], None)
@@ -879,15 +877,17 @@ class _ShellState(_WorkingComplex):
             for F in by.get(v, ()):
                 if F in reads:
                     near[F] = near.get(F, 0) + 1
-        for r in itertools.combinations(G, ridge):
+        for r in combinations(G, ridge):
             fs = on.get(r)
             if fs and len(fs) == 1:  # fs[0] gains the boundary ridge r
                 near[fs[0]] = ridge
         for F, n in near.items():
             read = reads.get(F, _NO_READ)
             A, old = read
-            if n == ridge == len(F) - 1:
-                A = _opposite(F, self._rim)
+            if n == ridge == len(F) - 1:  # read A as the build does
+                total = sum(F)
+                A = tuple(sorted([total - sum(r) for r in combinations(F, ridge)
+                                  if len(on[r]) == 1]))
             elif not (gs.issuperset(A)
                       or n >= (b := len(F) - len(A)) > 0
                       and n - len(gs.intersection(A)) == b):

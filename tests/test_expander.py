@@ -404,6 +404,17 @@ def test_factor_link_mixed():
     assert factor_link(EMPTY) == (EMPTY, ())
 
 
+def cycle17():
+    """The 17-cycle on labels 2..18."""
+    return Complex.from_facets((2 + i, 2 + (i + 1) % 17) for i in range(17))
+
+
+def test_factor_link_splits_a_link_above_sixteen_vertices():
+    core, spheres = factor_link(simplex_boundary((0, 1)).join(cycle17()))
+    assert core == cycle17()
+    assert spheres == ((0, 1),)
+
+
 def test_search_witness_reduces_hexagon():
     hexagon = Complex.from_facets(
         [(i, 2 + (i - 1) % 6) for i in range(2, 8)])
@@ -459,6 +470,15 @@ def test_expand_exchange_recursive_case(sphere2):
     M = suspended_hexagon()
     t = expand_exchange(M, (0,), (8,))
     assert apply_transcript(M, t) == apply_move(M, Exchange((0,), (8,)))
+    assert all(isinstance(mv, Bistellar) for mv in t.moves)
+
+
+def test_expand_exchange_factors_a_link_above_sixteen_vertices():
+    M = (simplex_boundary((100, 101)).join(simplex_boundary((0, 1)))
+         .join(cycle17()))
+    t = expand_exchange(M, (100,), (102,))
+    assert len(t) == 268  # 74 when the 19-vertex link went unfactored
+    assert apply_transcript(M, t) == apply_move(M, Exchange((100,), (102,)))
     assert all(isinstance(mv, Bistellar) for mv in t.moves)
 
 

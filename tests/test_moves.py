@@ -8,7 +8,6 @@ import pytest
 import pachner.core
 import pachner.moves
 from pachner.core import (
-    BudgetExhaustedError,
     Complex,
     NotPseudomanifoldError,
     _WorkingComplex,
@@ -422,11 +421,47 @@ def test_apply_illegal_move_raises_with_report(sphere2):
     assert err.value.move == Star((0, 1, 2), 3)
 
 
-def test_nonface_enumeration_cap_is_a_budget_error():
+def _nonfaces_by_subsets(L):
+    """Reference for ``_minimal_nonfaces``: every vertex set of two or
+    more vertices of L, in (size, labels) order, that is no face though
+    each of its facets is."""
+    vs, faces = L.vertices(), L.faces()
+    return [S for s in range(2, len(vs) + 1)
+            for S in itertools.combinations(vs, s)
+            if S not in faces
+            and all(S[:i] + S[i + 1:] in faces for i in range(s))]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: derived_subdivision(standard_sphere(3)),
+    lambda: standard_sphere(4),
+    lambda: derived_subdivision(standard_sphere(2)),
+    csaszar_torus,
+    lambda: derived_subdivision(full_simplex(range(4))),
+], ids=["sd S3", "S4", "sd S2", "torus", "sd simplex"])
+def test_minimal_nonfaces_match_a_subset_scan(build):
+    M = build()
+    for A in M.faces():
+        if A:
+            L = M.link(A)
+            assert _minimal_nonfaces(L) == _nonfaces_by_subsets(L)
+
+
+def test_minimal_nonfaces_have_no_vertex_cap():
     points = Complex.from_facets((v,) for v in range(17))
-    with pytest.raises(BudgetExhaustedError):
-        _minimal_nonfaces(points)
-    assert len(_minimal_nonfaces(points, max_vertices=17)) == 136
+    assert _minimal_nonfaces(points) == list(
+        itertools.combinations(range(17), 2))
+
+
+@pytest.mark.parametrize("kind", ["weld", "exchange"])
+def test_enumeration_reads_links_above_sixteen_vertices(kind):
+    """The poles of the suspended 17-cycle have 17-vertex links."""
+    cycle = Complex.from_facets((2 + i, 2 + (i + 1) % 17) for i in range(17))
+    M = simplex_boundary((0, 1)).join(cycle)
+    moves = enumerate_moves(M, kind)
+    pole = Weld(0, (19,)) if kind == "weld" else Exchange((0,), (19,))
+    assert pole in moves
+    assert all(check_move(M, mv).legal for mv in moves)
 
 
 # malformed move data: a repeated label, empty simplexes, no move at all,

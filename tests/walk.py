@@ -10,7 +10,7 @@ desk scale; every applied move is still checked for legality."""
 import itertools
 import random
 
-from pachner.core import BudgetExhaustedError, is_simplex_boundary
+from pachner.core import is_simplex_boundary
 from pachner.moves import (
     MOVE_KINDS,
     Bistellar,
@@ -50,15 +50,6 @@ def vertex_delta(M, move):
     raise TypeError(kind)
 
 
-def _nonfaces_or_empty(L):
-    """Minimal nonfaces of a link, or nothing when the link is too big
-    for enumeration (a walk just loses those candidates)."""
-    try:
-        return _minimal_nonfaces(L)
-    except BudgetExhaustedError:
-        return []
-
-
 def _candidates(M, kind, rng):
     """Candidate moves of one family in a seeded random order.
 
@@ -76,7 +67,7 @@ def _candidates(M, kind, rng):
         rng.shuffle(verts)
         out = []
         for a in verts[:8]:
-            pool = [(fresh,)] + _nonfaces_or_empty(M.link((a,)))
+            pool = [(fresh,)] + _minimal_nonfaces(M.link((a,)))
             rng.shuffle(pool)
             out.extend(Weld(a, A) for A in pool)
         return out
@@ -94,7 +85,7 @@ def _candidates(M, kind, rng):
         rng.shuffle(faces)
         out = []
         for A in faces[:12]:
-            pool = [(fresh,)] + _nonfaces_or_empty(M.link(A))
+            pool = [(fresh,)] + _minimal_nonfaces(M.link(A))
             rng.shuffle(pool)
             out.extend(
                 Exchange(A, B) for B in pool if not set(A) & set(B))
