@@ -336,7 +336,10 @@ def factor_link(L):
     largest first.  A candidate W reaches the exact join test only when
     each w in W lies on (|W| - 1)/|W| of L's facets, counted over the
     facets with no working copy built: every factor dW * rest does, as
-    its facets are the (W - w) * C, C a facet of rest."""
+    its facets are the (W - w) * C, C a facet of rest.  As |W| >= 2,
+    such a W lies in the heavy vertices, those on at least half of the
+    facets, so the nonfaces are listed in the subcomplex they induce:
+    its minimal nonfaces are exactly L's inside them."""
     spheres = []
     while True:
         if L.vertices() and is_simplex_boundary(L):
@@ -346,7 +349,9 @@ def factor_link(L):
         found = None
         verts = set(L.vertices())
         on, n = Counter(chain.from_iterable(L.facets)), len(L.facets)
-        for W in sorted(_minimal_nonfaces(L), key=lambda w: (-len(w), w)):
+        heavy = [w for w in verts if 2 * on[w] >= n]
+        for W in sorted(_minimal_nonfaces(L.restrict(heavy)),
+                        key=lambda w: (-len(w), w)):
             k = len(W)
             if any(k * on[w] != (k - 1) * n for w in W):
                 continue

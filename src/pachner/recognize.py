@@ -8,8 +8,8 @@ Three layers:
   gives the rest of the invariant factors; the dense `boundary_matrix`
   is kept as the oracle of the tests;
 * ball/sphere verdicts: exact classification in dimension <= 2, read
-  from one pass over the facets (vertex graph, edge degrees, each
-  vertex link as a graph, and chi from the counts), and a homology
+  from the facets with no link built (connectedness, edge degrees, a
+  walk round each vertex, and chi from the counts), and a homology
   screen followed by a shelling search in dimension >= 3 -- with
   Unknown as a first-class outcome when no shelling is found;
 * backtracking search for shelling sequences.
@@ -267,23 +267,19 @@ def _ball_profile(n):
 # -- connectivity helpers -------------------------------------------------
 
 
-def _components(adj):
-    """Number of connected components of the graph given by its
-    adjacency: vertex -> iterable of neighbours."""
-    seen = set()
-    count = 0
-    for start in adj:
-        if start in seen:
-            continue
-        count += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return count
+def _connected(adj):
+    """Whether the graph given by its nonempty adjacency (vertex ->
+    iterable of neighbours) is connected: one walk from one vertex,
+    whose seen count is then compared with len(adj)."""
+    start = next(iter(adj))
+    seen = {start}
+    todo = [start]
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == len(adj)
 
 
 def _adjacency(edges):
@@ -294,6 +290,47 @@ def _adjacency(edges):
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     return adj
+
+
+def _stars_connected(star):
+    """Whether the complex given by its vertex stars (vertex -> the
+    facets on it) is connected: `_connected` with each vertex's
+    neighbours read from its facets, so no adjacency is built."""
+    start = next(iter(star))
+    seen = {start}
+    todo = [start]
+    while todo:
+        for F in star[todo.pop()]:
+            for w in F:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    return len(seen) == len(star)
+
+
+def _fan_connected(v, fan, edges):
+    """Whether lk(v) is connected, for a vertex v of a surface whose
+    `edges` (``core._ridges``) each lie in at most two triangles, so that
+    lk(v) is a union of circles and arcs.  The fan of triangles on v,
+    its star, is walked from one triangle F across the edges on v that
+    lie in two triangles, one way round until it closes a circle at F or
+    ends at an edge in one triangle, then the other way; lk(v) is one
+    circle or arc exactly when the walk meets the whole fan.  `fan` and
+    `edges` hold the same triangle objects, told apart by identity.  The
+    far label of a triangle G across the edge vx is sum(G) - v - x
+    (labels are ints), so no link is built."""
+    F = fan[0]
+    a = F[1] if F[0] == v else F[0]
+    met = 1
+    for x in (a, sum(F) - v - a):
+        G = F
+        while len(fs := edges[(v, x) if v < x else (x, v)]) == 2:
+            G = fs[1] if fs[0] is G else fs[0]
+            if G is F:
+                return met == len(fan)
+            met += 1
+            x = sum(G) - v - x
+    return met == len(fan)
 
 
 def _ridges_paired(K):
@@ -317,7 +354,7 @@ def is_closed_pseudomanifold(K):
             return False
         adj[fs[0]].append(fs[1])
         adj[fs[1]].append(fs[0])
-    return _components(adj) == 1
+    return _connected(adj)
 
 
 # -- verdicts --------------------------------------------------------------
@@ -347,10 +384,13 @@ class Verdict:
 def _classify_dim_le_2(K):
     """The exact Verdict of K, of dimension <= 2, without evidence.
 
-    One pass over the facets gives the vertex graph and, for a surface,
-    the edge degrees and every vertex link as a graph (triangle abc adds
-    the edge bc to lk(a)); no link complex is built.  A graph is decided
-    by its component count and vertex degrees.
+    A graph is decided by its connectedness and vertex degrees.  A
+    surface is read from two maps, each built in one pass over the
+    triangles: ``core._ridges``, each edge -> the triangles on it, and
+    each vertex -> its star, the triangles on it.  The vertex graph is
+    walked through the stars, and each vertex link by `_fan_connected`
+    as the fan of triangles around the vertex; no link complex or link
+    graph is built.
     """
     n = K.dim
     if n == -1:
@@ -364,13 +404,10 @@ def _classify_dim_le_2(K):
         if k == 2:
             return Verdict(SPHERE, reason="two points")
         return Verdict(OTHER, reason=f"{k} isolated points")
-    # the edges of a surface are its ridges, each keyed to the triangles
-    # on it; those of a graph are its facets
-    edges = _ridges(K.facets) if n == 2 else K.facets
-    adj = _adjacency(edges)
-    if _components(adj) > 1:
-        return Verdict(OTHER, reason="not connected")
     if n == 1:
+        adj = _adjacency(K.facets)
+        if not _connected(adj):
+            return Verdict(OTHER, reason="not connected")
         # a connected graph of degree <= 2 is a circle or an arc
         if any(len(nb) > 2 for nb in adj.values()):
             return Verdict(OTHER, reason="graph is neither a circle nor an arc")
@@ -378,20 +415,23 @@ def _classify_dim_le_2(K):
             return Verdict(SPHERE, reason="a circle")
         return Verdict(BALL, reason="an arc")
     # n == 2: exact surface classification
+    star = {}
+    for F in K.facets:
+        for v in F:
+            star.setdefault(v, []).append(F)
+    if not _stars_connected(star):
+        return Verdict(OTHER, reason="not connected")
+    edges = _ridges(K.facets)
     if any(len(fs) > 2 for fs in edges.values()):
         return Verdict(OTHER, reason="an edge lies in more than two triangles")
-    links = {v: [] for v in adj}
-    for F in K.facets:
-        for i, v in enumerate(F):
-            links[v].append(F[:i] + F[i + 1:])
     # a link vertex w of lk(v) has the degree of the edge vw, 1 or 2, so
     # lk(v) is a circle or an arc exactly when it is connected
-    for v in sorted(links):
-        if _components(_adjacency(links[v])) > 1:
+    for v in sorted(star):
+        if not _fan_connected(v, star[v], edges):
             return Verdict(
                 OTHER, reason=f"the link of vertex {v} is neither a "
                 "circle nor an arc")
-    chi = len(adj) - len(edges) + len(K.facets)
+    chi = len(star) - len(edges) + len(K.facets)
     rim = _adjacency(e for e, fs in edges.items() if len(fs) == 1)
     if not rim:
         if chi == 2:
@@ -400,7 +440,7 @@ def _classify_dim_le_2(K):
     # a disk has chi = 1 and a connected rim; every rim vertex has an arc
     # as its link, whose two ends are its two rim edges, so the rim is a
     # union of circles, and one circle exactly when it is connected
-    if chi == 1 and _components(rim) == 1:
+    if chi == 1 and _connected(rim):
         return Verdict(BALL, reason="surface with chi = 1 and one boundary circle")
     return Verdict(OTHER, reason="bounded surface that is not a disk")
 
@@ -467,12 +507,12 @@ def _cone_apex(K):
 def recognize_ball_or_sphere(K, budget=DEFAULT_SHELLING_BUDGET):
     """Verdict on whether K is a combinatorial ball or sphere.
 
-    Dimension <= 2 is decided exactly from one pass over the facets:
-    the component count of the vertex graph, the edge degrees, the
-    component count of each vertex link taken as a graph, chi =
-    #vertices - #edges + #triangles and the rim of degree-1 edges; no
-    link complex is built, and `budget` only bounds the search for the
-    evidence of a yes-verdict.  Dimension >= 3 is decided by a
+    Dimension <= 2 is decided exactly, with no link complex built: a
+    graph by its connectedness and vertex degrees; a surface by its
+    connectedness, walked through the vertex stars, the edge degrees,
+    whether the fan of triangles round each vertex is one circle or arc,
+    chi = #vertices - #edges + #triangles and the rim of degree-1 edges;
+    `budget` only bounds the search for the evidence of a yes-verdict.  Dimension >= 3 is decided by a
     homology screen and a shelling search of `budget` nodes, Unknown
     when it finds none; the reason then says whether the search proved
     that no shelling exists or ran out of budget.  The evidence is a
@@ -495,8 +535,8 @@ def recognize_ball_or_sphere(K, budget=DEFAULT_SHELLING_BUDGET):
         return Verdict(OTHER, reason="a ridge lies in more than two facets")
     # consecutive vertices of each facet stand in for all its edges;
     # a pure complex of dimension >= 3 has no isolated vertex
-    if _components(_adjacency(
-            e for F in K.facets for e in zip(F, F[1:]))) > 1:
+    if not _connected(_adjacency(
+            e for F in K.facets for e in zip(F, F[1:]))):
         return Verdict(OTHER, reason="not connected")
     shape, profile = ((SPHERE, _sphere_profile(n)) if closed
                       else (BALL, _ball_profile(n)))

@@ -415,6 +415,54 @@ def test_factor_link_splits_a_link_above_sixteen_vertices():
     assert spheres == ((0, 1),)
 
 
+def _factor_link_unfiltered(L):
+    """factor_link as it read before its nonfaces were listed over the
+    heavy vertices only: every minimal nonface of L meets the guard."""
+    from collections import Counter
+    from itertools import chain
+
+    from pachner.core import _TRIVIAL
+    from pachner.moves import _minimal_nonfaces
+    spheres = []
+    while True:
+        if L.vertices() and is_simplex_boundary(L):
+            spheres.append(L.vertices())
+            L = _TRIVIAL
+            break
+        found = None
+        verts = set(L.vertices())
+        on, n = Counter(chain.from_iterable(L.facets)), len(L.facets)
+        for W in sorted(_minimal_nonfaces(L), key=lambda w: (-len(w), w)):
+            k = len(W)
+            if any(k * on[w] != (k - 1) * n for w in W):
+                continue
+            rest = L.restrict(verts - set(W))
+            if simplex_boundary(W).join(rest) == L:
+                found = (W, rest)
+                break
+        if found is None:
+            break
+        spheres.append(found[0])
+        L = found[1]
+    return L, tuple(spheres)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: derived_subdivision(standard_sphere(3)),
+    lambda: standard_sphere(4),
+    lambda: derived_subdivision(standard_sphere(2)),
+    lambda: simplex_boundary((0, 1, 2)).join(simplex_boundary((3, 4, 5))),
+], ids=["sd S3", "S4", "sd S2", "dD2 * dD2"])
+def test_factor_link_matches_the_unfiltered_nonface_loop(build):
+    """Listing the nonfaces over the heavy vertices only gives the same
+    (core, spheres) on every link of a nonempty face."""
+    M = build()
+    for A in M.faces():
+        if A:
+            L = M.link(A)
+            assert factor_link(L) == _factor_link_unfiltered(L), A
+
+
 def test_search_witness_reduces_hexagon():
     hexagon = Complex.from_facets(
         [(i, 2 + (i - 1) % 6) for i in range(2, 8)])

@@ -361,6 +361,18 @@ DIM_LE_2_BRANCHES = [
      "the link of vertex 0 is neither a circle nor an arc"),
     ("tetrahedron and octahedron pinched", _pinched_tetrahedron_and_octahedron,
      OTHER, "the link of vertex 0 is neither a circle nor an arc"),
+    ("two tetrahedron boundaries sharing vertex 0", lambda: Complex.from_facets(
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+         (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)]),
+     OTHER, "the link of vertex 0 is neither a circle nor an arc"),
+    ("cone on a 3-cycle and a fan at its apex", lambda: Complex.from_facets(
+        [(0, 1, 2), (0, 2, 3), (0, 1, 3), (0, 4, 5), (0, 5, 6)]),
+     OTHER, "the link of vertex 0 is neither a circle nor an arc"),
+    # 5 and 7 are opposite corners of two squares: each link is two arcs,
+    # and every vertex below 5 has an arc
+    ("two squares pinched at opposite corners", lambda: Complex.from_facets(
+        [(0, 1, 5), (0, 1, 7), (2, 3, 5), (2, 3, 7)]),
+     OTHER, "the link of vertex 5 is neither a circle nor an arc"),
     ("torus7", csaszar_torus, OTHER, "closed surface with chi = 0"),
     ("RP2", rp2_six_vertices, OTHER, "closed surface with chi = 1"),
     ("tetrahedron boundary", lambda: standard_sphere(2), SPHERE,
@@ -455,27 +467,61 @@ def _evidence_text(ev):
     return dumps_transcript(ev) if isinstance(ev, Transcript) else repr(ev)
 
 
-def test_recognize_dim_le_2_matches_link_by_link_reference():
-    """Every pure 2-complex and every graph on five vertices, as given
-    and under a seeded relabelling into range(2n): value, reason and
-    evidence equal those of the link-by-link reference, whose yes-verdicts
-    carry the evidence of an exactly decided verdict."""
+def _assert_matches_reference(K, rng):
+    """K as given and under a seeded relabelling into range(2n): value,
+    reason and evidence equal those of the link-by-link reference, whose
+    yes-verdicts carry the evidence of an exactly decided verdict."""
     from pachner.recognize import DEFAULT_SHELLING_BUDGET, _exact_evidence
+    vs = K.vertices()
+    image = rng.sample(range(2 * len(vs)), len(vs))
+    for M in (K, K.relabel(dict(zip(vs, image)))):
+        value, reason = _reference_dim_le_2(M)
+        ev = (_exact_evidence(M, DEFAULT_SHELLING_BUDGET)
+              if value in (SPHERE, BALL) else None)
+        v = recognize_ball_or_sphere(M)
+        assert (v.value, v.reason, _evidence_text(v.evidence)) == (
+            value, reason, _evidence_text(ev)), M
+
+
+def test_recognize_dim_le_2_matches_link_by_link_reference():
+    """Every pure 2-complex and every graph on five vertices."""
     rng = random.Random(1414)
     for k in (2, 3):
         cells = list(itertools.combinations(range(5), k))
         for mask in range(1 << len(cells)):
-            K = Complex.from_facets(
-                [c for i, c in enumerate(cells) if mask >> i & 1])
-            vs = K.vertices()
-            image = rng.sample(range(2 * len(vs)), len(vs))
-            for M in (K, K.relabel(dict(zip(vs, image)))):
-                value, reason = _reference_dim_le_2(M)
-                ev = (_exact_evidence(M, DEFAULT_SHELLING_BUDGET)
-                      if value in (SPHERE, BALL) else None)
-                v = recognize_ball_or_sphere(M)
-                assert (v.value, v.reason, _evidence_text(v.evidence)) == (
-                    value, reason, _evidence_text(ev)), M
+            _assert_matches_reference(Complex.from_facets(
+                [c for i, c in enumerate(cells) if mask >> i & 1]), rng)
+
+
+def test_recognize_dim_le_2_matches_the_reference_on_six_and_seven_vertices():
+    """A seeded sample of pure 2-complexes on six and seven vertices,
+    where a vertex link can be two circles or a circle and an arc, so a
+    walk round one link closes a circle before it has met every
+    triangle on the vertex.  Triangles are drawn in random order, each
+    kept while every edge stays in at most `cap` triangles (3 lets an
+    edge lie in too many), up to a random count."""
+    rng = random.Random(2024)
+    for n in (6, 7):
+        cells = list(itertools.combinations(range(n), 3))
+        for _ in range(400):
+            rng.shuffle(cells)
+            size, cap = rng.randint(2, 2 * n), rng.choice((2, 2, 3))
+            on, facets = {}, []
+            for F in cells:
+                edges = list(itertools.combinations(F, 2))
+                if all(on.get(e, 0) < cap for e in edges):
+                    facets.append(F)
+                    for e in edges:
+                        on[e] = on.get(e, 0) + 1
+                    if len(facets) == size:
+                        break
+            _assert_matches_reference(Complex.from_facets(facets), rng)
+
+
+@pytest.mark.parametrize("build", [case[1] for case in DIM_LE_2_BRANCHES],
+                         ids=[case[0] for case in DIM_LE_2_BRANCHES])
+def test_recognize_dim_le_2_branches_match_the_reference(build):
+    _assert_matches_reference(build(), random.Random(7))
 
 
 def test_recognize_low_dim_sphere_evidence_reduces(sphere2):
